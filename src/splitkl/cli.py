@@ -13,7 +13,6 @@ outputs are byte-deterministic given (args, seed), independent of
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -30,7 +29,6 @@ from .concentration import (
 )
 from .errors import DomainError, InputFormatError
 from .majority_vote import (
-    DEFAULT_ALPHA_GRID,
     EvaluationMatrix,
     PredictionLossMatrix,
     ccpbb_optimize,
@@ -496,7 +494,8 @@ def build_parser():
     p.add_argument("--error-rate", type=float, default=0.3)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored: mv is single-threaded")
     p.add_argument("--dump-losses", default=None)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_mv)

@@ -212,14 +212,17 @@ def split_kl_bound(s: SplitSummary, delta) -> float:
     inverse.
     """
     eps = math.log(2.0 / delta) / s.n
-    plus_w = s.hi - s.mu
-    minus_w = s.mu - s.lo
+    return _split_kl_value(s.mu, s.hi - s.mu, s.mu - s.lo, s.plus_mean, s.minus_mean, eps)
+
+
+def _split_kl_value(mu, plus_w, minus_w, plus_mean, minus_mean, eps):
+    """mu + plus_w kl_inv_upper(plus_mean / plus_w, eps)
+    - minus_w kl_inv_lower(minus_mean / minus_w, eps), ratios clamped to
+    [0, 1]; a zero split weight contributes exactly 0."""
     plus_term = 0.0
     if plus_w > 0.0:
-        ratio = min(max(s.plus_mean / plus_w, 0.0), 1.0)
-        plus_term = plus_w * kl_inv_upper(ratio, eps)
+        plus_term = plus_w * kl_inv_upper(min(max(plus_mean / plus_w, 0.0), 1.0), eps)
     minus_term = 0.0
     if minus_w > 0.0:
-        ratio = min(max(s.minus_mean / minus_w, 0.0), 1.0)
-        minus_term = minus_w * kl_inv_lower(ratio, eps)
-    return s.mu + plus_term - minus_term
+        minus_term = minus_w * kl_inv_lower(min(max(minus_mean / minus_w, 0.0), 1.0), eps)
+    return mu + plus_term - minus_term

@@ -6,7 +6,11 @@ psi(u) = u - ln(1+u) and phi(x) = e^x - x - 1.
 
 All functions accept scalars or numpy arrays (broadcasting elementwise) and
 return a python float for scalar input.  They are pure and thread-safe.
+Scalar calls of the kl inverses take a float-only path (``math``, no numpy)
+that returns the same result as the array path, bit for bit.
 """
+
+import math
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
@@ -20,10 +24,12 @@ BISECT_WIDTH = 1e-11
 BISECT_MAX_ITER = 200
 
 
-def _as_array(x, name, lo=None, hi=None):
+def _as_array(x, name, lo, hi=None):
     a = np.asarray(x, dtype=float)
-    if lo is not None and np.any(a < lo) or hi is not None and np.any(a > hi):
-        raise DomainError(f"{name} outside [{lo}, {hi}]")
+    # negated comparisons, so that NaN fails them too
+    if not np.all(a >= lo) or hi is not None and not np.all(a <= hi):
+        problem = "is NaN" if np.isnan(a).any() else f"outside [{lo}, {hi}]"
+        raise DomainError(f"{name} {problem}")
     return a
 
 
@@ -49,6 +55,8 @@ def bernoulli_kl(p_hat, p):
 def _kl_inv_bisect(p_hat, eps, upper):
     ph = _as_array(p_hat, "p_hat", 0.0, 1.0)
     ev = _as_array(eps, "eps", 0.0)
+    if ph.ndim == 0 and ev.ndim == 0:
+        return _kl_inv_bisect_scalar(float(ph), float(ev), upper)
     ph_b, ev_b = np.broadcast_arrays(ph, ev)
     shape = ph_b.shape
     ph_f = ph_b.astype(float).ravel()
@@ -76,8 +84,28 @@ def _kl_inv_bisect(p_hat, eps, upper):
         else:
             hi = np.where(feas, mid, hi)
             lo = np.where(feas, lo, mid)
-    out = (lo if upper else hi).reshape(shape)
-    return _maybe_scalar(out, p_hat, eps)
+    return (lo if upper else hi).reshape(shape)
+
+
+def _xlogy(x, y):
+    return 0.0 if x == 0.0 else x * math.log(y)
+
+
+def _kl_inv_bisect_scalar(ph, ev, upper):
+    """:func:`_kl_inv_bisect` for two floats, with the same float operations."""
+    if upper:
+        lo, hi = 1.0 if math.isinf(ev) or ph >= 1.0 else ph, ph if ev == 0.0 else 1.0
+    else:
+        lo, hi = ph if ev == 0.0 else 0.0, 0.0 if math.isinf(ev) or ph <= 0.0 else ph
+    # bernoulli_kl(ph, mid) term by term; mid stays inside (0, 1)
+    ph_term, qh_term = _xlogy(ph, ph), _xlogy(1.0 - ph, 1.0 - ph)
+    for _ in range(BISECT_MAX_ITER):
+        if hi - lo <= BISECT_WIDTH:
+            break
+        mid = 0.5 * (lo + hi)
+        kl = (ph_term - _xlogy(ph, mid)) + (qh_term - _xlogy(1.0 - ph, 1.0 - mid))
+        lo, hi = (mid, hi) if (kl <= ev) == upper else (lo, mid)
+    return lo if upper else hi
 
 
 def kl_inv_upper(p_hat, eps):
@@ -104,10 +132,16 @@ def discrete_kl(rho, pi):
         raise DomainError("negative probability weight")
     if abs(r.sum() - 1.0) > 1e-9 or abs(p.sum() - 1.0) > 1e-9:
         raise DomainError("weights must sum to 1 within 1e-9")
-    if np.any((p == 0) & (r > 0)):
+    return _discrete_kl_unchecked(r, p)
+
+
+def _discrete_kl_unchecked(rho, pi):
+    """:func:`discrete_kl` for float arrays already validated, e.g. a
+    simplex projection against a prior checked once up front."""
+    if np.any((pi == 0) & (rho > 0)):
         return float("inf")
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = float(np.sum(xlogy(r, r) - xlogy(r, p)))
+        val = float(np.sum(xlogy(rho, rho) - xlogy(rho, pi)))
     return max(val, 0.0)
 
 

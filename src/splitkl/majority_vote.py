@@ -15,13 +15,13 @@ reported bound never exceeds the value at the initialization rho = pi.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concentration import BoundReport, make_gamma_grid
+from .concentration import BoundReport, _split_kl_value, make_gamma_grid
 from .errors import DomainError
-from .klcore import discrete_kl, kl_inv_lower, kl_inv_upper, phi, psi
+from .klcore import _discrete_kl_unchecked, discrete_kl, kl_inv_lower, kl_inv_upper, phi, psi
 from .pacbayes import gamma_star, lambda_star
 
 # Alpha grid for the offset bounds: step 0.01 over [-0.5, 0.49], which puts
@@ -46,10 +46,13 @@ class PredictionLossMatrix:
     ``mask[h, i]`` is True when example i is out-of-bag for hypothesis h.
     Every hypothesis needs at least one valid entry and every pair at least
     one jointly valid column.
+    ``pair_counts`` is formed once: the H x H counts of jointly valid columns
+    (valid, both err, one errs, none errs) and each row's valid count.
     """
 
     losses: np.ndarray
     mask: np.ndarray
+    pair_counts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         losses = np.asarray(self.losses, dtype=float)
@@ -60,12 +63,19 @@ class PredictionLossMatrix:
             raise DomainError("losses must be 0/1")
         object.__setattr__(self, "losses", losses)
         object.__setattr__(self, "mask", mask)
-        counts = mask.astype(float) @ mask.astype(float).T
-        if np.any(counts == 0):
-            i, j = np.argwhere(counts == 0)[0]
+        b = mask.astype(float)
+        valid = b @ b.T
+        if np.any(valid == 0):
+            i, j = np.argwhere(valid == 0)[0]
             raise DomainError(
                 f"hypothesis pair ({int(i)}, {int(j)}) has an empty OOB intersection"
             )
+        u = losses * b  # valid errors
+        w = (1.0 - losses) * b  # valid non-errors
+        both = u @ u.T
+        none = w @ w.T
+        counts = (valid, both, valid - both - none, none, b.sum(axis=1))
+        object.__setattr__(self, "pair_counts", counts)
 
     @property
     def h_count(self):
@@ -174,20 +184,9 @@ class EvaluationMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _pair_counts(plm: PredictionLossMatrix):
-    b = plm.mask.astype(float)
-    u = plm.losses * b  # valid errors
-    w = (1.0 - plm.losses) * b  # valid non-errors
-    valid = b @ b.T
-    both = u @ u.T
-    none = w @ w.T
-    one = valid - both - none
-    return valid, both, one, none, b.sum(axis=1)
-
-
 def compute_tandem_stats(plm: PredictionLossMatrix) -> TandemStats:
     """Average single and pairwise losses over the OOB (intersection) masks."""
-    valid, both, _, _, row_counts = _pair_counts(plm)
+    valid, both, _, _, row_counts = plm.pair_counts
     tandem = both / valid
     single = np.diag(tandem).copy()
     return TandemStats(
@@ -221,7 +220,7 @@ def alpha_stats(plm: PredictionLossMatrix, alpha) -> AlphaTandemStats:
     """
     if not -0.5 <= alpha < 0.5:
         raise DomainError("alpha must lie in [-0.5, 0.5)")
-    valid, both, one, none, row_counts = _pair_counts(plm)
+    valid, both, one, none, row_counts = plm.pair_counts
     v_both = (1.0 - alpha) ** 2
     v_one = -alpha * (1.0 - alpha)
     v_none = alpha * alpha
@@ -396,20 +395,23 @@ def cctnd_bound(ts: TandemStats, w: PosteriorWeights, alpha, delta) -> float:
 def ccpbb_bound(ats: AlphaTandemStats, w: PosteriorWeights, lam, gamma, delta,
                 k_lambda, k_gamma) -> float:
     """Chebyshev-Cantelli with a PAC-Bayes-Empirical-Bennett tandem estimate."""
-    m, n, k = ats.m, ats.n, ats.k_range
-    lam_max = 2.0 * (m - 1) / m
+    lam_max = 2.0 * (ats.m - 1) / ats.m
     if not 0.0 < lam < lam_max:
         raise DomainError(f"lambda must lie in (0, {lam_max})")
     if gamma <= 0.0:
         raise DomainError("gamma must be positive")
-    kl = discrete_kl(w.rho, w.pi)
+    return _ccpbb_value(ats, _quad(w.rho, ats.mean), _quad(w.rho, ats.variance),
+                        discrete_kl(w.rho, w.pi), lam, gamma, delta, k_lambda, k_gamma)
+
+
+def _ccpbb_value(ats, q_mean, q_var, kl, lam, gamma, delta, k_lambda, k_gamma):
+    """:func:`ccpbb_bound` from rho' mean rho, rho' variance rho and KL(rho||pi)."""
+    m, n, k = ats.m, ats.n, ats.k_range
     comp = 2.0 * kl + math.log(2.0 * k_lambda * k_gamma / delta)
     u = lam * m / (2.0 * (m - 1))
     bennett = phi(gamma * k) / (gamma * k * k)
-    val = (
-        _quad(w.rho, ats.mean)
-        + comp / (gamma * m)
-        + bennett * (_quad(w.rho, ats.variance) / (1.0 - u) + k * k * comp / (n * lam * (1.0 - u)))
+    val = q_mean + comp / (gamma * m) + bennett * (
+        q_var / (1.0 - u) + k * k * comp / (n * lam * (1.0 - u))
     )
     return val / (0.5 - ats.alpha) ** 2
 
@@ -429,13 +431,15 @@ def ccpbub_bound(ats: AlphaTandemStats, w: PosteriorWeights, gamma, delta) -> fl
     if not 0.0 < gamma < 1.0 / b:
         raise DomainError(f"gamma must lie in (0, {1.0 / b})")
     k_gamma = ccpbub_gamma_grid(ats, delta).count
-    kl = discrete_kl(w.rho, w.pi)
+    return _ccpbub_value(ats, _quad(w.rho, ats.mean), _quad(w.rho, ats.second_moment),
+                         discrete_kl(w.rho, w.pi), gamma, delta, k_gamma)
+
+
+def _ccpbub_value(ats, q_mean, q_second, kl, gamma, delta, k_gamma):
+    """:func:`ccpbub_bound` from rho' mean rho, rho' second_moment rho and KL(rho||pi)."""
+    b = ats.b
     comp = 2.0 * kl + math.log(k_gamma / delta)
-    val = (
-        _quad(w.rho, ats.mean)
-        + psi(-gamma * b) / (gamma * b * b) * _quad(w.rho, ats.second_moment)
-        + comp / (gamma * ats.m)
-    )
+    val = q_mean + psi(-gamma * b) / (gamma * b * b) * q_second + comp / (gamma * ats.m)
     return val / (0.5 - ats.alpha) ** 2
 
 
@@ -445,17 +449,10 @@ def ccpbskl_bound(ats: AlphaTandemStats, w: PosteriorWeights, delta) -> float:
     Degenerate split weights contribute 0; at alpha = 0 this is exactly the
     TND bound.
     """
-    kl = discrete_kl(w.rho, w.pi)
-    eps = _tandem_eps(kl, ats.m, delta)
-    plus_w = ats.b - ats.mu
-    minus_w = ats.mu - ats.a
-    plus_term = 0.0
-    if plus_w > 0.0:
-        plus_term = plus_w * kl_inv_upper(_clamp01(_quad(w.rho, ats.plus) / plus_w), eps)
-    minus_term = 0.0
-    if minus_w > 0.0:
-        minus_term = minus_w * kl_inv_lower(_clamp01(_quad(w.rho, ats.minus) / minus_w), eps)
-    return (ats.mu + plus_term - minus_term) / (0.5 - ats.alpha) ** 2
+    eps = _tandem_eps(discrete_kl(w.rho, w.pi), ats.m, delta)
+    val = _split_kl_value(ats.mu, ats.b - ats.mu, ats.mu - ats.a,
+                          _quad(w.rho, ats.plus), _quad(w.rho, ats.minus), eps)
+    return val / (0.5 - ats.alpha) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +510,7 @@ def tnd_optimize(ts: TandemStats, pi, delta, irprop_config=IRPropConfig()):
         def objective(r):
             return 4.0 * (
                 _quad(r, matrix) / (1.0 - lam / 2.0)
-                + (2.0 * discrete_kl(r, pi) + ln_c) / denom
+                + (2.0 * _discrete_kl_unchecked(r, pi) + ln_c) / denom
             )
 
         def gradient(r):
@@ -618,7 +615,7 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None, fixed_alpha=None
             gam = gam_lo
 
             def objective(r, alpha=alpha, lam=lam, gam=gam):
-                klr = discrete_kl(r, pi)
+                klr = _discrete_kl_unchecked(r, pi)
                 tt = _quad(r, matrix) / (1.0 - lam / 2.0) + (
                     2.0 * klr + comp_t_const
                 ) / (lam * (1.0 - lam / 2.0) * m)
@@ -643,7 +640,7 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None, fixed_alpha=None
             gam = gam_up
 
             def objective(r, alpha=alpha, lam=lam, gam=gam):
-                klr = discrete_kl(r, pi)
+                klr = _discrete_kl_unchecked(r, pi)
                 tt = _quad(r, matrix) / (1.0 - lam / 2.0) + (
                     2.0 * klr + comp_t_const
                 ) / (lam * (1.0 - lam / 2.0) * m)
@@ -702,13 +699,13 @@ def ccpbb_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
         prev_val = math.inf
         for _ in range(MAX_OUTER):
             iterations += 1
-            w = PosteriorWeights(rho, pi)
+            forms = (_quad(rho, ats.mean), _quad(rho, ats.variance), discrete_kl(rho, pi))
             lam_vals = [
-                ccpbb_bound(ats, w, lv, gam, delta, k_lam, k_gam) for lv in lam_grid
+                _ccpbb_value(ats, *forms, lv, gam, delta, k_lam, k_gam) for lv in lam_grid
             ]
             lam = float(lam_grid[int(np.argmin(lam_vals))])
             gam_vals = [
-                ccpbb_bound(ats, w, lam, gv, delta, k_lam, k_gam) for gv in gam_grid
+                _ccpbb_value(ats, *forms, lam, gv, delta, k_lam, k_gam) for gv in gam_grid
             ]
             gam = float(gam_grid[int(np.argmin(gam_vals))])
             val0 = min(gam_vals)
@@ -721,7 +718,7 @@ def ccpbb_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
 
             def objective(r, lam=lam, gam=gam, u=u, bennett=bennett, scale=scale,
                           comp_const=comp_const, ats=ats):
-                comp = 2.0 * discrete_kl(r, pi) + comp_const
+                comp = 2.0 * _discrete_kl_unchecked(r, pi) + comp_const
                 return (
                     _quad(r, ats.mean)
                     + comp / (gam * ats.m)
@@ -763,23 +760,23 @@ def ccpbub_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
     iterations = 0
     for alpha in grid:
         ats = alpha_stats(plm, alpha)
-        gam_grid = ccpbub_gamma_grid(ats, delta).values
+        gamma_grid = ccpbub_gamma_grid(ats, delta)
+        gam_grid, k_gam = gamma_grid.values, gamma_grid.count
         rho = pi.copy()
         prev_val = math.inf
         for _ in range(MAX_OUTER):
             iterations += 1
-            w = PosteriorWeights(rho, pi)
-            gam_vals = [ccpbub_bound(ats, w, gv, delta) for gv in gam_grid]
+            forms = (_quad(rho, ats.mean), _quad(rho, ats.second_moment), discrete_kl(rho, pi))
+            gam_vals = [_ccpbub_value(ats, *forms, gv, delta, k_gam) for gv in gam_grid]
             gam = float(gam_grid[int(np.argmin(gam_vals))])
             tracker.update(min(gam_vals), rho, alpha=alpha, gam=gam)
 
-            k_gam = len(gam_grid)
             moment_coeff = psi(-gam * ats.b) / (gam * ats.b**2)
             scale = (0.5 - alpha) ** 2
 
             def objective(r, gam=gam, moment_coeff=moment_coeff, scale=scale,
                           k_gam=k_gam, ats=ats):
-                comp = 2.0 * discrete_kl(r, pi) + math.log(k_gam / delta)
+                comp = 2.0 * _discrete_kl_unchecked(r, pi) + math.log(k_gam / delta)
                 return (
                     _quad(r, ats.mean)
                     + moment_coeff * _quad(r, ats.second_moment)
@@ -842,7 +839,7 @@ def ccpbskl_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
 
             def objective(r, lam=lam, gam=gam, ats=ats, scale=scale,
                           plus_w=plus_w, minus_w=minus_w):
-                comp_r = 2.0 * discrete_kl(r, pi) + comp_const
+                comp_r = 2.0 * _discrete_kl_unchecked(r, pi) + comp_const
                 val = ats.mu + _quad(r, ats.plus) / (1.0 - lam / 2.0) + plus_w * comp_r / (
                     lam * (1.0 - lam / 2.0) * ats.m
                 )

@@ -12,9 +12,9 @@ upper/lower bounds with their closed-form parameter minimisers.
 import math
 from dataclasses import dataclass
 
-from .concentration import BoundReport, make_gamma_grid
+from .concentration import BoundReport, _split_kl_value, make_gamma_grid
 from .errors import DomainError
-from .klcore import binomial_tail_inverse, kl_inv_lower, kl_inv_upper, psi
+from .klcore import binomial_tail_inverse, kl_inv_upper, psi
 
 _SLACK = 1e-9
 
@@ -144,17 +144,8 @@ def pb_split_kl(inp: PacBayesInput, delta):
     split weights contribute exactly 0.
     """
     eps = (inp.kl_complexity + math.log(4.0 * math.sqrt(inp.n) / delta)) / inp.n
-    plus_w = inp.hi - inp.mu
-    minus_w = inp.mu - inp.lo
-    plus_term = 0.0
-    if plus_w > 0.0:
-        ratio = min(max(inp.gibbs_plus_mean / plus_w, 0.0), 1.0)
-        plus_term = plus_w * kl_inv_upper(ratio, eps)
-    minus_term = 0.0
-    if minus_w > 0.0:
-        ratio = min(max(inp.gibbs_minus_mean / minus_w, 0.0), 1.0)
-        minus_term = minus_w * kl_inv_lower(ratio, eps)
-    return inp.mu + plus_term - minus_term
+    return _split_kl_value(inp.mu, inp.hi - inp.mu, inp.mu - inp.lo,
+                           inp.gibbs_plus_mean, inp.gibbs_minus_mean, eps)
 
 
 def test_set_bound(n, errors, delta):
@@ -171,16 +162,14 @@ def excess_informed_bound(x: ExcessLossInput, delta):
     """
     half = x.n // 2
     eps = (x.kl_complexity + math.log(8.0 * math.sqrt(half) / delta)) / half
-    plus_hat = (x.fwd_plus + x.bwd_plus) / (2.0 * (1.0 - x.mu)) if x.mu < 1.0 else 0.0
-    minus_hat = (x.fwd_minus + x.bwd_minus) / (2.0 * (x.mu + 1.0)) if x.mu > -1.0 else 0.0
-    plus_term = (1.0 - x.mu) * kl_inv_upper(min(max(plus_hat, 0.0), 1.0), eps)
-    minus_term = (x.mu + 1.0) * kl_inv_lower(min(max(minus_hat, 0.0), 1.0), eps)
+    split = _split_kl_value(x.mu, 1.0 - x.mu, x.mu + 1.0, (x.fwd_plus + x.bwd_plus) / 2.0,
+                            (x.fwd_minus + x.bwd_minus) / 2.0, eps)
     c1, c2 = x.ref_loss_counts
     ref_term = 0.5 * (
         binomial_tail_inverse(half, c1, delta / 4.0)
         + binomial_tail_inverse(half, c2, delta / 4.0)
     )
-    return x.mu + plus_term - minus_term + ref_term
+    return split + ref_term
 
 
 def pb_lambda_upper(gibbs_mean, kl_complexity, n, delta, lam):

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +240,18 @@ def test_mv_deterministic_output(tmp_path):
     assert run(args + ["--out", out1]) == 0
     assert run(args + ["--out", out2]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+GOLDEN_MV = Path(__file__).parent / "golden" / "mv_correlated_h4_n300_a5_seed3.json"
+
+
+def test_mv_output_matches_golden_bytes(capsys):
+    # the majority-vote fast paths keep every float operation of the
+    # reference implementation, so stdout must not change by one byte
+    args = ["mv", "--synthetic", "correlated", "--h-count", "4",
+            "--n-examples", "300", "--alpha-points", "5", "--seed", "3"]
+    assert run(args) == 0
+    assert capsys.readouterr().out.encode() == GOLDEN_MV.read_bytes()
 
 
 def test_exit_code_contract_bad_delta():

@@ -141,6 +141,42 @@ def test_kl_inv_infinite_eps():
     assert kl_inv_lower(0.4, math.inf) == 0.0
 
 
+def _one_element_vector_call(fn, p, e):
+    return fn(np.array([p]), np.array([e]))[0]
+
+
+def test_kl_inv_scalar_path_matches_vector_path_bitwise():
+    # criterion 1's inputs, then the edges of both arguments
+    rng = np.random.default_rng(2024)
+    cases = list(zip(rng.uniform(0, 1, 1000), 10.0 ** rng.uniform(-4, 0.5, 1000)))
+    cases += [(p, e) for p in (0.0, 1.0, 0.3) for e in (0.0, math.inf, 1e-300, 0.05)]
+    for p, e in cases:
+        for fn in (kl_inv_upper, kl_inv_lower):
+            scalar = fn(float(p), float(e))
+            assert isinstance(scalar, float)
+            assert scalar == _one_element_vector_call(fn, p, e), (fn.__name__, p, e)
+
+
+@pytest.mark.parametrize("p, e", [(-0.1, 0.1), (1.1, 0.1), (0.3, -0.1),
+                                  (0.3, math.nan), (math.nan, 0.1)])
+def test_kl_inv_scalar_and_vector_paths_raise_the_same_error(p, e):
+    for fn in (kl_inv_upper, kl_inv_lower):
+        with pytest.raises(DomainError) as scalar:
+            fn(p, e)
+        with pytest.raises(DomainError) as vector:
+            _one_element_vector_call(fn, p, e)
+        assert str(scalar.value) == str(vector.value)
+
+
+def test_kl_inv_rejects_nan():
+    with pytest.raises(DomainError, match="eps is NaN"):
+        kl_inv_upper(0.3, math.nan)
+    with pytest.raises(DomainError, match="p_hat is NaN"):
+        kl_inv_lower(math.nan, 0.1)
+    with pytest.raises(DomainError, match="p_hat is NaN"):
+        kl_inv_upper(np.array([0.2, math.nan]), 0.1)
+
+
 # ---------------------------------------------------------------------------
 # discrete_kl
 # ---------------------------------------------------------------------------

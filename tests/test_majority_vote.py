@@ -29,6 +29,7 @@ from splitkl.majority_vote import (
     tnd_bound,
     tnd_optimize,
 )
+from splitkl.majority_vote import _ccpbb_grids, _ccpbb_value, _ccpbub_value, _quad
 
 SMALL_ALPHA_GRID = tuple(np.arange(-5, 5) / 10.0)  # includes 0
 
@@ -153,6 +154,37 @@ def test_alpha_stats_against_bruteforce():
                 assert ats.minus[i, j] == pytest.approx(
                     np.maximum(0.0, ats.mu - z).mean(), abs=1e-12
                 )
+
+
+def _pair_counts_from_scratch(plm):
+    err = plm.losses == 1.0
+    joint = plm.mask[:, None, :] & plm.mask[None, :, :]
+    valid = joint.sum(axis=2)
+    both = (joint & err[:, None, :] & err[None, :, :]).sum(axis=2)
+    none = (joint & ~err[:, None, :] & ~err[None, :, :]).sum(axis=2)
+    return valid, both, valid - both - none, none
+
+
+def test_alpha_stats_recombine_stored_pair_counts():
+    rng = np.random.default_rng(21)
+    for h, n in ((2, 30), (4, 60), (7, 90)):
+        plm = random_plm(rng, h=h, n=n)
+        valid, both, one, none = _pair_counts_from_scratch(plm)
+        scratch = (valid, both, one, none, plm.mask.sum(axis=1))
+        for stored, expect in zip(plm.pair_counts, scratch, strict=True):
+            assert np.array_equal(stored, expect)
+        for alpha in (-0.5, -0.2, 0.0, 0.3, 0.49):
+            ats = alpha_stats(plm, alpha)
+            values = ((1.0 - alpha) ** 2, -alpha * (1.0 - alpha), alpha * alpha)
+
+            def pair_mean(f):
+                return (both * f[0] + one * f[1] + none * f[2]) / valid
+
+            assert np.array_equal(ats.mean, pair_mean(values))
+            assert np.array_equal(ats.second_moment, pair_mean([v * v for v in values]))
+            assert np.array_equal(ats.plus, pair_mean([max(0.0, v - ats.mu) for v in values]))
+            assert np.array_equal(ats.minus, pair_mean([max(0.0, ats.mu - v) for v in values]))
+            assert (ats.n, ats.m) == (int(plm.mask.sum(axis=1).min()), int(valid.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +479,53 @@ def test_ccpbb_monotone_in_kl():
     assert ccpbb_bound(ats, far, 0.5, 0.7, 0.05, 20, 20) >= ccpbb_bound(
         ats, near, 0.5, 0.7, 0.05, 20, 20
     )
+
+
+def test_ccpbb_and_ccpbub_bounds_equal_their_value_helpers():
+    # the optimizers' grid loops call the helpers with forms computed once
+    rng = np.random.default_rng(22)
+    for h in (2, 4, 7):
+        plm = random_plm(rng, h=h, n=80)
+        pi = np.full(h, 1.0 / h)
+        for alpha in (-0.4, 0.0, 0.25):
+            ats = alpha_stats(plm, alpha)
+            rho = project_simplex(rng.uniform(size=h))
+            w = PosteriorWeights(rho=rho, pi=pi)
+            kl = discrete_kl(rho, pi)
+            lam_grid, gam_grid = _ccpbb_grids(ats.m)
+            k_lam, k_gam = len(lam_grid), len(gam_grid)
+            forms = (_quad(rho, ats.mean), _quad(rho, ats.variance), kl)
+            for lv in lam_grid:
+                for gv in gam_grid:
+                    assert ccpbb_bound(ats, w, lv, gv, 0.05, k_lam, k_gam) == _ccpbb_value(
+                        ats, *forms, lv, gv, 0.05, k_lam, k_gam
+                    )
+            grid = ccpbub_gamma_grid(ats, 0.05)
+            forms = (_quad(rho, ats.mean), _quad(rho, ats.second_moment), kl)
+            for gv in grid.values:
+                assert ccpbub_bound(ats, w, gv, 0.05) == _ccpbub_value(
+                    ats, *forms, gv, 0.05, grid.count
+                )
+
+
+def test_bounds_reject_negative_weights():
+    rng = np.random.default_rng(23)
+    plm = random_plm(rng, h=3, n=60)
+    ts, ats = compute_tandem_stats(plm), alpha_stats(plm, -0.2)
+    # PosteriorWeights tolerates -1e-9 of rounding; the bounds' KL check does not
+    w = PosteriorWeights(rho=[0.5 + 5e-10, 0.5, -5e-10], pi=np.full(3, 1.0 / 3.0))
+    lam_grid, gam_grid = _ccpbb_grids(ats.m)
+    gamma = ccpbub_gamma_grid(ats, 0.05).values[0]
+    calls = (
+        lambda: tnd_bound(ts, w, 0.05),
+        lambda: cctnd_bound(ts, w, 0.1, 0.05),
+        lambda: ccpbb_bound(ats, w, lam_grid[5], gam_grid[5], 0.05, 20, 20),
+        lambda: ccpbub_bound(ats, w, gamma, 0.05),
+        lambda: ccpbskl_bound(ats, w, 0.05),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="negative probability weight"):
+            call()
 
 
 def test_ccpbskl_single_hypothesis_oracle():

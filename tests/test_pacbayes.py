@@ -56,6 +56,12 @@ def test_pb_kl_values():
     )
 
 
+def test_pb_kl_rejects_nan_complexity():
+    # a NaN KL used to come back as the empirical mean, a "certificate" of 0.2
+    with pytest.raises(DomainError, match="eps is NaN"):
+        pb_kl_bound(0.2, math.nan, 100, 0.05)
+
+
 def test_pinsker_values():
     eps = math.log(400.0) / 100.0
     assert pb_kl_pinsker_relaxation(0.0, 0.0, 100, 0.05) == pytest.approx(
