@@ -7,19 +7,20 @@ or ingested loss matrices).
 
 Exit codes: 0 success, 1 acceptance-check failure, 2 input/usage error,
 3 domain error.  All floats are printed with 12 significant digits and all
-outputs are byte-deterministic given (args, seed), independent of
-``--threads``.
+outputs are byte-deterministic given (args, seed).  ``simulate``,
+``coverage`` and ``mv`` run in one thread: they accept ``--threads`` and
+ignore it.
 """
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import simulation
 from .concentration import (
-    BoundReport,
     EmpiricalSummary,
     kl_upper_bound,
     split_decompose,
@@ -116,9 +117,12 @@ def _parse_sample_file(path):
                     ) from exc
             continue
         try:
-            samples.append(float(line))
+            value = float(line)
         except ValueError as exc:
             raise InputFormatError(f"line {lineno}: not a number: {line!r}") from exc
+        if not math.isfinite(value):
+            raise InputFormatError(f"line {lineno}: not a finite number: {line!r}")
+        samples.append(value)
     if not samples:
         raise InputFormatError("no samples in input file")
     return np.asarray(samples), header
@@ -129,39 +133,28 @@ def cmd_bound(args):
     lo = args.lo if args.lo is not None else header.get("lo", 0.0)
     hi = args.hi if args.hi is not None else header.get("hi", 1.0)
     mu = args.mu if args.mu is not None else header.get("mu", 0.5 * (lo + hi))
-    if lo >= hi:
-        raise InputFormatError(f"need lo < hi, got lo={lo} hi={hi}")
+    if not (math.isfinite(lo) and math.isfinite(mu) and lo < hi < math.inf):
+        raise InputFormatError(f"need finite lo < hi and mu, got lo={lo} hi={hi} mu={mu}")
     delta = args.delta
     names = BOUND_CHOICES if args.bound == "all" else (args.bound,)
     n = len(samples)
     reports = []
     for name in names:
+        params = {"n": n, "lo": lo, "hi": hi}
         if name == "kl":
             value = kl_upper_bound(samples.mean(), n, delta, lo, hi)
-            rep = BoundReport("kl", value, delta, {"n": n, "lo": lo, "hi": hi})
         elif name == "eb":
             s = EmpiricalSummary.from_samples(samples, lo, hi)
-            rep = BoundReport(
-                "eb", empirical_bernstein_bound(s, delta), delta,
-                {"n": n, "lo": lo, "hi": hi},
-            )
+            value = empirical_bernstein_bound(s, delta)
         elif name == "ub":
             s = EmpiricalSummary.from_samples(samples, lo, hi)
-            grid_rep = unexpected_bernstein_grid_bound(s, delta)
-            rep = BoundReport(
-                "ub", grid_rep.value, delta,
-                dict(grid_rep.params, n=n, hi=hi),
-            )
+            rep = unexpected_bernstein_grid_bound(s, delta)
+            value, params = rep.value, dict(rep.params, n=n, hi=hi)
         else:
-            sp = split_decompose(samples, mu, lo, hi)
-            rep = BoundReport(
-                "skl", split_kl_bound(sp, delta), delta,
-                {"n": n, "lo": lo, "hi": hi, "mu": mu},
-            )
-        value = min(rep.value, hi) if args.clip else rep.value
-        reports.append(
-            {"name": rep.name, "value": value, "delta": rep.delta, "params": rep.params}
-        )
+            value = split_kl_bound(split_decompose(samples, mu, lo, hi), delta)
+            params["mu"] = mu
+        value = min(value, hi) if args.clip else value
+        reports.append({"name": name, "value": value, "delta": delta, "params": params})
     _emit_json({"bounds": reports}, args.out)
     return EXIT_OK
 
@@ -195,14 +188,12 @@ def _sweep_csv(rows):
 
 
 def cmd_simulate(args):
-    if args.mode in TERNARY_MODES:
-        rows = simulation.sweep_ternary(
-            args.mode, args.n, args.delta, args.repeats, args.seed, args.threads
-        )
-    else:
-        rows = simulation.sweep_beta(
-            args.mode, args.n, args.delta, args.repeats, args.seed, args.threads
-        )
+    if args.n < 2:
+        raise InputFormatError(f"need n >= 2, got {args.n}")
+    if args.repeats < 1:
+        raise InputFormatError(f"need repeats >= 1, got {args.repeats}")
+    sweep = simulation.sweep_ternary if args.mode in TERNARY_MODES else simulation.sweep_beta
+    rows = sweep(args.mode, args.n, args.delta, args.repeats, args.seed)
     _emit(_sweep_csv(rows), args.out)
     return EXIT_OK
 
@@ -225,6 +216,8 @@ def _parse_floats(text, count, what):
 def cmd_coverage(args):
     if args.trials < 100:
         raise InputFormatError("need trials >= 100")
+    if args.n < 2:
+        raise InputFormatError(f"need n >= 2, got {args.n}")
     if args.dist == "ternary":
         probs = _parse_floats(args.probs, 3, "--probs")
         dist = simulation.TernarySpec(*probs)
@@ -233,9 +226,7 @@ def cmd_coverage(args):
         shape = _parse_floats(args.shape, 2, "--shape")
         dist = simulation.BetaSpec(*shape)
         dist_desc = {"kind": "beta", "shape": shape}
-    freqs = simulation.coverage_experiment(
-        dist, args.n, args.delta, args.trials, args.seed, args.threads
-    )
+    freqs = simulation.coverage_experiment(dist, args.n, args.delta, args.trials, args.seed)
     ceiling = simulation.coverage_ceiling(args.delta, args.trials)
     ok = simulation.coverage_passes(freqs, args.delta, args.trials)
     _emit_json(
@@ -461,7 +452,7 @@ def build_parser():
     p.add_argument("--repeats", type=int, default=simulation.DEFAULT_REPEATS)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_simulate)
 
@@ -474,7 +465,7 @@ def build_parser():
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_coverage)
 

@@ -59,8 +59,8 @@ def _kl_inv_bisect(p_hat, eps, upper):
         return _kl_inv_bisect_scalar(float(ph), float(ev), upper)
     ph_b, ev_b = np.broadcast_arrays(ph, ev)
     shape = ph_b.shape
-    ph_f = ph_b.astype(float).ravel()
-    ev_f = ev_b.astype(float).ravel()
+    ph_f = ph_b.reshape(-1, shape[-1]).astype(float)
+    ev_f = ev_b.reshape(-1, shape[-1]).astype(float)
     # eps = 0 forces p = p_hat; bisecting instead would drift by the float
     # cancellation width of kl around p_hat (~1e-8).
     pinned = ev_f == 0.0
@@ -73,17 +73,20 @@ def _kl_inv_bisect(p_hat, eps, upper):
         lo, hi = np.zeros_like(ph_f), ph_f.copy()
         lo[pinned] = ph_f[pinned]
         hi[np.isinf(ev_f) | (ph_f <= 0.0)] = 0.0
-    for _ in range(BISECT_MAX_ITER):
-        if np.max(hi - lo) <= BISECT_WIDTH:
-            break
-        mid = 0.5 * (lo + hi)
-        feas = bernoulli_kl(ph_f, mid) <= ev_f
-        if upper:
-            lo = np.where(feas, mid, lo)
-            hi = np.where(feas, hi, mid)
-        else:
-            hi = np.where(feas, mid, hi)
-            lo = np.where(feas, lo, mid)
+    # bernoulli_kl(ph, mid) term by term, the mid-free terms computed once
+    qh_f = 1.0 - ph_f
+    ph_term, qh_term = xlogy(ph_f, ph_f), xlogy(qh_f, qh_f)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(BISECT_MAX_ITER):
+            # a row that stopped keeps its brackets, so it stays stopped
+            active = np.max(hi - lo, axis=1, keepdims=True) > BISECT_WIDTH
+            if not active.any():
+                break
+            mid = 0.5 * (lo + hi)
+            kl = (ph_term - xlogy(ph_f, mid)) + (qh_term - xlogy(qh_f, 1.0 - mid))
+            up = (kl <= ev_f) == upper
+            lo = np.where(active & up, mid, lo)
+            hi = np.where(active & ~up, mid, hi)
     return (lo if upper else hi).reshape(shape)
 
 
@@ -113,6 +116,8 @@ def kl_inv_upper(p_hat, eps):
 
     kl(p_hat || .) is increasing on [p_hat, 1], so the feasible set is an
     interval; the returned endpoint is feasible.  eps = +inf returns 1.
+    Array inputs broadcast, and each row along the last axis is bisected
+    until its own widest bracket is narrow enough.
     """
     return _kl_inv_bisect(p_hat, eps, upper=True)
 

@@ -155,7 +155,8 @@ class PosteriorWeights:
         if rho.shape != pi.shape or rho.ndim != 1:
             raise DomainError("rho and pi must be 1-d vectors of equal length")
         for name, v in (("rho", rho), ("pi", pi)):
-            if np.any(v < -1e-9) or abs(v.sum() - 1.0) > 1e-9:
+            # negated comparisons, so that NaN fails them too
+            if not (np.all(v >= -1e-9) and abs(v.sum() - 1.0) <= 1e-9):
                 raise DomainError(f"{name} is not on the simplex")
 
 

@@ -7,13 +7,12 @@ upper endpoint at emission time only.  Coverage experiments estimate the
 violation frequency of each bound's 1-delta guarantee.  A synthetic bagged
 ensemble generator feeds the majority-vote module.
 
-Randomness is derived per (grid point, repeat) from the master seed through
-``numpy.random.SeedSequence``, so any thread count and evaluation order
-produce bit-identical results.
+Randomness is derived per (grid point, repeat), or per coverage block, from
+the master seed through ``numpy.random.SeedSequence``.  Everything runs in
+one thread; the ``threads`` arguments are accepted and ignored.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,17 +118,27 @@ def sample_beta(spec: BetaSpec, n, seed) -> np.ndarray:
     return rng.beta(spec.alpha_shape, spec.beta_shape, size=n)
 
 
-def _bound_values(samples, lo, hi, mu, delta):
-    """Raw bound values for each row of a (repeats, n) sample matrix."""
-    x = np.asarray(samples, dtype=float)
-    reps, n = x.shape
-    means = x.mean(axis=1)
+def _row_stats(x, mu):
+    """Mean, unbiased variance, second moment, and the means of the plus and
+    minus parts around mu of each row of a (rows, n) sample matrix."""
+    return np.stack([
+        x.mean(axis=1),
+        x.var(axis=1, ddof=1),
+        np.mean(x * x, axis=1),
+        np.maximum(0.0, x - mu).mean(axis=1),
+        np.maximum(0.0, mu - x).mean(axis=1),
+    ])
+
+
+def _bound_values(stats, n, lo, hi, mu, delta, pbkl0=False):
+    """Raw bound values, elementwise over the rows of :func:`_row_stats`
+    output (stacked along axis 1 into a batch)."""
+    means, var, second, plus, minus = stats
     out = {}
     # kl: rescale to [0, 1], invert, rescale back
     p01 = (means - lo) / (hi - lo)
     out["kl"] = lo + (hi - lo) * kl_inv_upper(p01, math.log(1.0 / delta) / n)
     # Empirical Bernstein
-    var = x.var(axis=1, ddof=1)
     ln2d = math.log(2.0 / delta)
     out["eb"] = (
         means
@@ -137,23 +146,21 @@ def _bound_values(samples, lo, hi, mu, delta):
         + 7.0 * (hi - lo) * ln2d / (3.0 * (n - 1))
     )
     # Unexpected Bernstein over the gamma grid
-    second = np.mean(x * x, axis=1)
     grid = make_gamma_grid(n, delta, hi)
     lnkd = math.log(grid.count / delta)
-    ub = np.full(reps, np.inf)
-    for g in grid.values:
-        ub = np.minimum(ub, means + psi(-g * hi) / (g * hi * hi) * second + lnkd / (g * n))
-    out["ub"] = ub
+    out["ub"] = np.min([
+        means + psi(-g * hi) / (g * hi * hi) * second + lnkd / (g * n)
+        for g in grid.values
+    ], axis=0)
     # split-kl around mu at delta/2 per side
     eps2 = math.log(2.0 / delta) / n
-    plus = np.maximum(0.0, x - mu).mean(axis=1)
-    minus = np.maximum(0.0, mu - x).mean(axis=1)
     plus_term = (hi - mu) * kl_inv_upper(np.clip(plus / (hi - mu), 0.0, 1.0), eps2)
     minus_term = (mu - lo) * kl_inv_lower(np.clip(minus / (mu - lo), 0.0, 1.0), eps2)
     out["skl"] = mu + plus_term - minus_term
-    # PAC-Bayes-kl at KL = 0 (single deterministic hypothesis)
-    out["pbkl0"] = lo + (hi - lo) * kl_inv_upper(p01, _maurer_eps(0.0, n, delta))
-    return means, out
+    if pbkl0:
+        # PAC-Bayes-kl at KL = 0 (single deterministic hypothesis)
+        out["pbkl0"] = lo + (hi - lo) * kl_inv_upper(p01, _maurer_eps(0.0, n, delta))
+    return out
 
 
 def _ternary_probs(mode, p0):
@@ -177,38 +184,37 @@ def _beta_specs(mode):
     raise DomainError(f"unknown beta mode: {mode}")
 
 
-def _sweep_point(draw, point_idx, n, delta, repeats, seed, lo, hi, mu):
-    samples = np.stack(
-        [draw(_rng(seed, point_idx, rep), rep) for rep in range(repeats)]
-    )
-    means, bounds = _bound_values(samples, lo, hi, mu, delta)
-    return {name: np.minimum(bounds[name], hi) - means for name in BOUND_NAMES}
-
-
-def _run_points(worker, count, threads):
-    if threads <= 1:
-        return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(count)))
+def _sweep(sample, specs, params, n, delta, repeats, seed, lo, hi, mu):
+    """One SweepRow per spec.  Repeat ``rep`` of point ``i`` draws from the
+    stream (seed, i, rep); each point's block is reduced as it is drawn, and
+    each bound inverts kl once over the stacked (points, repeats) rows."""
+    if n < 2:
+        raise DomainError("need n >= 2")
+    if repeats < 1:
+        raise DomainError("need repeats >= 1")
+    stats = np.stack([
+        _row_stats(
+            np.stack([sample(spec, n, _rng(seed, i, rep)) for rep in range(repeats)]),
+            mu,
+        )
+        for i, spec in enumerate(specs)
+    ], axis=1)
+    bounds = _bound_values(stats, n, lo, hi, mu, delta)
+    gaps = {name: np.minimum(bounds[name], hi) - stats[0] for name in BOUND_NAMES}
+    return [
+        SweepRow(
+            param=float(param), n=n, delta=delta, repeats=repeats, seed=seed,
+            gaps={name: gap[i] for name, gap in gaps.items()},
+        )
+        for i, param in enumerate(params)
+    ]
 
 
 def sweep_ternary(mode, n, delta, repeats=DEFAULT_REPEATS, seed=0, threads=1):
-    """Gap curves over a 50-point p0 grid for a ternary scenario family."""
+    """Gap curves over a 51-point p0 grid for a ternary scenario family."""
     p0_grid = np.linspace(0.0, 1.0, GRID_POINTS)
     specs = [_ternary_probs(mode, p0) for p0 in p0_grid]
-
-    def worker(i):
-        spec = specs[i]
-        gaps = _sweep_point(
-            lambda rng, rep: sample_ternary(spec, n, rng),
-            i, n, delta, repeats, seed, -1.0, 1.0, 0.0,
-        )
-        return SweepRow(
-            param=float(p0_grid[i]), n=n, delta=delta, repeats=repeats, seed=seed,
-            gaps=gaps,
-        )
-
-    return _run_points(worker, len(specs), threads)
+    return _sweep(sample_ternary, specs, p0_grid, n, delta, repeats, seed, -1.0, 1.0, 0.0)
 
 
 def sweep_beta(mode, n, delta, repeats=DEFAULT_REPEATS, seed=0, threads=1):
@@ -218,19 +224,7 @@ def sweep_beta(mode, n, delta, repeats=DEFAULT_REPEATS, seed=0, threads=1):
     params = [
         spec.variance if mode == "constant_mean" else spec.mean for spec in specs
     ]
-
-    def worker(i):
-        spec = specs[i]
-        gaps = _sweep_point(
-            lambda rng, rep: sample_beta(spec, n, rng),
-            i, n, delta, repeats, seed, 0.0, 1.0, 0.5,
-        )
-        return SweepRow(
-            param=float(params[i]), n=n, delta=delta, repeats=repeats, seed=seed,
-            gaps=gaps,
-        )
-
-    return _run_points(worker, len(specs), threads)
+    return _sweep(sample_beta, specs, params, n, delta, repeats, seed, 0.0, 1.0, 0.5)
 
 
 def sweep_rows_to_records(rows):
@@ -262,35 +256,32 @@ def coverage_experiment(dist, n, delta, trials=10000, seed=0, threads=1):
     Returns a dict bound-name -> frequency of {true mean > bound value};
     includes the PAC-Bayes-kl bound at KL = 0 alongside the four sample
     bounds.  Trials are drawn in fixed-size blocks with per-block seed
-    derivation, so frequencies do not depend on the thread count.
+    derivation; the full blocks are bounded as one batch of rows and a
+    shorter last block on its own.
     """
     if trials < 100:
         raise DomainError("need trials >= 100")
+    if n < 2:
+        raise DomainError("need n >= 2")
     if isinstance(dist, TernarySpec):
-        lo, hi, mu = -1.0, 1.0, 0.0
-        truth = dist.mean
-        draw = lambda rng, size: sample_ternary(dist, size, rng).reshape(-1, n)
+        lo, hi, mu, sample = -1.0, 1.0, 0.0, sample_ternary
     elif isinstance(dist, BetaSpec):
-        lo, hi, mu = 0.0, 1.0, 0.5
-        truth = dist.mean
-        draw = lambda rng, size: sample_beta(dist, size, rng).reshape(-1, n)
+        lo, hi, mu, sample = 0.0, 1.0, 0.5, sample_beta
     else:
         raise DomainError("dist must be a TernarySpec or BetaSpec")
 
-    blocks = [
-        min(_COVERAGE_BLOCK, trials - start) for start in range(0, trials, _COVERAGE_BLOCK)
+    full, rest = divmod(trials, _COVERAGE_BLOCK)
+    stats = [
+        _row_stats(sample(dist, size * n, _rng(seed, i)).reshape(-1, n), mu)
+        for i, size in enumerate([_COVERAGE_BLOCK] * full + [rest] * (rest > 0))
     ]
-
-    def worker(i):
-        rng = _rng(seed, i)
-        x = draw(rng, blocks[i] * n)
-        _, bounds = _bound_values(x, lo, hi, mu, delta)
-        return {name: int(np.sum(truth > bounds[name])) for name in COVERAGE_BOUNDS}
-
-    counts = _run_points(worker, len(blocks), threads)
-    return {
-        name: sum(c[name] for c in counts) / trials for name in COVERAGE_BOUNDS
-    }
+    batches = ([np.stack(stats[:full], axis=1)] if full else []) + stats[full:]
+    violations = dict.fromkeys(COVERAGE_BOUNDS, 0)
+    for batch in batches:
+        bounds = _bound_values(batch, n, lo, hi, mu, delta, pbkl0=True)
+        for name in COVERAGE_BOUNDS:
+            violations[name] += int(np.sum(dist.mean > bounds[name]))
+    return {name: count / trials for name, count in violations.items()}
 
 
 def coverage_ceiling(delta, trials):

@@ -59,6 +59,24 @@ def test_bound_parse_error_reports_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bound", ["kl", "eb", "ub", "skl", "all"])
+def test_bound_non_finite_sample_exit_2(tmp_path, capsys, bad, bound):
+    path = write_sample(tmp_path, ["# lo=0 hi=1", "0.5", bad, "0.2"])
+    assert run(["bound", path, "--bound", bound]) == 2
+    assert f"line 3: not a finite number: '{bad}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, flags", [
+    ("# lo=nan hi=1", []), ("# lo=0 hi=inf", []), ("# mu=nan", []),
+    ("", ["--lo=-inf"]), ("", ["--hi", "nan"]), ("", ["--mu", "inf"]),
+])
+def test_bound_non_finite_range_exit_2(tmp_path, capsys, header, flags):
+    path = write_sample(tmp_path, [header, "0.5", "0.2"])
+    assert run(["bound", path, *flags]) == 2
+    assert "need finite lo < hi and mu" in capsys.readouterr().err
+
+
 def test_bound_domain_violation_exit_3(tmp_path, capsys):
     path = write_sample(tmp_path, ["# lo=0 hi=1", "0.5", "2.5"])
     assert run(["bound", path]) == 3
@@ -96,6 +114,37 @@ def test_simulate_thread_invariance(tmp_path):
     assert run(base + ["--threads", "1", "--out", out1]) == 0
     assert run(base + ["--threads", "4", "--out", out4]) == 0
     assert open(out1, "rb").read() == open(out4, "rb").read()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--mode", "symmetric", "--n", "1"], "need n >= 2, got 1"),
+    (["simulate", "--mode", "symmetric", "--repeats", "0"], "need repeats >= 1, got 0"),
+    (["coverage", "--n", "1", "--trials", "100"], "need n >= 2, got 1"),
+])
+def test_monte_carlo_degenerate_sizes_exit_2(capsys, argv, message):
+    # one sample leaves the sample variance and EB's 1 / (n - 1) undefined
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["simulate", "--mode", "skew_high", "--n", "50", "--repeats", "8", "--seed", "11"],
+     "simulate_skew_high_n50_r8_seed11.csv"),
+    (["simulate", "--mode", "spectrum", "--n", "40", "--repeats", "6", "--seed", "4"],
+     "simulate_spectrum_n40_r6_seed4.csv"),
+    # 1234 trials: two full 500-trial blocks and a ragged one of 234
+    (["coverage", "--dist", "ternary", "--probs", "0.45,0.1,0.45", "--n", "20",
+      "--trials", "1234", "--delta", "0.8", "--seed", "6"],
+     "coverage_ternary_n20_t1234_d08_seed6.json"),
+])
+def test_monte_carlo_output_matches_golden_bytes(capsys, argv, golden):
+    # batching the kl inversions over all rows of a sweep or coverage run
+    # must not move a single printed digit
+    assert run(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_simulate_unknown_mode_exit_2(capsys):
@@ -242,7 +291,7 @@ def test_mv_deterministic_output(tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
-GOLDEN_MV = Path(__file__).parent / "golden" / "mv_correlated_h4_n300_a5_seed3.json"
+GOLDEN_MV = GOLDEN / "mv_correlated_h4_n300_a5_seed3.json"
 
 
 def test_mv_output_matches_golden_bytes(capsys):

@@ -168,6 +168,34 @@ def test_kl_inv_scalar_and_vector_paths_raise_the_same_error(p, e):
         assert str(scalar.value) == str(vector.value)
 
 
+def test_kl_inv_rows_match_one_dimensional_calls():
+    # each row along the last axis stops bisecting as a 1-d call on that
+    # row alone would, so a batched call equals the per-row calls exactly
+    rng = np.random.default_rng(31)
+    p = rng.uniform(0, 1, (7, 40))
+    e = 10.0 ** rng.uniform(-4, 0.5, (7, 40))
+    e[0, :10] = 0.0
+    e[1, :10] = math.inf
+    p[2, :10], p[2, 10:20] = 0.0, 1.0
+    p[3] = 1.0 - 1e-6 * rng.uniform(size=40)  # narrow upper brackets
+    p[4] = 1e-6 * rng.uniform(size=40)  # narrow lower brackets
+    e[5] = 0.0  # every bracket pinned: no halving at all
+    e[6] = math.inf
+    for fn in (kl_inv_upper, kl_inv_lower):
+        rows = np.stack([fn(p[i], e[i]) for i in range(len(p))])
+        assert (fn(p, e) == rows).all(), fn.__name__
+        assert (fn(p[:6].reshape(2, 3, 40), e[:6].reshape(2, 3, 40))
+                == rows[:6].reshape(2, 3, 40)).all(), fn.__name__
+        scalar_eps = np.stack([fn(p[i], 0.05) for i in range(len(p))])
+        assert (fn(p, 0.05) == scalar_eps).all(), fn.__name__
+    # a row stops as a whole: a narrow bracket keeps halving while a wider
+    # one in its row is still open
+    assert kl_inv_upper(np.array([1 - 1e-6]), 0.05)[0] == 0.9999999999923705
+    assert kl_inv_upper(np.array([1 - 1e-6, 0.2]), 0.05)[0] == 0.9999999999999999
+    assert kl_inv_lower(np.array([1e-6]), 0.05)[0] == 7.62939453125e-12
+    assert kl_inv_lower(np.array([1e-6, 0.7]), 0.05)[0] == 7.275957614183426e-18
+
+
 def test_kl_inv_rejects_nan():
     with pytest.raises(DomainError, match="eps is NaN"):
         kl_inv_upper(0.3, math.nan)

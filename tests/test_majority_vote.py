@@ -508,6 +508,14 @@ def test_ccpbb_and_ccpbub_bounds_equal_their_value_helpers():
                 )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_posterior_weights_reject_non_finite(bad):
+    with pytest.raises(DomainError, match="rho is not on the simplex"):
+        PosteriorWeights(rho=[0.5, bad], pi=[0.5, 0.5])
+    with pytest.raises(DomainError, match="pi is not on the simplex"):
+        PosteriorWeights(rho=[0.5, 0.5], pi=[bad, 0.5])
+
+
 def test_bounds_reject_negative_weights():
     rng = np.random.default_rng(23)
     plm = random_plm(rng, h=3, n=60)

@@ -176,6 +176,16 @@ def test_coverage_ceiling_logic():
     assert not coverage_passes(freqs, 0.005, 10000)
 
 
+def test_sweeps_and_coverage_reject_degenerate_sizes():
+    # one sample leaves the sample variance and EB's 1 / (n - 1) undefined
+    with pytest.raises(DomainError, match="n >= 2"):
+        sweep_ternary("symmetric", n=1, delta=0.05, repeats=3, seed=1)
+    with pytest.raises(DomainError, match="n >= 2"):
+        coverage_experiment(BetaSpec(2, 5), 1, 0.05, trials=100, seed=1)
+    with pytest.raises(DomainError, match="repeats >= 1"):
+        sweep_beta("spectrum", n=10, delta=0.05, repeats=0, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # synthetic ensembles
 # ---------------------------------------------------------------------------
