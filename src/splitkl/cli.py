@@ -82,7 +82,7 @@ def _emit(text, out_path):
 
 
 def _emit_json(obj, out_path):
-    _emit(json.dumps(_round12(obj), indent=2, sort_keys=True) + "\n", out_path)
+    _emit(json.dumps(_round12(obj), indent=2, sort_keys=True, allow_nan=False) + "\n", out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +153,8 @@ def cmd_bound(args):
         else:
             value = split_kl_bound(split_decompose(samples, mu, lo, hi), delta)
             params["mu"] = mu
+        if not math.isfinite(value):
+            raise DomainError(f"{name} bound is not finite: {value}")
         value = min(value, hi) if args.clip else value
         reports.append({"name": name, "value": value, "delta": delta, "params": params})
     _emit_json({"bounds": reports}, args.out)
@@ -398,6 +400,9 @@ def cmd_mv(args):
             params = {
                 k: opt_params.get(k) for k in ("alpha", "lam", "gam") if k in opt_params
             }
+        if params.get("gam") == math.inf:
+            # gamma = inf drops the lower form's term; JSON has no inf
+            params["gam"] = None
         entry = {
             "value": rep.value,
             "rho": list(w.rho),

@@ -156,11 +156,16 @@ def empirical_bernstein_bound(s: EmpiricalSummary, delta) -> float:
     """mean + sqrt(2 var ln(2/d) / n) + 7 (hi-lo) ln(2/d) / (3(n-1))."""
     if s.n < 2:
         raise DomainError("Empirical Bernstein needs n >= 2")
+    return float(_empirical_bernstein_value(s.mean, s.unbiased_variance, s.n, delta, s.hi - s.lo))
+
+
+def _empirical_bernstein_value(mean, variance, n, delta, width):
+    """:func:`empirical_bernstein_bound`, elementwise, on an interval of length ``width``."""
     ln_term = math.log(2.0 / delta)
     return (
-        s.mean
-        + math.sqrt(2.0 * max(s.unbiased_variance, 0.0) * ln_term / s.n)
-        + 7.0 * (s.hi - s.lo) * ln_term / (3.0 * (s.n - 1))
+        mean
+        + np.sqrt(2.0 * np.maximum(variance, 0.0) * ln_term / n)
+        + 7.0 * width * ln_term / (3.0 * (n - 1))
     )
 
 
@@ -170,6 +175,8 @@ def make_gamma_grid(n, delta, b) -> GammaGrid:
         raise DomainError("need n >= 1, delta in (0,1), b > 0")
     k = max(1, math.ceil(math.log2(math.sqrt(n / math.log(1.0 / delta)) / 2.0)))
     values = tuple(1.0 / (2.0**i * b) for i in range(1, k + 1))
+    if not values[-1] > 0.0:
+        raise DomainError(f"b = {b} is too large for a positive gamma grid")
     return GammaGrid(values=values, count=k)
 
 
@@ -180,11 +187,20 @@ def unexpected_bernstein_bound(s: EmpiricalSummary, gamma, delta) -> float:
         raise DomainError("Unexpected Bernstein needs an upper endpoint b > 0")
     if not 0.0 < gamma < 1.0 / b:
         raise DomainError(f"gamma must lie in (0, 1/b) = (0, {1.0 / b})")
-    return (
-        s.mean
-        + psi(-gamma * b) / (gamma * b * b) * s.second_moment_mean
-        + math.log(1.0 / delta) / (gamma * s.n)
+    return _unexpected_bernstein_value(
+        s.mean, s.second_moment_mean, math.log(1.0 / delta), s.n, gamma, b
     )
+
+
+def _unexpected_bernstein_value(mean, second_moment, comp, n, gamma, b):
+    """mean + psi(-gamma b)/(gamma b^2) second_moment + comp/(gamma n),
+    elementwise; ``comp`` is ln(1/d) plus any KL complexity."""
+    return mean + _unexpected_bernstein_weight(gamma, b) * second_moment + comp / (gamma * n)
+
+
+def _unexpected_bernstein_weight(gamma, b):
+    """psi(-gamma b)/(gamma b^2), the weight of the second moment."""
+    return psi(-gamma * b) / (gamma * b * b)
 
 
 def unexpected_bernstein_grid_bound(s: EmpiricalSummary, delta) -> BoundReport:
@@ -193,15 +209,23 @@ def unexpected_bernstein_grid_bound(s: EmpiricalSummary, delta) -> BoundReport:
     The union bound over the k grid points replaces delta by delta/k at
     each point; the report carries the minimising gamma.
     """
-    grid = make_gamma_grid(s.n, delta, s.hi)
-    vals = [unexpected_bernstein_bound(s, g, delta / grid.count) for g in grid.values]
-    best = int(np.argmin(vals))
+    vals, grid = _unexpected_bernstein_grid(s.mean, s.second_moment_mean, 0.0, s.n, delta, s.hi)
+    best = vals.index(min(vals))
     return BoundReport(
         name="ub",
-        value=float(vals[best]),
+        value=vals[best],
         delta=delta,
         params={"gamma": grid.values[best], "grid_size": grid.count},
     )
+
+
+def _unexpected_bernstein_grid(mean, second_moment, kl, n, delta, b):
+    """:func:`_unexpected_bernstein_value` at each gamma of the grid for
+    (n, delta, b), at complexity kl + ln(k/delta); returns (values, grid)."""
+    grid = make_gamma_grid(n, delta, b)
+    comp = kl + math.log(grid.count / delta)
+    return [_unexpected_bernstein_value(mean, second_moment, comp, n, g, b)
+            for g in grid.values], grid
 
 
 def split_kl_bound(s: SplitSummary, delta) -> float:
@@ -217,12 +241,18 @@ def split_kl_bound(s: SplitSummary, delta) -> float:
 
 def _split_kl_value(mu, plus_w, minus_w, plus_mean, minus_mean, eps):
     """mu + plus_w kl_inv_upper(plus_mean / plus_w, eps)
-    - minus_w kl_inv_lower(minus_mean / minus_w, eps), ratios clamped to
-    [0, 1]; a zero split weight contributes exactly 0."""
+    - minus_w kl_inv_lower(minus_mean / minus_w, eps), elementwise over
+    the split means, ratios clamped to [0, 1]; a zero split weight
+    contributes exactly 0."""
     plus_term = 0.0
     if plus_w > 0.0:
-        plus_term = plus_w * kl_inv_upper(min(max(plus_mean / plus_w, 0.0), 1.0), eps)
+        plus_term = plus_w * kl_inv_upper(_clamp01(plus_mean / plus_w), eps)
     minus_term = 0.0
     if minus_w > 0.0:
-        minus_term = minus_w * kl_inv_lower(min(max(minus_mean / minus_w, 0.0), 1.0), eps)
+        minus_term = minus_w * kl_inv_lower(_clamp01(minus_mean / minus_w), eps)
     return mu + plus_term - minus_term
+
+
+def _clamp01(x):
+    """x clamped to [0, 1]; floats stay on the float path."""
+    return np.clip(x, 0.0, 1.0) if isinstance(x, np.ndarray) else min(max(x, 0.0), 1.0)

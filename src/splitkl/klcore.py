@@ -59,6 +59,8 @@ def _kl_inv_bisect(p_hat, eps, upper):
         return _kl_inv_bisect_scalar(float(ph), float(ev), upper)
     ph_b, ev_b = np.broadcast_arrays(ph, ev)
     shape = ph_b.shape
+    if ph_b.size == 0:
+        return np.zeros(shape)
     ph_f = ph_b.reshape(-1, shape[-1]).astype(float)
     ev_f = ev_b.reshape(-1, shape[-1]).astype(float)
     # eps = 0 forces p = p_hat; bisecting instead would drift by the float

@@ -19,10 +19,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concentration import BoundReport, _split_kl_value, make_gamma_grid
+from .concentration import (
+    BoundReport,
+    _clamp01,
+    _split_kl_value,
+    _unexpected_bernstein_value,
+    _unexpected_bernstein_weight,
+    make_gamma_grid,
+)
 from .errors import DomainError
-from .klcore import _discrete_kl_unchecked, discrete_kl, kl_inv_lower, kl_inv_upper, phi, psi
-from .pacbayes import gamma_star, lambda_star
+from .klcore import _discrete_kl_unchecked, discrete_kl, kl_inv_lower, kl_inv_upper, phi
+from .pacbayes import _lambda_lower_value, _lambda_upper_value, gamma_star, lambda_star
 
 # Alpha grid for the offset bounds: step 0.01 over [-0.5, 0.49], which puts
 # the TND collapse point alpha = 0 exactly on the grid.
@@ -364,10 +371,6 @@ def _tandem_eps(kl, m, delta):
     return (2.0 * kl + math.log(4.0 * math.sqrt(m) / delta)) / m
 
 
-def _clamp01(x):
-    return min(max(x, 0.0), 1.0)
-
-
 def tnd_bound(ts: TandemStats, w: PosteriorWeights, delta) -> float:
     """4 kl_inv_upper(rho' T rho, (2 KL + ln(4 sqrt(m)/d)) / m)."""
     t = _clamp01(_quad(w.rho, ts.tandem_loss))
@@ -390,7 +393,13 @@ def cctnd_bound(ts: TandemStats, w: PosteriorWeights, alpha, delta) -> float:
     t_term = kl_inv_upper(t, _tandem_eps(kl, ts.m, delta))
     eps_g = (kl + math.log(4.0 * math.sqrt(ts.n) / delta)) / ts.n
     g_term = kl_inv_lower(g, eps_g) if alpha >= 0 else kl_inv_upper(g, eps_g)
-    return (t_term - 2.0 * alpha * g_term + alpha * alpha) / (0.5 - alpha) ** 2
+    return _cc_value(t_term, g_term, alpha)
+
+
+def _cc_value(t, u, alpha):
+    """Chebyshev-Cantelli combination (T - 2 alpha u + alpha^2) / (1/2 - alpha)^2
+    of a tandem-loss bound T and a single-loss bound u."""
+    return (t - 2.0 * alpha * u + alpha * alpha) / (0.5 - alpha) ** 2
 
 
 def ccpbb_bound(ats: AlphaTandemStats, w: PosteriorWeights, lam, gamma, delta,
@@ -438,9 +447,8 @@ def ccpbub_bound(ats: AlphaTandemStats, w: PosteriorWeights, gamma, delta) -> fl
 
 def _ccpbub_value(ats, q_mean, q_second, kl, gamma, delta, k_gamma):
     """:func:`ccpbub_bound` from rho' mean rho, rho' second_moment rho and KL(rho||pi)."""
-    b = ats.b
     comp = 2.0 * kl + math.log(k_gamma / delta)
-    val = q_mean + psi(-gamma * b) / (gamma * b * b) * q_second + comp / (gamma * ats.m)
+    val = _unexpected_bernstein_value(q_mean, q_second, comp, ats.m, gamma, ats.b)
     return val / (0.5 - ats.alpha) ** 2
 
 
@@ -478,13 +486,26 @@ class _BestTracker:
         self.trace.append(self.value)
 
 
-def _kl_gradient(rho, pi):
-    return np.log(np.maximum(rho, _TINY) / pi) + 1.0
+def _affine_gradient(pi, c_kl, *terms):
+    """Gradient in rho of c_kl KL(rho||pi) plus, for each (c, form) in
+    ``terms``, c rho' form rho (symmetric matrix form) or c rho . form
+    (vector form).
+
+    Every iRProp+ objective below is, for fixed outer parameters, affine in
+    its quadratic forms, the linear form rho . single and KL(rho||pi), so
+    its gradient is this chain rule with the objective's coefficients.
+    """
+    def gradient(r):
+        grad = c_kl * (np.log(np.maximum(r, _TINY) / pi) + 1.0)
+        for c, form in terms:
+            grad = grad + c * (2.0 * (form @ r) if form.ndim == 2 else form)
+        return grad
+
+    return gradient
 
 
-def _report(name, tracker, delta, iterations, **extra):
+def _report(name, tracker, delta, iterations):
     params = dict(tracker.params)
-    params.update(extra)
     params["iterations"] = iterations
     params["trace"] = tuple(tracker.trace)
     return BoundReport(name=name, value=tracker.value, delta=delta, params=params)
@@ -506,20 +527,14 @@ def tnd_optimize(ts: TandemStats, pi, delta, irprop_config=IRPropConfig()):
         t = _quad(rho, matrix)
         kl = discrete_kl(rho, pi)
         lam = lambda_star(t, 2.0 * kl + ln_c, m)
-        denom = lam * (1.0 - lam / 2.0) * m
 
-        def objective(r):
-            return 4.0 * (
-                _quad(r, matrix) / (1.0 - lam / 2.0)
-                + (2.0 * _discrete_kl_unchecked(r, pi) + ln_c) / denom
-            )
+        def objective(r, lam=lam):
+            comp = 2.0 * _discrete_kl_unchecked(r, pi) + ln_c
+            return 4.0 * _lambda_upper_value(_quad(r, matrix), comp, m, lam)
 
-        def gradient(r):
-            return 4.0 * (
-                2.0 * (matrix @ r) / (1.0 - lam / 2.0)
-                + 2.0 * _kl_gradient(r, pi) / denom
-            )
-
+        gradient = _affine_gradient(
+            pi, 8.0 / (lam * (1.0 - lam / 2.0) * m), (4.0 / (1.0 - lam / 2.0), matrix)
+        )
         rho = irprop_plus(gradient, objective, rho, irprop_config)
         val = tnd_bound(ts, PosteriorWeights(rho, pi), delta)
         tracker.update(val, rho, lam=lam)
@@ -530,16 +545,12 @@ def tnd_optimize(ts: TandemStats, pi, delta, irprop_config=IRPropConfig()):
     return w, _report("tnd", tracker, delta, iterations)
 
 
-def _cctnd_surrogates(t, g, kl, n, m, delta, lam, gam_lo, gam_up):
-    """Relaxed tandem surrogate T and single-loss surrogates (lower, upper)."""
-    comp_t = 2.0 * kl + math.log(4.0 * math.sqrt(m) / delta)
-    comp_g = kl + math.log(4.0 * math.sqrt(n) / delta)
-    big_t = t / (1.0 - lam / 2.0) + comp_t / (lam * (1.0 - lam / 2.0) * m)
-    if math.isinf(gam_lo):
-        u_lo = 0.0
-    else:
-        u_lo = (1.0 - gam_lo / 2.0) * g - comp_g / (gam_lo * n)
-    u_up = g / (1.0 - gam_up / 2.0) + comp_g / (gam_up * (1.0 - gam_up / 2.0) * n)
+def _cctnd_surrogates(t, g, kl, n, m, comp_t, comp_g, lam, gam_lo, gam_up):
+    """Relaxed tandem surrogate T and single-loss surrogates (lower, upper);
+    ``comp_t``/``comp_g`` are the complexity terms without their KL part."""
+    big_t = _lambda_upper_value(t, 2.0 * kl + comp_t, m, lam)
+    u_lo = 0.0 if math.isinf(gam_lo) else _lambda_lower_value(g, kl + comp_g, n, gam_lo)
+    u_up = _lambda_upper_value(g, kl + comp_g, n, gam_up)
     return big_t, u_lo, u_up
 
 
@@ -557,7 +568,7 @@ def _alpha_surrogate_min(big_t, u, lo, hi, extra):
         star = (0.5 * u - big_t) / (0.5 - u)
         if lo <= star <= hi:
             cands.append(star)
-    vals = [(big_t - 2.0 * a * u + a * a) / (0.5 - a) ** 2 for a in cands]
+    vals = [_cc_value(big_t, u, a) for a in cands]
     best = int(np.argmin(vals))
     return cands[best], vals[best]
 
@@ -603,7 +614,9 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None, fixed_alpha=None
         lam = lambda_star(t, 2.0 * kl + comp_t_const, m)
         gam_lo = gamma_star(g, kl + comp_g_const, n)
         gam_up = lambda_star(g, kl + comp_g_const, n)
-        big_t, u_lo, u_up = _cctnd_surrogates(t, g, kl, n, m, delta, lam, gam_lo, gam_up)
+        big_t, u_lo, u_up = _cctnd_surrogates(
+            t, g, kl, n, m, comp_t_const, comp_g_const, lam, gam_lo, gam_up
+        )
         if fixed_alpha is None:
             pos = _alpha_surrogate_min(big_t, u_lo, max(0.0, a_lo), a_hi, grid)
             neg = _alpha_surrogate_min(big_t, u_up, a_lo, min(0.0, a_hi), grid)
@@ -611,53 +624,25 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None, fixed_alpha=None
             if alpha is None:
                 raise DomainError("alpha grid spans no admissible range")
 
-        comp_t_scale = 2.0 / (lam * (1.0 - lam / 2.0) * m)
-        if alpha >= 0:
-            gam = gam_lo
+        def objective(r, alpha=alpha, lam=lam, gam_lo=gam_lo, gam_up=gam_up):
+            big_t, u_lo, u_up = _cctnd_surrogates(
+                _quad(r, matrix), float(r @ single), _discrete_kl_unchecked(r, pi),
+                n, m, comp_t_const, comp_g_const, lam, gam_lo, gam_up,
+            )
+            return _cc_value(big_t, u_lo if alpha >= 0 else u_up, alpha)
 
-            def objective(r, alpha=alpha, lam=lam, gam=gam):
-                klr = _discrete_kl_unchecked(r, pi)
-                tt = _quad(r, matrix) / (1.0 - lam / 2.0) + (
-                    2.0 * klr + comp_t_const
-                ) / (lam * (1.0 - lam / 2.0) * m)
-                if math.isinf(gam):
-                    uu = 0.0
-                else:
-                    uu = (1.0 - gam / 2.0) * float(r @ single) - (
-                        klr + comp_g_const
-                    ) / (gam * n)
-                return (tt - 2.0 * alpha * uu + alpha * alpha) / (0.5 - alpha) ** 2
-
-            def gradient(r, alpha=alpha, lam=lam, gam=gam):
-                gkl = _kl_gradient(r, pi)
-                grad = 2.0 * (matrix @ r) / (1.0 - lam / 2.0) + comp_t_scale * gkl
-                if not math.isinf(gam):
-                    grad = grad - 2.0 * alpha * (
-                        (1.0 - gam / 2.0) * single - gkl / (gam * n)
-                    )
-                return grad / (0.5 - alpha) ** 2
-
-        else:
+        # slopes of the single-loss surrogate in rho . single and in KL
+        if alpha < 0:
             gam = gam_up
-
-            def objective(r, alpha=alpha, lam=lam, gam=gam):
-                klr = _discrete_kl_unchecked(r, pi)
-                tt = _quad(r, matrix) / (1.0 - lam / 2.0) + (
-                    2.0 * klr + comp_t_const
-                ) / (lam * (1.0 - lam / 2.0) * m)
-                uu = float(r @ single) / (1.0 - gam / 2.0) + (klr + comp_g_const) / (
-                    gam * (1.0 - gam / 2.0) * n
-                )
-                return (tt - 2.0 * alpha * uu + alpha * alpha) / (0.5 - alpha) ** 2
-
-            def gradient(r, alpha=alpha, lam=lam, gam=gam):
-                gkl = _kl_gradient(r, pi)
-                grad = 2.0 * (matrix @ r) / (1.0 - lam / 2.0) + comp_t_scale * gkl
-                grad = grad - 2.0 * alpha * (
-                    single / (1.0 - gam / 2.0) + gkl / (gam * (1.0 - gam / 2.0) * n)
-                )
-                return grad / (0.5 - alpha) ** 2
-
+            u_g, u_kl = 1.0 / (1.0 - gam / 2.0), 1.0 / (gam * (1.0 - gam / 2.0) * n)
+        else:
+            gam = gam_lo
+            u_g, u_kl = (0.0, 0.0) if math.isinf(gam) else (1.0 - gam / 2.0, -1.0 / (gam * n))
+        scale = (0.5 - alpha) ** 2
+        gradient = _affine_gradient(
+            pi, (2.0 / (lam * (1.0 - lam / 2.0) * m) - 2.0 * alpha * u_kl) / scale,
+            (1.0 / ((1.0 - lam / 2.0) * scale), matrix), (-2.0 * alpha * u_g / scale, single),
+        )
         rho = irprop_plus(gradient, objective, rho, irprop_config)
         val = cctnd_bound(ts, PosteriorWeights(rho, pi), alpha, delta)
         tracker.update(val, rho, alpha=alpha, lam=lam, gam=gam)
@@ -712,35 +697,18 @@ def ccpbb_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
             val0 = min(gam_vals)
             tracker.update(val0, rho, alpha=alpha, lam=lam, gam=gam)
 
-            comp_const = math.log(2.0 * k_lam * k_gam / delta)
+            def objective(r, ats=ats, lam=lam, gam=gam):
+                return _ccpbb_value(ats, _quad(r, ats.mean), _quad(r, ats.variance),
+                                    _discrete_kl_unchecked(r, pi), lam, gam, delta, k_lam, k_gam)
+
             u = lam * ats.m / (2.0 * (ats.m - 1))
             bennett = phi(gam * ats.k_range) / (gam * ats.k_range**2)
             scale = (0.5 - alpha) ** 2
-
-            def objective(r, lam=lam, gam=gam, u=u, bennett=bennett, scale=scale,
-                          comp_const=comp_const, ats=ats):
-                comp = 2.0 * _discrete_kl_unchecked(r, pi) + comp_const
-                return (
-                    _quad(r, ats.mean)
-                    + comp / (gam * ats.m)
-                    + bennett * (
-                        _quad(r, ats.variance) / (1.0 - u)
-                        + ats.k_range**2 * comp / (ats.n * lam * (1.0 - u))
-                    )
-                ) / scale
-
-            def gradient(r, lam=lam, gam=gam, u=u, bennett=bennett, scale=scale,
-                         ats=ats):
-                gkl = _kl_gradient(r, pi)
-                return (
-                    2.0 * (ats.mean @ r)
-                    + 2.0 * gkl / (gam * ats.m)
-                    + bennett * (
-                        2.0 * (ats.variance @ r) / (1.0 - u)
-                        + ats.k_range**2 * 2.0 * gkl / (ats.n * lam * (1.0 - u))
-                    )
-                ) / scale
-
+            c_comp = 1.0 / (gam * ats.m) + bennett * ats.k_range**2 / (ats.n * lam * (1.0 - u))
+            gradient = _affine_gradient(
+                pi, 2.0 * c_comp / scale,
+                (1.0 / scale, ats.mean), (bennett / ((1.0 - u) * scale), ats.variance),
+            )
             rho = irprop_plus(gradient, objective, rho, irprop_config)
             val = ccpbb_bound(ats, PosteriorWeights(rho, pi), lam, gam, delta, k_lam, k_gam)
             tracker.update(val, rho, alpha=alpha, lam=lam, gam=gam)
@@ -772,26 +740,15 @@ def ccpbub_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
             gam = float(gam_grid[int(np.argmin(gam_vals))])
             tracker.update(min(gam_vals), rho, alpha=alpha, gam=gam)
 
-            moment_coeff = psi(-gam * ats.b) / (gam * ats.b**2)
+            def objective(r, ats=ats, gam=gam):
+                return _ccpbub_value(ats, _quad(r, ats.mean), _quad(r, ats.second_moment),
+                                     _discrete_kl_unchecked(r, pi), gam, delta, k_gam)
+
             scale = (0.5 - alpha) ** 2
-
-            def objective(r, gam=gam, moment_coeff=moment_coeff, scale=scale,
-                          k_gam=k_gam, ats=ats):
-                comp = 2.0 * _discrete_kl_unchecked(r, pi) + math.log(k_gam / delta)
-                return (
-                    _quad(r, ats.mean)
-                    + moment_coeff * _quad(r, ats.second_moment)
-                    + comp / (gam * ats.m)
-                ) / scale
-
-            def gradient(r, gam=gam, moment_coeff=moment_coeff, scale=scale, ats=ats):
-                gkl = _kl_gradient(r, pi)
-                return (
-                    2.0 * (ats.mean @ r)
-                    + moment_coeff * 2.0 * (ats.second_moment @ r)
-                    + 2.0 * gkl / (gam * ats.m)
-                ) / scale
-
+            gradient = _affine_gradient(
+                pi, 2.0 / (gam * ats.m * scale), (1.0 / scale, ats.mean),
+                (_unexpected_bernstein_weight(gam, ats.b) / scale, ats.second_moment),
+            )
             rho = irprop_plus(gradient, objective, rho, irprop_config)
             val = ccpbub_bound(ats, PosteriorWeights(rho, pi), gam, delta)
             tracker.update(val, rho, alpha=alpha, gam=gam)
@@ -838,30 +795,22 @@ def ccpbskl_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
             lam = lambda_star(_quad(rho, ats.plus) / plus_w, comp, ats.m)
             gam = gamma_star(_quad(rho, ats.minus) / minus_w, comp, ats.m)
 
-            def objective(r, lam=lam, gam=gam, ats=ats, scale=scale,
-                          plus_w=plus_w, minus_w=minus_w):
+            def objective(r, ats=ats, lam=lam, gam=gam, plus_w=plus_w, minus_w=minus_w,
+                          scale=scale):
                 comp_r = 2.0 * _discrete_kl_unchecked(r, pi) + comp_const
-                val = ats.mu + _quad(r, ats.plus) / (1.0 - lam / 2.0) + plus_w * comp_r / (
-                    lam * (1.0 - lam / 2.0) * ats.m
-                )
+                val = ats.mu + _lambda_upper_value(_quad(r, ats.plus), plus_w * comp_r,
+                                                   ats.m, lam)
                 if not math.isinf(gam):
-                    val -= (1.0 - gam / 2.0) * _quad(r, ats.minus) - minus_w * comp_r / (
-                        gam * ats.m
-                    )
+                    val -= _lambda_lower_value(_quad(r, ats.minus), minus_w * comp_r,
+                                               ats.m, gam)
                 return val / scale
 
-            def gradient(r, lam=lam, gam=gam, ats=ats, scale=scale,
-                         plus_w=plus_w, minus_w=minus_w):
-                gkl = _kl_gradient(r, pi)
-                grad = 2.0 * (ats.plus @ r) / (1.0 - lam / 2.0) + plus_w * 2.0 * gkl / (
-                    lam * (1.0 - lam / 2.0) * ats.m
-                )
-                if not math.isinf(gam):
-                    grad = grad - (1.0 - gam / 2.0) * 2.0 * (ats.minus @ r) + (
-                        minus_w * 2.0 * gkl / (gam * ats.m)
-                    )
-                return grad / scale
-
+            c_kl = plus_w / (lam * (1.0 - lam / 2.0) * ats.m)
+            terms = [(1.0 / ((1.0 - lam / 2.0) * scale), ats.plus)]
+            if not math.isinf(gam):
+                c_kl += minus_w / (gam * ats.m)
+                terms.append((-(1.0 - gam / 2.0) / scale, ats.minus))
+            gradient = _affine_gradient(pi, 2.0 * c_kl / scale, *terms)
             rho = irprop_plus(gradient, objective, rho, irprop_config)
             val = ccpbskl_bound(ats, PosteriorWeights(rho, pi), delta)
             tracker.update(val, rho, alpha=alpha, lam=lam, gam=gam)

@@ -12,9 +12,14 @@ upper/lower bounds with their closed-form parameter minimisers.
 import math
 from dataclasses import dataclass
 
-from .concentration import BoundReport, _split_kl_value, make_gamma_grid
+from .concentration import (
+    BoundReport,
+    _split_kl_value,
+    _unexpected_bernstein_grid,
+    _unexpected_bernstein_value,
+)
 from .errors import DomainError
-from .klcore import binomial_tail_inverse, kl_inv_upper, psi
+from .klcore import binomial_tail_inverse, kl_inv_upper
 
 _SLACK = 1e-9
 
@@ -114,26 +119,23 @@ def pb_unexpected_bernstein(inp: PacBayesInput, gamma, delta):
         raise DomainError("needs an upper endpoint b > 0")
     if not 0.0 < gamma < 1.0 / b:
         raise DomainError(f"gamma must lie in (0, 1/b) = (0, {1.0 / b})")
-    return (
-        inp.gibbs_mean
-        + psi(-gamma * b) / (gamma * b * b) * inp.gibbs_second_moment
-        + (inp.kl_complexity + math.log(1.0 / delta)) / (gamma * inp.n)
+    return _unexpected_bernstein_value(
+        inp.gibbs_mean, inp.gibbs_second_moment, inp.kl_complexity + math.log(1.0 / delta),
+        inp.n, gamma, b,
     )
 
 
 def pb_unexpected_bernstein_grid(inp: PacBayesInput, delta) -> BoundReport:
     """Union bound over the gamma grid: min over gamma at delta/k each."""
-    grid = make_gamma_grid(inp.n, delta, inp.hi)
-    best_val, best_gamma = math.inf, None
-    for g in grid.values:
-        val = pb_unexpected_bernstein(inp, g, delta / grid.count)
-        if val < best_val:
-            best_val, best_gamma = val, g
+    vals, grid = _unexpected_bernstein_grid(
+        inp.gibbs_mean, inp.gibbs_second_moment, inp.kl_complexity, inp.n, delta, inp.hi
+    )
+    best = vals.index(min(vals))
     return BoundReport(
         name="pbub",
-        value=best_val,
+        value=vals[best],
         delta=delta,
-        params={"gamma": best_gamma, "grid_size": grid.count},
+        params={"gamma": grid.values[best], "grid_size": grid.count},
     )
 
 
@@ -176,16 +178,29 @@ def pb_lambda_upper(gibbs_mean, kl_complexity, n, delta, lam):
     """mean/(1 - lam/2) + (KL + ln(2 sqrt(n)/d))/(lam (1 - lam/2) n)."""
     if not 0.0 < lam < 2.0:
         raise DomainError("lambda must lie in (0, 2)")
-    comp = kl_complexity + math.log(2.0 * math.sqrt(n) / delta)
-    return gibbs_mean / (1.0 - lam / 2.0) + comp / (lam * (1.0 - lam / 2.0) * n)
+    return _lambda_upper_value(
+        gibbs_mean, kl_complexity + math.log(2.0 * math.sqrt(n) / delta), n, lam
+    )
 
 
 def pb_lambda_lower(gibbs_mean, kl_complexity, n, delta, gamma):
     """(1 - gamma/2) mean - (KL + ln(2 sqrt(n)/d))/(gamma n); may be negative."""
     if gamma <= 0.0:
         raise DomainError("gamma must be positive")
-    comp = kl_complexity + math.log(2.0 * math.sqrt(n) / delta)
-    return (1.0 - gamma / 2.0) * gibbs_mean - comp / (gamma * n)
+    return _lambda_lower_value(
+        gibbs_mean, kl_complexity + math.log(2.0 * math.sqrt(n) / delta), n, gamma
+    )
+
+
+def _lambda_upper_value(emp, comp, n, lam):
+    """PAC-Bayes-lambda upper form emp/(1 - lam/2) + comp/(lam (1 - lam/2) n),
+    unvalidated; ``comp`` is the full complexity term."""
+    return emp / (1.0 - lam / 2.0) + comp / (lam * (1.0 - lam / 2.0) * n)
+
+
+def _lambda_lower_value(emp, comp, n, gamma):
+    """PAC-Bayes-lambda lower form (1 - gamma/2) emp - comp/(gamma n), unvalidated."""
+    return (1.0 - gamma / 2.0) * emp - comp / (gamma * n)
 
 
 def lambda_star(emp, complexity, n):

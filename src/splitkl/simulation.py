@@ -17,11 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concentration import make_gamma_grid
+from .concentration import (
+    _empirical_bernstein_value,
+    _split_kl_value,
+    _unexpected_bernstein_grid,
+    kl_upper_bound,
+)
 from .errors import DomainError
-from .klcore import kl_inv_lower, kl_inv_upper, psi
 from .majority_vote import EvaluationMatrix, PredictionLossMatrix
-from .pacbayes import _maurer_eps
+from .pacbayes import pb_kl_bound
 
 # 51 points gives step 0.02 on [0, 1], putting the reference scenario
 # values 0.6 and 0.9 exactly on the grid.
@@ -134,32 +138,15 @@ def _bound_values(stats, n, lo, hi, mu, delta, pbkl0=False):
     """Raw bound values, elementwise over the rows of :func:`_row_stats`
     output (stacked along axis 1 into a batch)."""
     means, var, second, plus, minus = stats
-    out = {}
-    # kl: rescale to [0, 1], invert, rescale back
-    p01 = (means - lo) / (hi - lo)
-    out["kl"] = lo + (hi - lo) * kl_inv_upper(p01, math.log(1.0 / delta) / n)
-    # Empirical Bernstein
-    ln2d = math.log(2.0 / delta)
-    out["eb"] = (
-        means
-        + np.sqrt(2.0 * var * ln2d / n)
-        + 7.0 * (hi - lo) * ln2d / (3.0 * (n - 1))
-    )
-    # Unexpected Bernstein over the gamma grid
-    grid = make_gamma_grid(n, delta, hi)
-    lnkd = math.log(grid.count / delta)
-    out["ub"] = np.min([
-        means + psi(-g * hi) / (g * hi * hi) * second + lnkd / (g * n)
-        for g in grid.values
-    ], axis=0)
-    # split-kl around mu at delta/2 per side
-    eps2 = math.log(2.0 / delta) / n
-    plus_term = (hi - mu) * kl_inv_upper(np.clip(plus / (hi - mu), 0.0, 1.0), eps2)
-    minus_term = (mu - lo) * kl_inv_lower(np.clip(minus / (mu - lo), 0.0, 1.0), eps2)
-    out["skl"] = mu + plus_term - minus_term
+    out = {
+        "kl": kl_upper_bound(means, n, delta, lo, hi),
+        "eb": _empirical_bernstein_value(means, var, n, delta, hi - lo),
+        "ub": np.min(_unexpected_bernstein_grid(means, second, 0.0, n, delta, hi)[0], axis=0),
+        "skl": _split_kl_value(mu, hi - mu, mu - lo, plus, minus, math.log(2.0 / delta) / n),
+    }
     if pbkl0:
         # PAC-Bayes-kl at KL = 0 (single deterministic hypothesis)
-        out["pbkl0"] = lo + (hi - lo) * kl_inv_upper(p01, _maurer_eps(0.0, n, delta))
+        out["pbkl0"] = lo + (hi - lo) * pb_kl_bound((means - lo) / (hi - lo), 0.0, n, delta)
     return out
 
 

@@ -82,6 +82,22 @@ def test_bound_domain_violation_exit_3(tmp_path, capsys):
     assert run(["bound", path]) == 3
 
 
+@pytest.mark.parametrize("bound, message", [
+    ("eb", "eb bound is not finite"),
+    ("all", "eb bound is not finite"),
+    ("ub", "too large for a positive gamma grid"),
+])
+@pytest.mark.parametrize("clip", [[], ["--clip"]])
+def test_bound_non_finite_result_exit_3(tmp_path, capsys, bound, message, clip):
+    # the variance and the second moment overflow to inf
+    path = write_sample(tmp_path, ["# lo=0 hi=1e308", "1e308", "0", "5e307"])
+    with np.errstate(over="ignore"):
+        assert run(["bound", path, "--bound", bound] + clip) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_bound_clip_flag(tmp_path, capsys):
     path = write_sample(tmp_path, ["# lo=0 hi=1 mu=0.5"] + ["1"] * 5)
     assert run(["bound", path, "--bound", "eb", "--clip"]) == 0
@@ -233,6 +249,19 @@ def test_mv_alpha_zero_collapse(capsys):
     tnd = out["bounds"]["tnd"]["value"]
     skl = out["bounds"]["ccpbskl"]["value"]
     assert abs(tnd - skl) <= 1e-12
+
+
+def test_mv_infinite_gamma_is_valid_json(capsys):
+    # identical hypotheses never err alone, so at alpha > 0 the minus split
+    # is empty and CCPBSkl's gamma is infinite
+    assert run(["mv", "--synthetic", "identical", "--h-count", "4",
+                "--n-examples", "300", "--bounds", "ccpbskl", "--alpha", "0.2"]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    out = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert out["bounds"]["ccpbskl"]["params"]["gam"] is None
 
 
 def test_mv_single_hypothesis_value(tmp_path, capsys):

@@ -196,6 +196,14 @@ def test_kl_inv_rows_match_one_dimensional_calls():
     assert kl_inv_lower(np.array([1e-6, 0.7]), 0.05)[0] == 7.275957614183426e-18
 
 
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 3)])
+def test_kl_inv_empty_input_returns_empty_array(shape):
+    for fn in (kl_inv_upper, kl_inv_lower):
+        for out in (fn(np.zeros(shape), 0.1), fn(0.3, np.zeros(shape))):
+            assert isinstance(out, np.ndarray) and out.shape == shape, fn.__name__
+    assert kl_inv_upper(np.zeros((3, 1)), np.zeros(0)).shape == (3, 0)
+
+
 def test_kl_inv_rejects_nan():
     with pytest.raises(DomainError, match="eps is NaN"):
         kl_inv_upper(0.3, math.nan)

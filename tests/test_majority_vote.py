@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from splitkl import majority_vote
 from splitkl.errors import DomainError
 from splitkl.klcore import discrete_kl, kl_inv_lower, kl_inv_upper, phi, psi
 from splitkl.majority_vote import (
@@ -684,3 +685,43 @@ def test_optimize_traces_non_increasing():
     ]:
         trace = rep.params["trace"]
         assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
+
+
+def test_optimizer_gradients_match_finite_differences(monkeypatch):
+    # each iRProp+ gradient must be the derivative of its objective: compare
+    # it with central differences along simplex tangents at interior points
+    calls = []
+
+    def recording_irprop(gradient, objective, init, config=IRPropConfig()):
+        calls.append((gradient, objective))
+        return irprop_plus(gradient, objective, init, config)
+
+    monkeypatch.setattr(majority_vote, "irprop_plus", recording_irprop)
+    rng = np.random.default_rng(11)
+    h, n = 4, 80
+    full = np.ones((h, n), dtype=bool)
+    # zero losses make CCTND's gamma infinite at alpha >= 0; identical rows
+    # make CCPBSkl's infinite at alpha > 0
+    zero = PredictionLossMatrix(losses=np.zeros((h, n)), mask=full)
+    same = PredictionLossMatrix(
+        losses=np.tile(rng.uniform(size=n) < 0.3, (h, 1)).astype(float), mask=full
+    )
+    pi = np.full(h, 1.0 / h)
+    for plm in (random_plm(rng, h=h, n=n), zero, same):
+        ts = compute_tandem_stats(plm)
+        tnd_optimize(ts, pi, 0.05)
+        for alpha in (0.2, -0.3):
+            cctnd_optimize(ts, pi, 0.05, fixed_alpha=alpha)
+        # no alpha = 0.2 here: rho' mean rho can be negative there, and
+        # _quad clips it to 0, where the objective is flat in it
+        for optimize in (ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize):
+            optimize(plm, pi, 0.05, alpha_grid=(-0.3, -0.1, 0.1))
+    assert len(calls) > 30
+    step = 1e-6
+    for gradient, objective in calls:
+        rho = 0.5 * pi + 0.5 * rng.dirichlet(np.ones(h))
+        for _ in range(2):
+            d = rng.normal(size=h)
+            d -= d.mean()
+            fd = (objective(rho + step * d) - objective(rho - step * d)) / (2.0 * step)
+            assert gradient(rho) @ d == pytest.approx(fd, rel=1e-5, abs=1e-7)

@@ -2,7 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from splitkl.concentration import (
+    EmpiricalSummary,
+    empirical_bernstein_bound,
+    kl_upper_bound,
+    split_decompose,
+    split_kl_bound,
+    unexpected_bernstein_grid_bound,
+)
 from splitkl.errors import DomainError
 from splitkl.majority_vote import (
     PosteriorWeights,
@@ -22,6 +32,42 @@ from splitkl.simulation import (
     sweep_ternary,
     synth_ensemble,
 )
+from splitkl.simulation import _bound_values, _row_stats
+
+
+# ---------------------------------------------------------------------------
+# batched bounds
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _sample_on_a_sweep_range(draw):
+    # the ranges the sweeps use: ternary on [-1, 1], beta on [0, 1]
+    lo = draw(st.sampled_from([-1.0, 0.0]))
+    values = draw(st.lists(st.floats(lo, 1.0), min_size=1, max_size=10))
+    n = draw(st.integers(2, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return lo, rng.choice(np.array(values), size=n)
+
+
+@settings(derandomize=True, deadline=None)
+@given(sample=_sample_on_a_sweep_range(), delta=st.floats(0.01, 0.5))
+def test_batched_bounds_equal_the_scalar_bounds(sample, delta):
+    lo, z = sample
+    hi, mu, n = 1.0, 0.5 * (lo + 1.0), len(z)
+    # a batch of one point with one repeat
+    bounds = _bound_values(_row_stats(z[None, :], mu)[:, None, :], n, lo, hi, mu, delta)
+    s = EmpiricalSummary.from_samples(z, lo, hi)
+    expected = {
+        "kl": kl_upper_bound(s.mean, n, delta, lo, hi),
+        "eb": empirical_bernstein_bound(s, delta),
+        "ub": unexpected_bernstein_grid_bound(s, delta).value,
+        "skl": split_kl_bound(split_decompose(z, mu, lo, hi), delta),
+    }
+    for name, value in expected.items():
+        assert bounds[name].shape == (1, 1)
+        assert bounds[name][0, 0] == value, name
+        assert value >= s.mean, name
 
 
 # ---------------------------------------------------------------------------
