@@ -15,7 +15,9 @@ ignore it.
 import argparse
 import json
 import math
+import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -251,94 +253,100 @@ def cmd_coverage(args):
 # ---------------------------------------------------------------------------
 
 
+_BLANK_LINES = re.compile(r"^\s+$", re.MULTILINE)  # loadtxt skips only empty lines
+_INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
 def _read_csv_rows(path, expected_header):
+    """Parse a CSV of four integer columns under ``expected_header`` into a
+    ``(rows, 4)`` int64 array; blank and whitespace-only lines are skipped."""
     try:
         with open(path) as fh:
-            lines = [line.rstrip("\n") for line in fh]
-    except OSError as exc:
+            header, body = fh.readline(), fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0].strip() != expected_header:
+    if header.strip() != expected_header:
         raise InputFormatError(f"{path}: expected header {expected_header!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise InputFormatError(f"{path} line {lineno}: expected 4 fields")
-        try:
-            rows.append(tuple(int(p) for p in parts))
-        except ValueError as exc:
-            raise InputFormatError(
-                f"{path} line {lineno}: non-integer field"
-            ) from exc
-    if not rows:
+    if not body.strip():
         raise InputFormatError(f"{path}: no data rows")
-    return rows
+    with warnings.catch_warnings():
+        # numpy < 2 parses "1.0" as the integer 1, with this warning
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            rows = np.loadtxt(_BLANK_LINES.sub("", body).split("\n"), dtype=np.int64,
+                              delimiter=",", comments=None, ndmin=2)
+            if rows.shape[1] == 4:
+                return rows
+        except (ValueError, DeprecationWarning):
+            pass
+    for lineno, line in enumerate(body.split("\n"), start=2):  # name the bad line
+        fields = line.split(",")
+        if line.strip() and len(fields) != 4:
+            raise InputFormatError(f"{path} line {lineno}: expected 4 fields")
+        if line.strip() and not all(_INT_FIELD.fullmatch(f) for f in fields):
+            raise InputFormatError(f"{path} line {lineno}: non-integer field")
+        if line.strip() and not all(-(2**63) <= int(f) < 2**63 for f in fields):
+            raise InputFormatError(f"{path} line {lineno}: field outside the int64 range")
+    raise InputFormatError(f"{path}: not a CSV of four integer columns")
+
+
+def _cell_index(path, rows):
+    """Each row's position in the matrix of sorted hypothesis ids by sorted
+    example ids, and that matrix's shape; a repeated cell is rejected."""
+    h_ids, h = np.unique(rows[:, 0], return_inverse=True)
+    e_ids, e = np.unique(rows[:, 1], return_inverse=True)
+    _, first = np.unique(h * len(e_ids) + e, return_index=True)
+    if len(first) < len(rows):
+        i = np.setdiff1d(np.arange(len(rows)), first)[0]  # the first repeat
+        raise InputFormatError(f"{path}: duplicate cell {tuple(rows[i, :2].tolist())}")
+    return h, e, (len(h_ids), len(e_ids))
 
 
 def read_loss_csv(path) -> PredictionLossMatrix:
-    """Ingest ``hypothesis_id,example_id,loss,oob`` into a loss matrix.
-
-    Cells absent from the file are masked out; duplicate cells are
-    rejected.
-    """
+    """Ingest ``hypothesis_id,example_id,loss,oob`` into a loss matrix;
+    cells absent from the file are masked out."""
     rows = _read_csv_rows(path, LOSS_CSV_HEADER)
-    h_ids = sorted({r[0] for r in rows})
-    e_ids = sorted({r[1] for r in rows})
-    h_index = {h: i for i, h in enumerate(h_ids)}
-    e_index = {e: i for i, e in enumerate(e_ids)}
-    losses = np.zeros((len(h_ids), len(e_ids)))
-    mask = np.zeros((len(h_ids), len(e_ids)), dtype=bool)
-    seen = set()
-    for h, e, loss, oob in rows:
-        if loss not in (0, 1) or oob not in (0, 1):
-            raise InputFormatError(f"{path}: loss/oob must be 0 or 1")
-        cell = (h, e)
-        if cell in seen:
-            raise InputFormatError(f"{path}: duplicate cell {cell}")
-        seen.add(cell)
-        losses[h_index[h], e_index[e]] = float(loss)
-        mask[h_index[h], e_index[e]] = bool(oob)
+    if not np.isin(rows[:, 2:], (0, 1)).all():
+        raise InputFormatError(f"{path}: loss/oob must be 0 or 1")
+    h, e, shape = _cell_index(path, rows)
+    losses, mask = np.zeros(shape), np.zeros(shape, dtype=bool)
+    losses[h, e], mask[h, e] = rows[:, 2], rows[:, 3]
     return PredictionLossMatrix(losses=losses, mask=mask)
 
 
 def write_loss_csv(plm: PredictionLossMatrix, path):
     """Emit every cell of a loss matrix in the ingestion schema."""
-    lines = [LOSS_CSV_HEADER]
-    for h in range(plm.h_count):
-        for e in range(plm.n_examples):
-            lines.append(
-                f"{h},{e},{int(plm.losses[h, e])},{int(plm.mask[h, e])}"
-            )
-    _emit("\n".join(lines) + "\n", path)
+    h, e = np.indices(plm.losses.shape).reshape(2, -1)
+    table = np.column_stack([h, e, plm.losses.ravel(), plm.mask.ravel()]).astype(np.int64)
+    # one %-format over all cells, so no Python loop per row
+    body = "%d,%d,%d,%d\n" * len(table) % tuple(table.ravel().tolist())
+    _emit(LOSS_CSV_HEADER + "\n" + body, path)
 
 
 def read_eval_csv(path) -> EvaluationMatrix:
-    """Ingest ``hypothesis_id,example_id,prediction,label``; must be dense."""
+    """Ingest ``hypothesis_id,example_id,prediction,label``; must be dense,
+    with non-negative predictions and one non-negative label per example."""
     rows = _read_csv_rows(path, EVAL_CSV_HEADER)
-    h_ids = sorted({r[0] for r in rows})
-    e_ids = sorted({r[1] for r in rows})
-    h_index = {h: i for i, h in enumerate(h_ids)}
-    e_index = {e: i for i, e in enumerate(e_ids)}
-    preds = np.full((len(h_ids), len(e_ids)), -1, dtype=int)
-    labels = np.full(len(e_ids), -1, dtype=int)
-    for h, e, pred, label in rows:
-        preds[h_index[h], e_index[e]] = pred
-        j = e_index[e]
-        if labels[j] not in (-1, label):
-            raise InputFormatError(f"{path}: conflicting labels for example {e}")
-        labels[j] = label
-    if (preds < 0).any():
+    for col, what in ((2, "predictions"), (3, "labels")):
+        if rows[:, col].min() < 0:
+            raise InputFormatError(f"{path}: {what} must be non-negative")
+    h, e, shape = _cell_index(path, rows)
+    labels = rows[np.unique(e, return_index=True)[1], 3]  # each example's first label
+    conflict = np.flatnonzero(rows[:, 3] != labels[e])
+    if conflict.size:
+        raise InputFormatError(f"{path}: conflicting labels for example {rows[conflict[0], 1]}")
+    if len(rows) < shape[0] * shape[1]:
         raise InputFormatError(f"{path}: missing (hypothesis, example) cells")
+    preds = np.empty(shape, dtype=np.int64)
+    preds[h, e] = rows[:, 2]
     return EvaluationMatrix(predictions=preds, labels=labels)
 
 
 def _alpha_grid_from_args(args):
-    if args.alpha is not None:
-        return None  # fixed alpha path
-    if args.alpha_points is None:
-        return None  # library default grid
+    if args.alpha is not None or args.alpha_points is None:
+        return None  # fixed alpha path, or the library default grid
+    if args.alpha_points < 0:
+        raise InputFormatError(f"need --alpha-points >= 0, got {args.alpha_points}")
     pts = np.linspace(-0.5, 0.49, args.alpha_points)
     return tuple(np.unique(np.concatenate([pts, [0.0]])))
 
@@ -349,13 +357,8 @@ def cmd_mv(args):
     em = None
     if args.synthetic is not None:
         plm, em = simulation.synth_ensemble(
-            args.h_count,
-            args.n_examples,
-            args.synthetic,
-            bagging_rate=args.bagging_rate,
-            seed=args.seed,
-            error_rate=args.error_rate,
-        )
+            args.h_count, args.n_examples, args.synthetic, bagging_rate=args.bagging_rate,
+            seed=args.seed, error_rate=args.error_rate)
     else:
         plm = read_loss_csv(args.losses)
     if args.eval is not None:
@@ -380,50 +383,26 @@ def cmd_mv(args):
             w, rep = tnd_optimize(ts, pi, args.delta)
             params = {"lam": rep.params.get("lam")}
         elif name == "cctnd":
-            w, alpha, rep = cctnd_optimize(
-                ts, pi, args.delta, alpha_grid=alpha_grid, fixed_alpha=fixed
-            )
-            params = {
-                "alpha": alpha,
-                "lam": rep.params.get("lam"),
-                "gam": rep.params.get("gam"),
-            }
+            w, alpha, rep = cctnd_optimize(ts, pi, args.delta, alpha_grid=alpha_grid,
+                                           fixed_alpha=fixed)
+            params = {"alpha": alpha, "lam": rep.params.get("lam"), "gam": rep.params.get("gam")}
         else:
-            optimize = {
-                "ccpbb": ccpbb_optimize,
-                "ccpbub": ccpbub_optimize,
-                "ccpbskl": ccpbskl_optimize,
-            }[name]
-            w, opt_params, rep = optimize(
-                plm, pi, args.delta, alpha_grid=alpha_grid, fixed_alpha=fixed
-            )
-            params = {
-                k: opt_params.get(k) for k in ("alpha", "lam", "gam") if k in opt_params
-            }
+            optimize = {"ccpbb": ccpbb_optimize, "ccpbub": ccpbub_optimize,
+                        "ccpbskl": ccpbskl_optimize}[name]
+            w, opt_params, rep = optimize(plm, pi, args.delta, alpha_grid=alpha_grid,
+                                          fixed_alpha=fixed)
+            params = {k: opt_params[k] for k in ("alpha", "lam", "gam") if k in opt_params}
         if params.get("gam") == math.inf:
             # gamma = inf drops the lower form's term; JSON has no inf
             params["gam"] = None
-        entry = {
-            "value": rep.value,
-            "rho": list(w.rho),
-            "params": params,
-            "iterations": rep.params["iterations"],
-        }
+        entry = {"value": rep.value, "rho": list(w.rho), "params": params,
+                 "iterations": rep.params["iterations"]}
         if em is not None:
             entry["eval_risk"] = mv_risk(em, w)
         results[name] = entry
 
-    _emit_json(
-        {
-            "bounds": results,
-            "delta": args.delta,
-            "h_count": plm.h_count,
-            "n": ts.n,
-            "m": ts.m,
-            "seed": args.seed,
-        },
-        args.out,
-    )
+    _emit_json({"bounds": results, "delta": args.delta, "h_count": plm.h_count, "n": ts.n,
+                "m": ts.m, "seed": args.seed}, args.out)
     return EXIT_OK
 
 

@@ -134,21 +134,28 @@ def split_decompose(samples, mu, lo, hi) -> SplitSummary:
 
 def kl_upper_bound(mean, n, delta, lo, hi):
     """kl upper confidence bound: rescale to [0,1], invert, rescale back."""
-    if lo >= hi:
-        raise DomainError("need lo < hi")
-    p_hat = (np.asarray(mean, dtype=float) - lo) / (hi - lo)
-    eps = math.log(1.0 / delta) / n
-    out = lo + (hi - lo) * kl_inv_upper(p_hat, eps)
-    return float(out) if np.ndim(mean) == 0 else out
+    return _kl_bound(kl_inv_upper, mean, n, delta, lo, hi)
 
 
 def kl_lower_bound(mean, n, delta, lo, hi):
     """kl lower confidence bound; mirror of :func:`kl_upper_bound`."""
+    return _kl_bound(kl_inv_lower, mean, n, delta, lo, hi)
+
+
+def _kl_bound(invert, mean, n, delta, lo, hi):
+    """lo + (hi - lo) invert(p_hat, ln(1/delta) / n) for the mean rescaled to
+    p_hat.  A p_hat within _SLACK of [0, 1] is clamped into it, as the mean
+    of samples all equal to hi can round above hi; one further out is left
+    for the inversion to reject.  Floats stay on the float path."""
     if lo >= hi:
         raise DomainError("need lo < hi")
-    p_hat = (np.asarray(mean, dtype=float) - lo) / (hi - lo)
-    eps = math.log(1.0 / delta) / n
-    out = lo + (hi - lo) * kl_inv_lower(p_hat, eps)
+    if np.ndim(mean) == 0:
+        p_hat = (float(mean) - lo) / (hi - lo)
+        p_hat = _clamp01(p_hat) if -_SLACK <= p_hat <= 1.0 + _SLACK else p_hat
+    else:
+        p_hat = (np.asarray(mean, dtype=float) - lo) / (hi - lo)
+        p_hat = np.where((p_hat >= -_SLACK) & (p_hat <= 1.0 + _SLACK), _clamp01(p_hat), p_hat)
+    out = lo + (hi - lo) * invert(p_hat, math.log(1.0 / delta) / n)
     return float(out) if np.ndim(mean) == 0 else out
 
 

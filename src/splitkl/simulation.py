@@ -317,18 +317,20 @@ def synth_ensemble(h_count, n_examples, noise_profile="independent",
         raise DomainError("need at least 2 hypotheses")
     if n_examples < 2:
         raise DomainError("need at least 2 examples")
+    if not (math.isfinite(bagging_rate) and bagging_rate > 0.0):
+        raise DomainError(f"need a finite bagging_rate > 0, got {bagging_rate}")
+    for name, rate in (("error_rate", error_rate), ("correlation", correlation)):
+        if not 0.0 <= rate <= 1.0:
+            raise DomainError(f"need {name} in [0, 1], got {rate}")
     for attempt in range(10):
         rng = _rng(seed, attempt)
         errors = _error_matrix(
             rng, noise_profile, h_count, n_examples, error_rate, correlation
         )
         draw_size = int(round(bagging_rate * n_examples))
-        mask = np.zeros((h_count, n_examples), dtype=bool)
+        mask = np.ones((h_count, n_examples), dtype=bool)
         for h in range(h_count):
-            drawn = rng.integers(0, n_examples, size=draw_size)
-            oob = np.ones(n_examples, dtype=bool)
-            oob[np.unique(drawn)] = False
-            mask[h] = oob
+            mask[h, rng.integers(0, n_examples, size=draw_size)] = False
         counts = mask.astype(float) @ mask.astype(float).T
         if counts.min() < 2:
             continue

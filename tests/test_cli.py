@@ -98,6 +98,16 @@ def test_bound_non_finite_result_exit_3(tmp_path, capsys, bound, message, clip):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("bound", ["kl", "all"])
+def test_bound_samples_all_at_hi(tmp_path, capsys, bound):
+    # the mean of three 0.1s rounds one ulp above hi
+    path = write_sample(tmp_path, ["# lo=0 hi=0.1", "0.1", "0.1", "0.1"])
+    assert run(["bound", path, "--bound", bound]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["bounds"][0] == {"name": "kl", "value": 0.1, "delta": 0.05,
+                                "params": {"n": 3, "lo": 0.0, "hi": 0.1}}
+
+
 def test_bound_clip_flag(tmp_path, capsys):
     path = write_sample(tmp_path, ["# lo=0 hi=1 mu=0.5"] + ["1"] * 5)
     assert run(["bound", path, "--bound", "eb", "--clip"]) == 0
@@ -262,6 +272,21 @@ def test_mv_infinite_gamma_is_valid_json(capsys):
 
     out = json.loads(capsys.readouterr().out, parse_constant=reject)
     assert out["bounds"]["ccpbskl"]["params"]["gam"] is None
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    (["--alpha-points", "-1"], 2, "need --alpha-points >= 0, got -1"),
+    (["--bagging-rate", "nan"], 3, "need a finite bagging_rate > 0, got nan"),
+    (["--bagging-rate", "-1"], 3, "need a finite bagging_rate > 0, got -1.0"),
+    (["--bagging-rate", "inf"], 3, "need a finite bagging_rate > 0, got inf"),
+    (["--error-rate", "nan"], 3, "need error_rate in [0, 1], got nan"),
+    (["--error-rate", "2"], 3, "need error_rate in [0, 1], got 2.0"),
+    (["--error-rate", "-0.1"], 3, "need error_rate in [0, 1], got -0.1"),
+])
+def test_mv_out_of_range_numeric_flags(capsys, flags, code, message):
+    assert run(["mv", "--synthetic", "independent", "--h-count", "3",
+                "--n-examples", "100", "--bounds", "tnd", *flags]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_mv_single_hypothesis_value(tmp_path, capsys):

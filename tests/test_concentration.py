@@ -87,6 +87,22 @@ def test_kl_bounds_symmetry():
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
+def test_kl_bounds_clamp_a_mean_one_rounding_step_outside():
+    # three samples equal to hi = 0.1 sum to 0.30000000000000004
+    mean = (0.1 + 0.1 + 0.1) / 3
+    assert mean > 0.1
+    assert kl_upper_bound(mean, 3, 0.05, 0.0, 0.1) == 0.1
+    assert 0.0 < kl_lower_bound(mean, 3, 0.05, 0.0, 0.1) < 0.1
+    assert kl_upper_bound(-1e-17, 3, 0.05, 0.0, 0.1) > 0.0
+    batch = kl_upper_bound(np.array([mean, 0.05]), 3, 0.05, 0.0, 0.1)
+    assert batch[0] == 0.1 and batch[1] == kl_upper_bound(0.05, 3, 0.05, 0.0, 0.1)
+    for bad in (0.2, np.array([0.05, 0.2]), -0.01, np.nan):
+        with pytest.raises(DomainError):
+            kl_upper_bound(bad, 10, 0.05, 0.0, 0.1)
+        with pytest.raises(DomainError):
+            kl_lower_bound(bad, 10, 0.05, 0.0, 0.1)
+
+
 def test_kl_bound_rescaling():
     # the bound on [-1, 1] is the affine image of the bound on [0, 1]
     b01 = kl_upper_bound(0.75, 100, 0.05, 0.0, 1.0)

@@ -284,3 +284,8 @@ def test_synth_determinism_and_guards():
         synth_ensemble(1, 300, "independent", seed=19)
     with pytest.raises(DomainError):
         synth_ensemble(4, 300, "martian", seed=19)
+    for bad in ({"bagging_rate": 0.0}, {"bagging_rate": math.nan}, {"bagging_rate": math.inf},
+                {"error_rate": 1.5}, {"error_rate": math.nan},
+                {"correlation": -0.1}, {"correlation": math.nan}):
+        with pytest.raises(DomainError):
+            synth_ensemble(4, 300, "correlated", seed=19, **bad)
