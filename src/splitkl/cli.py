@@ -13,6 +13,7 @@ ignore it.
 """
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -292,26 +293,32 @@ def _read_csv_rows(path, expected_header):
 
 def _cell_index(path, rows):
     """Each row's position in the matrix of sorted hypothesis ids by sorted
-    example ids, and that matrix's shape; a repeated cell is rejected."""
+    example ids, that matrix's shape, and the sorted hypothesis ids; a
+    repeated cell is rejected."""
     h_ids, h = np.unique(rows[:, 0], return_inverse=True)
     e_ids, e = np.unique(rows[:, 1], return_inverse=True)
     _, first = np.unique(h * len(e_ids) + e, return_index=True)
     if len(first) < len(rows):
         i = np.setdiff1d(np.arange(len(rows)), first)[0]  # the first repeat
         raise InputFormatError(f"{path}: duplicate cell {tuple(rows[i, :2].tolist())}")
-    return h, e, (len(h_ids), len(e_ids))
+    return h, e, (len(h_ids), len(e_ids)), h_ids
 
 
 def read_loss_csv(path) -> PredictionLossMatrix:
     """Ingest ``hypothesis_id,example_id,loss,oob`` into a loss matrix;
     cells absent from the file are masked out."""
+    return _read_loss_csv(path)[0]
+
+
+def _read_loss_csv(path):
+    """:func:`read_loss_csv` and the sorted hypothesis ids, one per row."""
     rows = _read_csv_rows(path, LOSS_CSV_HEADER)
     if not np.isin(rows[:, 2:], (0, 1)).all():
         raise InputFormatError(f"{path}: loss/oob must be 0 or 1")
-    h, e, shape = _cell_index(path, rows)
+    h, e, shape, h_ids = _cell_index(path, rows)
     losses, mask = np.zeros(shape), np.zeros(shape, dtype=bool)
     losses[h, e], mask[h, e] = rows[:, 2], rows[:, 3]
-    return PredictionLossMatrix(losses=losses, mask=mask)
+    return PredictionLossMatrix(losses=losses, mask=mask), h_ids
 
 
 def write_loss_csv(plm: PredictionLossMatrix, path):
@@ -326,11 +333,16 @@ def write_loss_csv(plm: PredictionLossMatrix, path):
 def read_eval_csv(path) -> EvaluationMatrix:
     """Ingest ``hypothesis_id,example_id,prediction,label``; must be dense,
     with non-negative predictions and one non-negative label per example."""
+    return _read_eval_csv(path)[0]
+
+
+def _read_eval_csv(path):
+    """:func:`read_eval_csv` and the sorted hypothesis ids, one per row."""
     rows = _read_csv_rows(path, EVAL_CSV_HEADER)
     for col, what in ((2, "predictions"), (3, "labels")):
         if rows[:, col].min() < 0:
             raise InputFormatError(f"{path}: {what} must be non-negative")
-    h, e, shape = _cell_index(path, rows)
+    h, e, shape, h_ids = _cell_index(path, rows)
     labels = rows[np.unique(e, return_index=True)[1], 3]  # each example's first label
     conflict = np.flatnonzero(rows[:, 3] != labels[e])
     if conflict.size:
@@ -339,7 +351,7 @@ def read_eval_csv(path) -> EvaluationMatrix:
         raise InputFormatError(f"{path}: missing (hypothesis, example) cells")
     preds = np.empty(shape, dtype=np.int64)
     preds[h, e] = rows[:, 2]
-    return EvaluationMatrix(predictions=preds, labels=labels)
+    return EvaluationMatrix(predictions=preds, labels=labels), h_ids
 
 
 def _alpha_grid_from_args(args):
@@ -359,12 +371,15 @@ def cmd_mv(args):
         plm, em = simulation.synth_ensemble(
             args.h_count, args.n_examples, args.synthetic, bagging_rate=args.bagging_rate,
             seed=args.seed, error_rate=args.error_rate)
+        h_ids = np.arange(plm.h_count)  # the ids --dump-losses writes
     else:
-        plm = read_loss_csv(args.losses)
+        plm, h_ids = _read_loss_csv(args.losses)
     if args.eval is not None:
-        em = read_eval_csv(args.eval)
+        em, eval_ids = _read_eval_csv(args.eval)
         if em.predictions.shape[0] != plm.h_count:
             raise InputFormatError("--eval hypothesis count does not match losses")
+        if not np.array_equal(eval_ids, h_ids):
+            raise InputFormatError("--eval hypothesis ids do not match the losses'")
     if args.dump_losses:
         write_loss_csv(plm, args.dump_losses)
 
@@ -376,19 +391,23 @@ def cmd_mv(args):
     ts = compute_tandem_stats(plm)
     alpha_grid = _alpha_grid_from_args(args)
     fixed = args.alpha
+    # one TND run serves tnd, and cctnd and ccpbskl at alpha = 0
+    tnd = None
+    if "tnd" in names or fixed in (None, 0.0) and {"cctnd", "ccpbskl"} & set(names):
+        tnd = tnd_optimize(ts, pi, args.delta)
 
     results = {}
     for name in names:
         if name == "tnd":
-            w, rep = tnd_optimize(ts, pi, args.delta)
+            w, rep = tnd
             params = {"lam": rep.params.get("lam")}
         elif name == "cctnd":
             w, alpha, rep = cctnd_optimize(ts, pi, args.delta, alpha_grid=alpha_grid,
-                                           fixed_alpha=fixed)
+                                           fixed_alpha=fixed, tnd=tnd)
             params = {"alpha": alpha, "lam": rep.params.get("lam"), "gam": rep.params.get("gam")}
         else:
             optimize = {"ccpbb": ccpbb_optimize, "ccpbub": ccpbub_optimize,
-                        "ccpbskl": ccpbskl_optimize}[name]
+                        "ccpbskl": functools.partial(ccpbskl_optimize, tnd=tnd)}[name]
             w, opt_params, rep = optimize(plm, pi, args.delta, alpha_grid=alpha_grid,
                                           fixed_alpha=fixed)
             params = {k: opt_params[k] for k in ("alpha", "lam", "gam") if k in opt_params}

@@ -249,13 +249,13 @@ def split_kl_bound(s: SplitSummary, delta) -> float:
 def _split_kl_value(mu, plus_w, minus_w, plus_mean, minus_mean, eps):
     """mu + plus_w kl_inv_upper(plus_mean / plus_w, eps)
     - minus_w kl_inv_lower(minus_mean / minus_w, eps), elementwise over
-    the split means, ratios clamped to [0, 1]; a zero split weight
-    contributes exactly 0."""
+    the split means and weights, ratios clamped to [0, 1]; a zero scalar
+    split weight contributes exactly 0, and array weights must be positive."""
     plus_term = 0.0
-    if plus_w > 0.0:
+    if np.ndim(plus_w) or plus_w > 0.0:
         plus_term = plus_w * kl_inv_upper(_clamp01(plus_mean / plus_w), eps)
     minus_term = 0.0
-    if minus_w > 0.0:
+    if np.ndim(minus_w) or minus_w > 0.0:
         minus_term = minus_w * kl_inv_lower(_clamp01(minus_mean / minus_w), eps)
     return mu + plus_term - minus_term
 

@@ -139,17 +139,17 @@ def discrete_kl(rho, pi):
         raise DomainError("negative probability weight")
     if abs(r.sum() - 1.0) > 1e-9 or abs(p.sum() - 1.0) > 1e-9:
         raise DomainError("weights must sum to 1 within 1e-9")
-    return _discrete_kl_unchecked(r, p)
+    return _discrete_kl_unchecked(r.ravel(), p.ravel()).item()
 
 
 def _discrete_kl_unchecked(rho, pi):
     """:func:`discrete_kl` for float arrays already validated, e.g. a
-    simplex projection against a prior checked once up front."""
-    if np.any((pi == 0) & (rho > 0)):
-        return float("inf")
+    simplex projection against a prior checked once up front.  Keeps a
+    trailing axis: shape (1,) for a vector rho, an (A, 1) column of the
+    row KLs for an (A, H) rho."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = float(np.sum(xlogy(rho, rho) - xlogy(rho, pi)))
-    return max(val, 0.0)
+        val = np.maximum(np.sum(xlogy(rho, rho) - xlogy(rho, pi), axis=-1, keepdims=True), 0.0)
+    return np.where(np.any((pi == 0) & (rho > 0), axis=-1, keepdims=True), math.inf, val)
 
 
 def binomial_tail(n, k, p):

@@ -15,7 +15,7 @@ reported bound never exceeds the value at the initialization rho = pi.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,6 +39,8 @@ OUTER_TOL = 1e-9
 MAX_OUTER = 50
 
 _TINY = 1e-12
+
+_STACK_ENTRIES = 1 << 18  # most entries A * H * H of one stacked statistic of A alphas
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +130,11 @@ class AlphaTandemStats:
     """Pairwise statistics of the offset tandem loss (l_h - a)(l_h' - a).
 
     The loss takes the three values a^2, -a(1-a), (1-a)^2; ``a``/``mu``/``b``
-    are its sorted range with ``mu`` the middle value, and ``k_range`` =
-    b - a = max(1-alpha, 1-2alpha).  ``n`` and ``m`` are the single and
-    pairwise minimum OOB counts of the source matrix.
+    are its sorted range with ``mu`` the middle value, ``k_range`` =
+    b - a = max(1-alpha, 1-2alpha), and ``scale`` = (1/2 - alpha)^2 is the
+    Chebyshev-Cantelli denominator.  ``n`` and ``m`` are the single and
+    pairwise minimum OOB counts of the source matrix.  A stacked instance
+    holds A alphas: (A, H, H) matrices and (A, 1) columns of the scalars.
     """
 
     alpha: float
@@ -143,6 +147,7 @@ class AlphaTandemStats:
     mu: float
     b: float
     k_range: float
+    scale: float
     n: int
     m: int
 
@@ -169,10 +174,14 @@ class PosteriorWeights:
 
 @dataclass(frozen=True)
 class EvaluationMatrix:
-    """Per-hypothesis predicted labels plus true labels for held-out data."""
+    """Per-hypothesis predicted labels plus true labels for held-out data.
+
+    ``classes``, the sorted distinct labels of both, is formed once.
+    """
 
     predictions: np.ndarray
     labels: np.ndarray
+    classes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         preds = np.asarray(self.predictions, dtype=int)
@@ -185,6 +194,7 @@ class EvaluationMatrix:
             raise DomainError("empty evaluation set")
         if preds.min() < 0 or labels.min() < 0:
             raise DomainError("labels must be non-negative integers")
+        object.__setattr__(self, "classes", np.union1d(np.unique(preds), labels))
 
 
 # ---------------------------------------------------------------------------
@@ -224,56 +234,67 @@ def alpha_stats(plm: PredictionLossMatrix, alpha) -> AlphaTandemStats:
     Each pair's offset loss takes one of three values determined by whether
     both, one, or neither hypothesis errs; all moments and splits follow
     from the three per-pair counts.  Pairs with a single overlap sample get
-    unbiased variance 0.
+    unbiased variance 0.  A sequence of alphas gives one stacked instance.
+    The per-alpha coefficients are Python floats, computed as for a single
+    alpha, so each stacked row is bit-equal to its own call.
     """
-    if not -0.5 <= alpha < 0.5:
+    alphas = alpha if np.ndim(alpha) else (alpha,)
+    if not all(-0.5 <= a < 0.5 for a in alphas):
         raise DomainError("alpha must lie in [-0.5, 0.5)")
     valid, both, one, none, row_counts = plm.pair_counts
-    v_both = (1.0 - alpha) ** 2
-    v_one = -alpha * (1.0 - alpha)
-    v_none = alpha * alpha
-    a, mu, b, k_range = alpha_value_range(alpha)
+    consts = []
+    for a in alphas:
+        lo, mu, hi, k_range = alpha_value_range(a)
+        v = ((1.0 - a) ** 2, -a * (1.0 - a), a * a)  # both, one, none err
+        consts.append((*v, *(x**2 for x in v), *(max(0.0, x - mu) for x in v),
+                       *(max(0.0, mu - x) for x in v), a, lo, mu, hi, k_range, (0.5 - a) ** 2))
+    c = np.array(consts, dtype=float).reshape(-1, 18).T[:, :, None, None]  # 18 per alpha
 
     def pair_mean(f_both, f_one, f_none):
         return (both * f_both + one * f_one + none * f_none) / valid
 
-    mean = pair_mean(v_both, v_one, v_none)
-    second = pair_mean(v_both**2, v_one**2, v_none**2)
+    mean = pair_mean(*c[0:3])
+    second = pair_mean(*c[3:6])
     with np.errstate(invalid="ignore", divide="ignore"):
         variance = np.where(
             valid >= 2, (second - mean**2) * valid / np.maximum(valid - 1.0, 1.0), 0.0
         )
     variance = np.maximum(variance, 0.0)
-    plus = pair_mean(max(0.0, v_both - mu), max(0.0, v_one - mu), max(0.0, v_none - mu))
-    minus = pair_mean(max(0.0, mu - v_both), max(0.0, mu - v_one), max(0.0, mu - v_none))
-    return AlphaTandemStats(
-        alpha=float(alpha),
-        mean=mean,
-        second_moment=second,
-        variance=variance,
-        plus=plus,
-        minus=minus,
-        a=a,
-        mu=mu,
-        b=b,
-        k_range=k_range,
-        n=int(row_counts.min()),
-        m=int(valid.min()),
+    col_alpha, col_a, col_mu, col_b, col_k, col_scale = c[12:, :, :, 0]
+    stats = AlphaTandemStats(
+        alpha=col_alpha, mean=mean, second_moment=second, variance=variance,
+        plus=pair_mean(*c[6:9]), minus=pair_mean(*c[9:12]), a=col_a, mu=col_mu, b=col_b,
+        k_range=col_k, scale=col_scale, n=int(row_counts.min()), m=int(valid.min()),
     )
+    if np.ndim(alpha):
+        return stats
+    return replace(stats, **{name: value[0] if value.ndim == 3 else float(value[0, 0])
+                             for name, value in _row_fields(stats)})
+
+
+def _row_fields(stats):
+    """(name, value) of each per-alpha field of a stacked AlphaTandemStats."""
+    return [(f.name, getattr(stats, f.name)) for f in fields(stats)
+            if np.ndim(getattr(stats, f.name)) > 0]
+
+
+def _take_rows(stats, rows):
+    """The stacked statistics of the selected alphas."""
+    return replace(stats, **{name: value[rows] for name, value in _row_fields(stats)})
 
 
 def mv_risk(em: EvaluationMatrix, w: PosteriorWeights) -> float:
     """Zero-one risk of the rho-weighted plurality vote on an evaluation set.
 
-    Ties go to the smallest label index.
+    Ties go to the smallest label.  Scores are kept only for the labels that
+    occur, so the cost does not grow with the label values.
     """
     if len(w.rho) != em.predictions.shape[0]:
         raise DomainError("weight vector does not match the hypothesis count")
-    n_classes = int(max(em.predictions.max(), em.labels.max())) + 1
-    scores = np.zeros((em.predictions.shape[1], n_classes))
-    for c in range(n_classes):
-        scores[:, c] = w.rho @ (em.predictions == c)
-    votes = np.argmax(scores, axis=1)
+    scores = np.zeros((em.predictions.shape[1], len(em.classes)))
+    for j, c in enumerate(em.classes):
+        scores[:, j] = w.rho @ (em.predictions == c)
+    votes = em.classes[np.argmax(scores, axis=1)]
     return float(np.mean(votes != em.labels))
 
 
@@ -284,16 +305,27 @@ def mv_risk(em: EvaluationMatrix, w: PosteriorWeights) -> float:
 
 def project_simplex(v) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum x = 1} by sort-and-threshold."""
+    return _project_rows(_vector(v)[None, :])[0]
+
+
+def _vector(v):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise DomainError("need a non-empty 1-d vector")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    cond = u - (css - 1.0) / ks > 0
-    k = int(ks[cond][-1])
-    tau = (css[k - 1] - 1.0) / k
-    return np.maximum(v - tau, 0.0)
+    if not np.all(np.isfinite(v)):
+        raise DomainError("need a finite vector")
+    return v
+
+
+def _project_rows(v):
+    """:func:`project_simplex` of each row of an (A, H) matrix."""
+    u = np.sort(v, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    ks = np.arange(1, v.shape[1] + 1)
+    # the largest k with u_k > (css_k - 1) / k; k = 1 always qualifies
+    k = v.shape[1] - np.argmax((u - (css - 1.0) / ks > 0)[:, ::-1], axis=1)
+    tau = (css[np.arange(len(v)), k - 1] - 1.0) / k
+    return np.maximum(v - tau[:, None], 0.0)
 
 
 @dataclass(frozen=True)
@@ -316,46 +348,60 @@ def irprop_plus(gradient, objective, init, config: IRPropConfig = IRPropConfig()
     step reverts that coordinate's move.  Iterates are projected onto the
     simplex; stops after ``patience`` consecutive iterations improving the
     best objective by less than ``tol``.  Never returns a point worse than
-    ``init``.
+    ``init``.  This is the one-row case of :func:`_irprop_rows`.
     """
-    x = project_simplex(init)
-    f = objective(x)
-    g = np.asarray(gradient(x), dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise DomainError("non-finite gradient")
+    return _irprop_rows(
+        lambda x: np.asarray(gradient(x[0]), dtype=float)[None, :],
+        lambda x: np.asarray(objective(x[0]), dtype=float).reshape(1),
+        _vector(init)[None, :], config,
+    )[0]
+
+
+def _irprop_rows(gradient, objective, init, config: IRPropConfig):
+    """iRProp+ on each row of an (A, H) matrix independently.
+
+    ``objective`` maps the (A, H) iterates to A values and ``gradient`` to
+    (A, H) gradients, row by row.  Each row has its own steps, backtracking,
+    best point and patience counter.  The batch iterates until every row
+    has stopped or ``max_iter`` is reached; a row that has stopped keeps
+    its best point, so each result row equals a separate run on that row.
+    """
+    x = _project_rows(init)
+    running = np.ones(len(x), dtype=bool)
+    f, g = objective(x), _finite_rows(gradient(x), running)
     steps = np.full_like(x, config.step_init)
-    prev_g = np.zeros_like(x)
-    prev_dx = np.zeros_like(x)
-    best_x, best_f = x.copy(), f
-    f_prev = f
-    stall = 0
+    prev_g, prev_dx = np.zeros_like(x), np.zeros_like(x)
+    best_x, best_f, f_prev = x.copy(), f, f
+    stall = np.zeros(len(x), dtype=int)
     for _ in range(config.max_iter):
         s = g * prev_g
         grow, shrink = s > 0, s < 0
         steps = np.where(grow, np.minimum(steps * config.step_grow, config.step_max), steps)
         steps = np.where(shrink, np.maximum(steps * config.step_shrink, config.step_min), steps)
         dx = np.where(shrink, 0.0, -np.sign(g) * steps)
-        if f > f_prev:
-            # weight-backtracking: undo the previous move on flipped coords
-            dx = np.where(shrink, -prev_dx, dx)
-        x_new = project_simplex(x + dx)
+        # weight-backtracking: after a worsening step, undo the previous
+        # move on flipped coords
+        dx = np.where(shrink & (f > f_prev)[:, None], -prev_dx, dx)
+        x_new = _project_rows(x + dx)
         f_prev = f
         prev_g = np.where(shrink, 0.0, g)
         prev_dx = x_new - x
         x = x_new
-        f = objective(x)
-        g = np.asarray(gradient(x), dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise DomainError("non-finite gradient")
-        if f < best_f - config.tol:
-            stall = 0
-        else:
-            stall += 1
-        if f < best_f:
-            best_x, best_f = x.copy(), f
-        if stall >= config.patience:
+        f, g = objective(x), _finite_rows(gradient(x), running)
+        stall = np.where(f < best_f - config.tol, 0, stall + 1)
+        better = running & (f < best_f)
+        best_x = np.where(better[:, None], x, best_x)
+        best_f = np.where(better, f, best_f)
+        running &= stall < config.patience
+        if not running.any():
             break
     return best_x
+
+
+def _finite_rows(g, rows):
+    if not np.all(np.isfinite(g[rows])):
+        raise DomainError("non-finite gradient")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +410,9 @@ def irprop_plus(gradient, objective, init, config: IRPropConfig = IRPropConfig()
 
 
 def _quad(rho, matrix):
-    return float(np.clip(rho @ matrix @ rho, 0.0, None))
+    """rho' M rho clipped at 0: shape (1,) for one rho, (A, 1) for the rows
+    of an (A, H) rho against stacked matrices, each row bit-equal."""
+    return np.clip(rho[..., None, :] @ matrix @ rho[..., :, None], 0.0, None)[..., 0]
 
 
 def _tandem_eps(kl, m, delta):
@@ -373,7 +421,7 @@ def _tandem_eps(kl, m, delta):
 
 def tnd_bound(ts: TandemStats, w: PosteriorWeights, delta) -> float:
     """4 kl_inv_upper(rho' T rho, (2 KL + ln(4 sqrt(m)/d)) / m)."""
-    t = _clamp01(_quad(w.rho, ts.tandem_loss))
+    t = _clamp01(_quad(w.rho, ts.tandem_loss).item())
     kl = discrete_kl(w.rho, w.pi)
     return 4.0 * kl_inv_upper(t, _tandem_eps(kl, ts.m, delta))
 
@@ -387,7 +435,7 @@ def cctnd_bound(ts: TandemStats, w: PosteriorWeights, alpha, delta) -> float:
     """
     if alpha >= 0.5:
         raise DomainError("alpha must be below 0.5")
-    t = _clamp01(_quad(w.rho, ts.tandem_loss))
+    t = _clamp01(_quad(w.rho, ts.tandem_loss).item())
     g = _clamp01(float(w.rho @ ts.single_loss))
     kl = discrete_kl(w.rho, w.pi)
     t_term = kl_inv_upper(t, _tandem_eps(kl, ts.m, delta))
@@ -410,7 +458,7 @@ def ccpbb_bound(ats: AlphaTandemStats, w: PosteriorWeights, lam, gamma, delta,
         raise DomainError(f"lambda must lie in (0, {lam_max})")
     if gamma <= 0.0:
         raise DomainError("gamma must be positive")
-    return _ccpbb_value(ats, _quad(w.rho, ats.mean), _quad(w.rho, ats.variance),
+    return _ccpbb_value(ats, _quad(w.rho, ats.mean).item(), _quad(w.rho, ats.variance).item(),
                         discrete_kl(w.rho, w.pi), lam, gamma, delta, k_lambda, k_gamma)
 
 
@@ -423,7 +471,7 @@ def _ccpbb_value(ats, q_mean, q_var, kl, lam, gamma, delta, k_lambda, k_gamma):
     val = q_mean + comp / (gamma * m) + bennett * (
         q_var / (1.0 - u) + k * k * comp / (n * lam * (1.0 - u))
     )
-    return val / (0.5 - ats.alpha) ** 2
+    return val / ats.scale
 
 
 def ccpbub_gamma_grid(ats: AlphaTandemStats, delta):
@@ -441,15 +489,16 @@ def ccpbub_bound(ats: AlphaTandemStats, w: PosteriorWeights, gamma, delta) -> fl
     if not 0.0 < gamma < 1.0 / b:
         raise DomainError(f"gamma must lie in (0, {1.0 / b})")
     k_gamma = ccpbub_gamma_grid(ats, delta).count
-    return _ccpbub_value(ats, _quad(w.rho, ats.mean), _quad(w.rho, ats.second_moment),
-                         discrete_kl(w.rho, w.pi), gamma, delta, k_gamma)
+    return _ccpbub_value(ats, _quad(w.rho, ats.mean).item(),
+                         _quad(w.rho, ats.second_moment).item(), discrete_kl(w.rho, w.pi),
+                         gamma, delta, k_gamma)
 
 
 def _ccpbub_value(ats, q_mean, q_second, kl, gamma, delta, k_gamma):
     """:func:`ccpbub_bound` from rho' mean rho, rho' second_moment rho and KL(rho||pi)."""
     comp = 2.0 * kl + math.log(k_gamma / delta)
     val = _unexpected_bernstein_value(q_mean, q_second, comp, ats.m, gamma, ats.b)
-    return val / (0.5 - ats.alpha) ** 2
+    return val / ats.scale
 
 
 def ccpbskl_bound(ats: AlphaTandemStats, w: PosteriorWeights, delta) -> float:
@@ -458,10 +507,15 @@ def ccpbskl_bound(ats: AlphaTandemStats, w: PosteriorWeights, delta) -> float:
     Degenerate split weights contribute 0; at alpha = 0 this is exactly the
     TND bound.
     """
-    eps = _tandem_eps(discrete_kl(w.rho, w.pi), ats.m, delta)
-    val = _split_kl_value(ats.mu, ats.b - ats.mu, ats.mu - ats.a,
-                          _quad(w.rho, ats.plus), _quad(w.rho, ats.minus), eps)
-    return val / (0.5 - ats.alpha) ** 2
+    return _ccpbskl_value(ats, _quad(w.rho, ats.plus).item(), _quad(w.rho, ats.minus).item(),
+                          discrete_kl(w.rho, w.pi), delta)
+
+
+def _ccpbskl_value(ats, q_plus, q_minus, kl, delta):
+    """:func:`ccpbskl_bound` from rho' plus rho, rho' minus rho and KL(rho||pi)."""
+    val = _split_kl_value(ats.mu, ats.b - ats.mu, ats.mu - ats.a, q_plus, q_minus,
+                          _tandem_eps(kl, ats.m, delta))
+    return val / ats.scale
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +543,17 @@ class _BestTracker:
 def _affine_gradient(pi, c_kl, *terms):
     """Gradient in rho of c_kl KL(rho||pi) plus, for each (c, form) in
     ``terms``, c rho' form rho (symmetric matrix form) or c rho . form
-    (vector form).
+    (vector form), for one rho or for each row of an (A, H) rho.
 
     Every iRProp+ objective below is, for fixed outer parameters, affine in
     its quadratic forms, the linear form rho . single and KL(rho||pi), so
-    its gradient is this chain rule with the objective's coefficients.
+    its gradient is this chain rule with the objective's coefficients.  For
+    rows, each c is an (A, 1) column and each matrix form is stacked.
     """
     def gradient(r):
         grad = c_kl * (np.log(np.maximum(r, _TINY) / pi) + 1.0)
         for c, form in terms:
-            grad = grad + c * (2.0 * (form @ r) if form.ndim == 2 else form)
+            grad = grad + c * (form if form.ndim == 1 else 2.0 * (form @ r[..., None])[..., 0])
         return grad
 
     return gradient
@@ -524,7 +579,7 @@ def tnd_optimize(ts: TandemStats, pi, delta, irprop_config=IRPropConfig()):
     iterations = 0
     for _ in range(MAX_OUTER):
         iterations += 1
-        t = _quad(rho, matrix)
+        t = _quad(rho, matrix).item()
         kl = discrete_kl(rho, pi)
         lam = lambda_star(t, 2.0 * kl + ln_c, m)
 
@@ -574,14 +629,16 @@ def _alpha_surrogate_min(big_t, u, lo, hi, extra):
 
 
 def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None, fixed_alpha=None,
-                   irprop_config=IRPropConfig()):
+                   irprop_config=IRPropConfig(), tnd=None):
     """Alternating minimization over (rho, lambda, gamma, alpha).
 
     Each round takes the closed-form lambda and gamma for the current rho
     and alpha, minimizes the relaxed objective in alpha analytically (with
     the grid points as safeguard candidates), and then runs iRProp+ on rho.
-    alpha = 0 collapses to the TND bound, so the TND optimizer's result is
-    always included as a candidate; fixing alpha = 0 delegates outright.
+    alpha = 0 collapses to the TND bound, so unless alpha is fixed elsewhere
+    the TND optimizer's result is a candidate: ``tnd``, the ``(weights,
+    report)`` of :func:`tnd_optimize` on ``ts``, or a fresh run when it is
+    None.  Fixing alpha = 0 delegates outright.
     """
     pi = np.asarray(pi, dtype=float)
     grid = DEFAULT_ALPHA_GRID if alpha_grid is None else tuple(alpha_grid)
@@ -589,7 +646,8 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None, fixed_alpha=None
     if fixed_alpha is not None and not -0.5 <= fixed_alpha < 0.5:
         raise DomainError("alpha must lie in [-0.5, 0.5)")
 
-    tnd_w, tnd_rep = tnd_optimize(ts, pi, delta, irprop_config)
+    if fixed_alpha in (None, 0.0):
+        tnd_w, tnd_rep = tnd if tnd is not None else tnd_optimize(ts, pi, delta, irprop_config)
     if fixed_alpha == 0.0:
         report = BoundReport("cctnd", tnd_rep.value, delta, dict(tnd_rep.params, alpha=0.0))
         return tnd_w, 0.0, report
@@ -608,7 +666,7 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None, fixed_alpha=None
     iterations = 0
     for _ in range(MAX_OUTER):
         iterations += 1
-        t = _quad(rho, matrix)
+        t = _quad(rho, matrix).item()
         g = _clamp01(float(rho @ single))
         kl = discrete_kl(rho, pi)
         lam = lambda_star(t, 2.0 * kl + comp_t_const, m)
@@ -668,157 +726,90 @@ def ccpbb_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
                    fixed_alpha=None, irprop_config=IRPropConfig()):
     """Outer alpha grid; per alpha, grid steps on (lambda, gamma) + iRProp+.
 
-    lambda is selected first at the current gamma, then gamma at the new
-    lambda, matching the sequential grid policy; both grids enter the bound
+    lambda is selected first at the current gamma (at first the grid's
+    middle point), then gamma at the new lambda; both grids enter the bound
     through the ln(2 k_lambda k_gamma / delta) union factor.
     """
-    pi = np.asarray(pi, dtype=float)
-    grid = _alpha_iteration(alpha_grid, fixed_alpha)
-    tracker = _BestTracker()
-    iterations = 0
-    for alpha in grid:
-        ats = alpha_stats(plm, alpha)
-        lam_grid, gam_grid = _ccpbb_grids(ats.m)
-        k_lam, k_gam = len(lam_grid), len(gam_grid)
-        rho = pi.copy()
-        gam = gam_grid[len(gam_grid) // 2]
-        prev_val = math.inf
-        for _ in range(MAX_OUTER):
-            iterations += 1
-            forms = (_quad(rho, ats.mean), _quad(rho, ats.variance), discrete_kl(rho, pi))
-            lam_vals = [
-                _ccpbb_value(ats, *forms, lv, gam, delta, k_lam, k_gam) for lv in lam_grid
-            ]
-            lam = float(lam_grid[int(np.argmin(lam_vals))])
-            gam_vals = [
-                _ccpbb_value(ats, *forms, lam, gv, delta, k_lam, k_gam) for gv in gam_grid
-            ]
-            gam = float(gam_grid[int(np.argmin(gam_vals))])
-            val0 = min(gam_vals)
-            tracker.update(val0, rho, alpha=alpha, lam=lam, gam=gam)
+    lam_grid, gam_grid = _ccpbb_grids(int(plm.pair_counts[0].min()))
 
-            def objective(r, ats=ats, lam=lam, gam=gam):
-                return _ccpbb_value(ats, _quad(r, ats.mean), _quad(r, ats.variance),
-                                    _discrete_kl_unchecked(r, pi), lam, gam, delta, k_lam, k_gam)
+    def objective(s, p, q_mean, q_var, kl):
+        return _ccpbb_value(s, q_mean, q_var, kl, p["lam"], p["gam"], delta,
+                            len(lam_grid), len(gam_grid))
 
-            u = lam * ats.m / (2.0 * (ats.m - 1))
-            bennett = phi(gam * ats.k_range) / (gam * ats.k_range**2)
-            scale = (0.5 - alpha) ** 2
-            c_comp = 1.0 / (gam * ats.m) + bennett * ats.k_range**2 / (ats.n * lam * (1.0 - u))
-            gradient = _affine_gradient(
-                pi, 2.0 * c_comp / scale,
-                (1.0 / scale, ats.mean), (bennett / ((1.0 - u) * scale), ats.variance),
-            )
-            rho = irprop_plus(gradient, objective, rho, irprop_config)
-            val = ccpbb_bound(ats, PosteriorWeights(rho, pi), lam, gam, delta, k_lam, k_gam)
-            tracker.update(val, rho, alpha=alpha, lam=lam, gam=gam)
-            if abs(prev_val - val) < OUTER_TOL:
-                break
-            prev_val = val
-    w = PosteriorWeights(tracker.rho, pi)
-    params = dict(tracker.params)
-    return w, params, _report("ccpbb", tracker, delta, iterations)
+    def step(s, p, *forms):
+        gam = gam_grid[len(gam_grid) // 2] if p is None else p["gam"]
+        lam = _grid_min(objective(s, {"lam": lam_grid, "gam": gam}, *forms), lam_grid)[0]
+        gam, val0 = _grid_min(objective(s, {"lam": lam, "gam": gam_grid}, *forms), gam_grid)
+        k, k_sq = s.k_range, _python_rows(lambda k: k**2, s.k_range)
+        u = lam * s.m / (2.0 * (s.m - 1))
+        bennett = phi(gam * k) / (gam * k_sq)
+        c_comp = 1.0 / (gam * s.m) + bennett * k_sq / (s.n * lam * (1.0 - u))
+        coefficients = 2.0 * c_comp / s.scale, 1.0 / s.scale, bennett / ((1.0 - u) * s.scale)
+        return {"lam": lam, "gam": gam}, val0, coefficients
+
+    family = ("ccpbb", ("mean", "variance"), step, objective, objective)
+    return _optimize_alphas(family, plm, pi, delta, alpha_grid, fixed_alpha, irprop_config)
 
 
 def ccpbub_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
                     fixed_alpha=None, irprop_config=IRPropConfig()):
     """Outer alpha grid; per alpha, alternate grid-gamma selection and iRProp+."""
-    pi = np.asarray(pi, dtype=float)
-    grid = _alpha_iteration(alpha_grid, fixed_alpha)
-    tracker = _BestTracker()
-    iterations = 0
-    for alpha in grid:
-        ats = alpha_stats(plm, alpha)
-        gamma_grid = ccpbub_gamma_grid(ats, delta)
-        gam_grid, k_gam = gamma_grid.values, gamma_grid.count
-        rho = pi.copy()
-        prev_val = math.inf
-        for _ in range(MAX_OUTER):
-            iterations += 1
-            forms = (_quad(rho, ats.mean), _quad(rho, ats.second_moment), discrete_kl(rho, pi))
-            gam_vals = [_ccpbub_value(ats, *forms, gv, delta, k_gam) for gv in gam_grid]
-            gam = float(gam_grid[int(np.argmin(gam_vals))])
-            tracker.update(min(gam_vals), rho, alpha=alpha, gam=gam)
+    m = int(plm.pair_counts[0].min())
+    k_gam = make_gamma_grid(m, delta, 1.0).count  # set by (m, delta) alone
 
-            def objective(r, ats=ats, gam=gam):
-                return _ccpbub_value(ats, _quad(r, ats.mean), _quad(r, ats.second_moment),
-                                     _discrete_kl_unchecked(r, pi), gam, delta, k_gam)
+    def objective(s, p, q_mean, q_second, kl):
+        return _ccpbub_value(s, q_mean, q_second, kl, p["gam"], delta, k_gam)
 
-            scale = (0.5 - alpha) ** 2
-            gradient = _affine_gradient(
-                pi, 2.0 / (gam * ats.m * scale), (1.0 / scale, ats.mean),
-                (_unexpected_bernstein_weight(gam, ats.b) / scale, ats.second_moment),
-            )
-            rho = irprop_plus(gradient, objective, rho, irprop_config)
-            val = ccpbub_bound(ats, PosteriorWeights(rho, pi), gam, delta)
-            tracker.update(val, rho, alpha=alpha, gam=gam)
-            if abs(prev_val - val) < OUTER_TOL:
-                break
-            prev_val = val
-    w = PosteriorWeights(tracker.rho, pi)
-    return w, dict(tracker.params), _report("ccpbub", tracker, delta, iterations)
+    def step(s, p, *forms):
+        grid = np.array([make_gamma_grid(m, delta, b).values for b in s.b[:, 0].tolist()])
+        gam, val0 = _grid_min(objective(s, {"gam": grid}, *forms), grid)
+        coefficients = (2.0 / (gam * s.m * s.scale), 1.0 / s.scale,
+                        _unexpected_bernstein_weight(gam, s.b) / s.scale)
+        return {"gam": gam}, val0, coefficients
+
+    family = ("ccpbub", ("mean", "second_moment"), step, objective, objective)
+    return _optimize_alphas(family, plm, pi, delta, alpha_grid, fixed_alpha, irprop_config)
 
 
 def ccpbskl_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
-                     fixed_alpha=None, irprop_config=IRPropConfig()):
+                     fixed_alpha=None, irprop_config=IRPropConfig(), tnd=None):
     """Outer alpha grid; per alpha, closed-form (lambda, gamma) + iRProp+.
 
     The relaxed objective applies the lambda upper form to the plus split
-    and the gamma lower form to the minus split.  alpha = 0 collapses to
-    the TND bound and is delegated to the TND optimizer.
+    and the gamma lower form to the minus split; gamma = +inf, where the
+    minus split is 0, drops the lower form.  alpha = 0 collapses to the TND
+    bound and takes the TND optimizer's result, whose iterations count
+    toward the report's: ``tnd``, the ``(weights, report)`` of
+    :func:`tnd_optimize` on this matrix's statistics, or a fresh run.
     """
-    pi = np.asarray(pi, dtype=float)
-    grid = _alpha_iteration(alpha_grid, fixed_alpha)
-    ts = compute_tandem_stats(plm)
-    tracker = _BestTracker()
-    iterations = 0
-    for alpha in grid:
-        if alpha == 0.0:
-            tnd_w, tnd_rep = tnd_optimize(ts, pi, delta, irprop_config)
-            iterations += tnd_rep.params["iterations"]
-            tracker.update(
-                tnd_rep.value, tnd_w.rho, alpha=0.0, lam=tnd_rep.params.get("lam"),
-                gam=None,
-            )
-            continue
-        ats = alpha_stats(plm, alpha)
-        plus_w = ats.b - ats.mu
-        minus_w = ats.mu - ats.a
-        comp_const = math.log(4.0 * math.sqrt(ats.m) / delta)
-        scale = (0.5 - alpha) ** 2
-        rho = pi.copy()
-        prev_val = math.inf
-        for _ in range(MAX_OUTER):
-            iterations += 1
-            kl = discrete_kl(rho, pi)
-            comp = 2.0 * kl + comp_const
-            lam = lambda_star(_quad(rho, ats.plus) / plus_w, comp, ats.m)
-            gam = gamma_star(_quad(rho, ats.minus) / minus_w, comp, ats.m)
+    comp_const = math.log(4.0 * math.sqrt(int(plm.pair_counts[0].min())) / delta)
 
-            def objective(r, ats=ats, lam=lam, gam=gam, plus_w=plus_w, minus_w=minus_w,
-                          scale=scale):
-                comp_r = 2.0 * _discrete_kl_unchecked(r, pi) + comp_const
-                val = ats.mu + _lambda_upper_value(_quad(r, ats.plus), plus_w * comp_r,
-                                                   ats.m, lam)
-                if not math.isinf(gam):
-                    val -= _lambda_lower_value(_quad(r, ats.minus), minus_w * comp_r,
-                                               ats.m, gam)
-                return val / scale
+    def objective(s, p, q_plus, q_minus, kl):
+        comp = 2.0 * kl + comp_const
+        val = s.mu + _lambda_upper_value(q_plus, (s.b - s.mu) * comp, s.m, p["lam"])
+        finite = np.isfinite(p["gam"])
+        lower = _lambda_lower_value(q_minus, (s.mu - s.a) * comp, s.m,
+                                    np.where(finite, p["gam"], 1.0))
+        return np.where(finite, val - lower, val) / s.scale
 
-            c_kl = plus_w / (lam * (1.0 - lam / 2.0) * ats.m)
-            terms = [(1.0 / ((1.0 - lam / 2.0) * scale), ats.plus)]
-            if not math.isinf(gam):
-                c_kl += minus_w / (gam * ats.m)
-                terms.append((-(1.0 - gam / 2.0) / scale, ats.minus))
-            gradient = _affine_gradient(pi, 2.0 * c_kl / scale, *terms)
-            rho = irprop_plus(gradient, objective, rho, irprop_config)
-            val = ccpbskl_bound(ats, PosteriorWeights(rho, pi), delta)
-            tracker.update(val, rho, alpha=alpha, lam=lam, gam=gam)
-            if abs(prev_val - val) < OUTER_TOL:
-                break
-            prev_val = val
-    w = PosteriorWeights(tracker.rho, pi)
-    return w, dict(tracker.params), _report("ccpbskl", tracker, delta, iterations)
+    def step(s, p, q_plus, q_minus, kl):
+        comp = 2.0 * kl + comp_const
+        lam = _python_rows(lambda e, c: lambda_star(e, c, s.m), q_plus / (s.b - s.mu), comp)
+        gam = _python_rows(lambda e, c: gamma_star(e, c, s.m), q_minus / (s.mu - s.a), comp)
+        # gamma = +inf adds exactly 0 to c_kl, and the zero coefficient then
+        # adds +0.0 to gradients that are never -0.0, as dropping the term does
+        c_kl = (s.b - s.mu) / (lam * (1.0 - lam / 2.0) * s.m) + (s.mu - s.a) / (gam * s.m)
+        c_minus = np.where(np.isinf(gam), 0.0, -(1.0 - gam / 2.0) / s.scale)
+        coefficients = 2.0 * c_kl / s.scale, 1.0 / ((1.0 - lam / 2.0) * s.scale), c_minus
+        return {"lam": lam, "gam": gam}, None, coefficients
+
+    def at_zero():
+        return tnd or tnd_optimize(compute_tandem_stats(plm), pi, delta, irprop_config)
+
+    family = ("ccpbskl", ("plus", "minus"), step, objective,
+              lambda s, p, *forms: _ccpbskl_value(s, *forms, delta))
+    return _optimize_alphas(family, plm, pi, delta, alpha_grid, fixed_alpha, irprop_config,
+                            at_zero)
 
 
 def _alpha_iteration(alpha_grid, fixed_alpha):
@@ -832,3 +823,92 @@ def _alpha_iteration(alpha_grid, fixed_alpha):
     if any(not -0.5 <= a < 0.5 for a in grid):
         raise DomainError("alpha grid values must lie in [-0.5, 0.5)")
     return grid
+
+
+def _optimize_alphas(family, plm, pi, delta, alpha_grid, fixed_alpha, irprop_config,
+                     at_zero=None):
+    """The alpha families' one optimizer: from rho = pi at every alpha of the
+    grid, alternate the family's parameter step with iRProp+ on rho.
+
+    ``family`` is (name, the matrices of its two quadratic forms, step,
+    objective, bound); ``step(stats, params, *forms)`` returns the new
+    parameters, the value at them before iRProp+ (or None), and the
+    objective's :func:`_affine_gradient` coefficients.  ``at_zero`` returns
+    the (weights, report) standing in for alpha = 0.  The tracker replays
+    the updates in grid order, as if the alphas ran one after another.
+    """
+    pi = np.asarray(pi, dtype=float)
+    grid = _alpha_iteration(alpha_grid, fixed_alpha)
+    runs = [i for i, alpha in enumerate(grid) if at_zero is None or alpha != 0.0]
+    chunk = max(1, _STACK_ENTRIES // plm.h_count**2)
+    history, iterations = {}, 0
+    for start in range(0, len(runs), chunk):
+        part = runs[start:start + chunk]
+        updates, outer = _alpha_rounds(family, alpha_stats(plm, [grid[i] for i in part]), pi,
+                                       irprop_config)
+        history.update(zip(part, updates))
+        iterations += outer
+    tracker = _BestTracker()
+    for i, alpha in enumerate(grid):
+        if i not in history:
+            w0, rep0 = at_zero()
+            iterations += rep0.params["iterations"]
+            tracker.update(rep0.value, w0.rho, alpha=0.0, lam=rep0.params.get("lam"), gam=None)
+        for value, rho, params in history.get(i, ()):
+            tracker.update(value, rho, alpha=alpha, **params)
+    w = PosteriorWeights(tracker.rho, pi)
+    return w, dict(tracker.params), _report(family[0], tracker, delta, iterations)
+
+
+def _alpha_rounds(family, stats, pi, irprop_config):
+    """The outer rounds of the stacked alphas: each alpha's tracker updates
+    (value, rho, params) and the total outer iteration count.  An alpha
+    leaves the batch once its bound moves by less than OUTER_TOL."""
+    _, names, step, objective, bound = family
+    live = np.arange(len(stats.alpha))
+    rho = np.tile(pi, (len(live), 1))
+    updates = [[] for _ in live]
+    prev_val, params, iterations = math.inf, None, 0
+
+    def forms(s, x):
+        return *(_quad(x, getattr(s, name)) for name in names), _discrete_kl_unchecked(x, pi)
+
+    def record(values, rho, params):
+        for j, i in enumerate(live):
+            row_params = {k: float(c[j, 0]) for k, c in params.items()}
+            updates[i].append((float(values[j, 0]), rho[j], row_params))
+
+    q = forms(stats, rho)
+    for _ in range(MAX_OUTER):
+        iterations += len(live)
+        params, val0, (c_kl, *cs) = step(stats, params, *q)
+        if val0 is not None:
+            record(val0, rho, params)
+        gradient = _affine_gradient(pi, c_kl, *zip(cs, (getattr(stats, n) for n in names)))
+        # the objective binds this round's stats and params, which are rebound below
+        rho = _irprop_rows(
+            gradient, lambda x, s=stats, p=params: objective(s, p, *forms(s, x))[:, 0], rho,
+            irprop_config)
+        q = forms(stats, rho)
+        val = bound(stats, params, *q)
+        record(val, rho, params)
+        moving = ~(np.abs(prev_val - val) < OUTER_TOL)[:, 0]
+        if not moving.any():
+            break
+        live, rho, prev_val, q = live[moving], rho[moving], val[moving], [f[moving] for f in q]
+        stats = _take_rows(stats, moving)
+        params = {k: v[moving] for k, v in params.items()}
+    return updates, iterations
+
+
+def _grid_min(values, grid):
+    """Per row of ``values`` (A, G), the first grid point with the least
+    value and that value, as (A, 1) columns; ``grid`` is (G,) or (A, G)."""
+    j = np.argmin(values, axis=1)[:, None]
+    return (np.take_along_axis(np.broadcast_to(grid, values.shape), j, axis=1),
+            np.take_along_axis(values, j, axis=1))
+
+
+def _python_rows(fn, *columns):
+    """fn of the Python floats in each row of (A, 1) columns, as in scalar code."""
+    return np.array([[fn(*row)] for row in zip(*(c[:, 0].tolist() for c in columns))])

@@ -319,6 +319,11 @@ def synth_ensemble(h_count, n_examples, noise_profile="independent",
         raise DomainError("need at least 2 examples")
     if not (math.isfinite(bagging_rate) and bagging_rate > 0.0):
         raise DomainError(f"need a finite bagging_rate > 0, got {bagging_rate}")
+    # each pair needs >= 2 common OOB examples; about n e^(-2 rate) are expected
+    overlap = n_examples * math.exp(-2.0 * bagging_rate)
+    if overlap < 1e-3:
+        raise DomainError(f"bagging_rate {bagging_rate} leaves an expected pairwise OOB "
+                          f"overlap of {overlap:.3g} examples, below 1e-3")
     for name, rate in (("error_rate", error_rate), ("correlation", correlation)):
         if not 0.0 <= rate <= 1.0:
             raise DomainError(f"need {name} in [0, 1], got {rate}")

@@ -357,5 +357,25 @@ def test_mv_output_matches_golden_bytes(capsys):
     assert capsys.readouterr().out.encode() == GOLDEN_MV.read_bytes()
 
 
+# the benchmark's shape on the default 100-point grid, all five bounds, and
+# one fixed-alpha run; captured before the alpha grid was batched
+@pytest.mark.parametrize("flags, golden", [
+    (["--seed", "0"], "mv_correlated_h7_n2000_seed0.json"),
+    (["--seed", "1"], "mv_correlated_h7_n2000_seed1.json"),
+    (["--alpha", "-0.3", "--seed", "2"], "mv_correlated_h7_n2000_seed2_alpha-0.3.json"),
+])
+def test_mv_default_grid_matches_golden_bytes(capsys, flags, golden):
+    args = ["mv", "--synthetic", "correlated", "--h-count", "7", "--n-examples", "2000"]
+    assert run(args + flags) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+
+
+def test_mv_huge_bagging_rate_exit_3(capsys):
+    # rejected before the bootstrap draw would ask for 1e15 indices
+    assert run(["mv", "--synthetic", "independent", "--h-count", "3", "--n-examples", "100",
+                "--bagging-rate", "1e13"]) == 3
+    assert "expected pairwise OOB overlap" in capsys.readouterr().err
+
+
 def test_exit_code_contract_bad_delta():
     assert run(["coverage", "--delta", "1.5", "--trials", "200"]) == 2

@@ -1,6 +1,7 @@
 """The loss and eval CSV contract of ``splitkl mv``: what is rejected, with
 which message, what is accepted, and that a read reproduces the matrices."""
 
+import json
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from splitkl.cli import (
     EVAL_CSV_HEADER,
     LOSS_CSV_HEADER,
+    _read_eval_csv,
+    _read_loss_csv,
     main,
     read_eval_csv,
     read_loss_csv,
@@ -133,6 +136,31 @@ def test_eval_csv_accepts_blank_lines_and_padding(tmp_path):
     assert np.array_equal(again.labels, plain.labels)
 
 
+def test_eval_hypothesis_ids_must_match_loss_ids(tmp_path, capsys):
+    # the same hypothesis count under other ids would score the posterior on
+    # the wrong hypotheses
+    losses = _write(tmp_path, "loss.csv", LOSS_CSV_HEADER + "\n" + LOSS_ROWS)
+    other_ids = "5,0,1,1\n5,1,0,0\n6,0,1,1\n6,1,1,0\n"  # EVAL_ROWS under ids 5 and 6
+    evals = _write(tmp_path, "eval.csv", EVAL_CSV_HEADER + "\n" + other_ids)
+    assert _mv(losses, evals) == 2
+    assert "--eval hypothesis ids do not match the losses'" in capsys.readouterr().err
+    matching = _write(tmp_path, "eval_ok.csv", EVAL_CSV_HEADER + "\n" + EVAL_ROWS)
+    assert _mv(losses, matching) == 0
+    # a synthetic ensemble's hypotheses are 0..H-1, as --dump-losses writes them
+    synthetic = ["mv", "--synthetic", "independent", "--h-count", "2", "--n-examples", "60",
+                 "--bounds", "tnd", "--alpha", "0", "--eval"]
+    assert main(synthetic + [evals]) == 2
+    assert main(synthetic + [matching]) == 0
+
+
+def test_readers_return_sorted_hypothesis_ids(tmp_path):
+    text = LOSS_CSV_HEADER + "\n7,0,0,1\n7,1,1,1\n3,0,1,1\n3,1,0,1\n"
+    plm, ids = _read_loss_csv(_write(tmp_path, "loss.csv", text))
+    assert ids.tolist() == [3, 7] and plm.h_count == 2
+    em, ids = _read_eval_csv(_write(tmp_path, "eval.csv", EVAL_CSV_HEADER + "\n" + EVAL_ROWS))
+    assert ids.tolist() == [0, 1] and em.predictions.shape == (2, 2)
+
+
 # ---------------------------------------------------------------------------
 # golden bytes of the ingest path
 # ---------------------------------------------------------------------------
@@ -154,6 +182,19 @@ def test_mv_ingest_output_matches_golden_bytes(capsys):
     assert main(["mv", "--losses", str(GOLDEN_LOSSES), "--eval", str(GOLDEN_EVAL),
                  "--alpha-points", "5"]) == 0
     assert capsys.readouterr().out.encode() == GOLDEN_MV_INGEST.read_bytes()
+
+
+def test_mv_default_grid_moved_rho_matches_golden_bytes(capsys):
+    # hypotheses with error rates from 0.01 to 0.45, so the alpha families'
+    # optimized rho leaves the uniform prior; default 100-point grid.
+    # Captured before the alpha grid was batched.
+    losses = GOLDEN / "losses_skewed_h5_n600_seed0.csv"
+    golden = (GOLDEN / "mv_losses_skewed_h5_n600_seed0.json").read_bytes()
+    assert main(["mv", "--losses", str(losses)]) == 0
+    assert capsys.readouterr().out.encode() == golden
+    bounds = json.loads(golden)["bounds"]
+    for name in ("ccpbb", "ccpbub", "ccpbskl"):
+        assert max(abs(r - 0.2) for r in bounds[name]["rho"]) > 0.1
 
 
 # ---------------------------------------------------------------------------

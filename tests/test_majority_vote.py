@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitkl import majority_vote
 from splitkl.errors import DomainError
@@ -30,7 +32,10 @@ from splitkl.majority_vote import (
     tnd_bound,
     tnd_optimize,
 )
-from splitkl.majority_vote import _ccpbb_grids, _ccpbb_value, _ccpbub_value, _quad
+from splitkl.klcore import _discrete_kl_unchecked
+from splitkl.majority_vote import (
+    _affine_gradient, _ccpbb_grids, _ccpbb_value, _ccpbub_value, _irprop_rows, _quad,
+)
 
 SMALL_ALPHA_GRID = tuple(np.arange(-5, 5) / 10.0)  # includes 0
 
@@ -166,6 +171,22 @@ def _pair_counts_from_scratch(plm):
     return valid, both, valid - both - none, none
 
 
+def test_alpha_stats_stacked_rows_equal_single_calls():
+    rng = np.random.default_rng(24)
+    plm = random_plm(rng, h=5, n=70)
+    alphas = (-0.5, -0.37, 0.0, 0.123456789, 0.49)
+    stacked = alpha_stats(plm, alphas)
+    assert stacked.mean.shape == (5, 5, 5) and stacked.b.shape == (5, 1)
+    for i, alpha in enumerate(alphas):
+        one = alpha_stats(plm, alpha)
+        for name in ("mean", "second_moment", "variance", "plus", "minus"):
+            assert np.array_equal(getattr(stacked, name)[i], getattr(one, name))
+        for name in ("alpha", "a", "mu", "b", "k_range", "scale"):
+            assert getattr(stacked, name)[i, 0] == getattr(one, name)
+    with pytest.raises(DomainError):
+        alpha_stats(plm, (0.1, 0.5))
+
+
 def test_alpha_stats_recombine_stored_pair_counts():
     rng = np.random.default_rng(21)
     for h, n in ((2, 30), (4, 60), (7, 90)):
@@ -279,6 +300,170 @@ def test_irprop_rejects_nonfinite_gradient():
         )
 
 
+@pytest.mark.parametrize("h", [3, 7, 40])
+def test_row_forms_bit_equal_to_vector_forms(h):
+    # stacked matmul, row sums and row logs keep every row's bits; einsum
+    # does not, so the batched optimizers rely on these exact forms.  Each
+    # row also equals the plain vector expression r' M r, M r, sum(...).
+    rng = np.random.default_rng(h)
+    rows = 50
+    rho = rng.dirichlet(np.ones(h), size=rows)
+    pi = rng.dirichlet(np.ones(h))
+    m = rng.uniform(size=(rows, h, h))
+    m = m + m.transpose(0, 2, 1)
+    c_kl, c_m = rng.uniform(size=(rows, 1)), rng.normal(size=(rows, 1))
+    quads, kls = _quad(rho, m), _discrete_kl_unchecked(rho, pi)
+    grads = _affine_gradient(pi, c_kl, (c_m, m))(rho)
+    for i in range(rows):
+        r = rho[i]
+        assert quads[i, 0] == _quad(r, m[i]).item() == max(float(r @ m[i] @ r), 0.0)
+        assert kls[i, 0] == _discrete_kl_unchecked(r, pi).item() == discrete_kl(r, pi)
+        one = _affine_gradient(pi, c_kl[i, 0], (c_m[i, 0], m[i]))(r)
+        plain = (c_kl[i, 0] * (np.log(np.maximum(r, 1e-12) / pi) + 1.0)
+                 + c_m[i, 0] * (2.0 * (m[i] @ r)))
+        assert np.array_equal(grads[i], one) and np.array_equal(one, plain)
+
+
+# each row of the batched iRProp+ must be bit-equal to irprop_plus on it
+
+
+def _row_run(gradient, objective, init, config, i):
+    """irprop_plus on row i of a batched problem; the other rows are fixed at
+    init, so row i's values come from the batched closures; also returns the
+    number of objective evaluations, one per iteration plus one."""
+    calls = []
+
+    def expand(r):
+        x = init.copy()
+        x[i] = r
+        return x
+
+    def objective_i(r):
+        calls.append(None)
+        return objective(expand(r))[i]
+
+    rho = irprop_plus(lambda r: gradient(expand(r))[i], objective_i, init[i], config)
+    return rho, len(calls)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), h=st.sampled_from([2, 3, 7, 40]))
+def test_irprop_rows_equal_irprop_plus_per_row(seed, rows, h):
+    # c_kl KL(rho||pi) + c rho' M rho + b . rho, a different problem per row;
+    # a tight max_iter and a steep linear pull on some rows make rows stop
+    # at different iterations and some run to the cap
+    rng = np.random.default_rng(seed)
+    pi = rng.dirichlet(np.ones(h) * 5.0)
+    m = rng.uniform(size=(rows, h, h))
+    m = m + m.transpose(0, 2, 1)
+    c_kl = rng.uniform(0.0, 2.0, size=(rows, 1))
+    c_m = rng.uniform(-1.0, 1.0, size=(rows, 1))
+    lin = rng.normal(size=(rows, h)) * rng.choice([0.0, 1.0, 50.0], size=(rows, 1))
+    gradient = _affine_gradient(pi, c_kl, (c_m, m))
+
+    def objective(x):
+        kl = _discrete_kl_unchecked(x, pi)
+        return (c_kl * kl + c_m * _quad(x, m))[:, 0] + np.sum(lin * x, axis=1)
+
+    def gradient_lin(x):
+        return gradient(x) + lin
+
+    config = IRPropConfig(max_iter=int(rng.integers(5, 60)), step_max=0.05)
+    init = np.vstack([project_simplex(rng.uniform(size=h)) for _ in range(rows)])
+    batch = _irprop_rows(gradient_lin, objective, init, config)
+    for i in range(rows):
+        rho, _ = _row_run(gradient_lin, objective, init, config, i)
+        assert np.array_equal(batch[i], rho)
+
+
+@pytest.mark.parametrize("optimize", [ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize])
+def test_alpha_grid_equals_one_alpha_at_a_time(optimize):
+    # the batched grid reports what optimizing each alpha alone and keeping
+    # the first best, in grid order, reports
+    rng = np.random.default_rng(32)
+    plm = random_plm(rng, h=4, n=90)
+    pi = np.full(4, 0.25)
+    grid = (0.2, -0.3, 0.0, -0.1, 0.35)
+    w, params, rep = optimize(plm, pi, 0.05, alpha_grid=grid)
+    alone = [optimize(plm, pi, 0.05, fixed_alpha=a) for a in grid]
+    traces = [r.params["trace"] for _, _, r in alone]
+    assert rep.params["trace"] == tuple(np.minimum.accumulate(np.concatenate(traces)))
+    assert rep.params["iterations"] == sum(r.params["iterations"] for _, _, r in alone)
+    first = [r.value for _, _, r in alone].index(rep.value)
+    assert params == alone[first][1] and np.array_equal(w.rho, alone[first][0].rho)
+
+
+@pytest.mark.parametrize("optimize", [ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize])
+def test_alpha_grid_in_chunks_equals_one_batch(monkeypatch, optimize):
+    # a grid split into several stacked chunks reports what one batch does
+    rng = np.random.default_rng(33)
+    plm = random_plm(rng, h=4, n=90)
+    pi = np.full(4, 0.25)
+    grid = (0.2, -0.3, 0.0, -0.1, 0.35, 0.1, -0.45, 0.05)
+    whole_w, whole_params, whole = optimize(plm, pi, 0.05, alpha_grid=grid)
+    batches = []
+    stacked = majority_vote.alpha_stats
+    monkeypatch.setattr(majority_vote, "alpha_stats",
+                        lambda plm, alphas: batches.append(alphas) or stacked(plm, alphas))
+    monkeypatch.setattr(majority_vote, "_STACK_ENTRIES", 2 * 4 * 4)  # two alphas per chunk
+    w, params, rep = optimize(plm, pi, 0.05, alpha_grid=grid)
+    assert len(batches) >= 3 and max(len(b) for b in batches) == 2
+    assert rep.value == whole.value and params == whole_params
+    assert np.array_equal(w.rho, whole_w.rho)
+    assert rep.params["trace"] == whole.params["trace"]
+    assert rep.params["iterations"] == whole.params["iterations"]
+
+
+def _recorded_batches(monkeypatch, run):
+    """The (gradient, objective, init, config) of every batched iRProp+
+    call that ``run`` makes with more than one row."""
+    calls = []
+    batched = majority_vote._irprop_rows
+
+    def recording(gradient, objective, init, config):
+        if len(init) > 1:
+            calls.append((gradient, objective, init.copy(), config))
+        return batched(gradient, objective, init, config)
+
+    monkeypatch.setattr(majority_vote, "_irprop_rows", recording)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def test_alpha_family_batches_equal_irprop_plus_per_row(monkeypatch):
+    # the optimizers' own objectives and gradients: identical loss rows make
+    # CCPBSkl's gamma infinite at alpha > 0, H = 40 covers a wide ensemble,
+    # tol = 0 lets rows run for different lengths, and a small max_iter
+    # makes rows hit the cap
+    rng = np.random.default_rng(31)
+    full = np.ones((4, 80), dtype=bool)
+    same = PredictionLossMatrix(
+        losses=np.tile(rng.uniform(size=80) < 0.3, (4, 1)).astype(float), mask=full)
+    cases = [(same, IRPropConfig(tol=0.0)),
+             (random_plm(rng, h=40, n=120, mask_rate=0.7), IRPropConfig(tol=0.0)),
+             (random_plm(rng, h=5, n=90), IRPropConfig(max_iter=12, patience=20))]
+    grid = (-0.4, -0.2, 0.15, 0.3)
+    stops, infinite_gamma = set(), False
+    for plm, config in cases:
+        pi = np.full(plm.h_count, 1.0 / plm.h_count)
+        for optimize in (ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize):
+            calls = _recorded_batches(
+                monkeypatch, lambda: optimize(plm, pi, 0.05, alpha_grid=grid, irprop_config=config))
+            assert calls
+            for gradient, objective, init, cfg in calls:
+                batch = _irprop_rows(gradient, objective, init, cfg)
+                for i in range(len(init)):
+                    rho, evals = _row_run(gradient, objective, init, cfg, i)
+                    assert np.array_equal(batch[i], rho)
+                    stops.add((evals - 1, cfg.max_iter))
+        _, params, _ = ccpbskl_optimize(plm, pi, 0.05, alpha_grid=(0.3,))
+        infinite_gamma |= params["gam"] == math.inf
+    assert infinite_gamma
+    assert (12, 12) in stops  # a row that ran to max_iter
+    assert len({it for it, cap in stops if it < cap}) >= 3  # rows stopping at different iterations
+
+
 # ---------------------------------------------------------------------------
 # mv_risk
 # ---------------------------------------------------------------------------
@@ -304,6 +489,20 @@ def test_mv_risk_tie_breaks_to_smallest_label():
     assert mv_risk(em, uniform_w(2)) == 0.0
     em = EvaluationMatrix(predictions=[[0], [1]], labels=[1])
     assert mv_risk(em, uniform_w(2)) == 1.0
+
+
+def test_mv_risk_ignores_label_magnitude():
+    # scores are kept per distinct label, so {0, 100000} votes like {0, 1}
+    rng = np.random.default_rng(6)
+    preds = rng.integers(0, 2, size=(5, 40))
+    labels = rng.integers(0, 2, size=40)
+    w = PosteriorWeights(rho=project_simplex(rng.uniform(size=5)), pi=np.full(5, 0.2))
+    small = mv_risk(EvaluationMatrix(predictions=preds, labels=labels), w)
+    big = mv_risk(EvaluationMatrix(predictions=preds * 100000, labels=labels * 100000), w)
+    assert big == small
+    em = EvaluationMatrix(predictions=[[0, 100000], [100000, 0]], labels=[0, 100000])
+    assert mv_risk(em, uniform_w(2)) == 0.5  # both ties go to label 0
+    assert em.classes.tolist() == [0, 100000]
 
 
 def test_mv_risk_concentrated_weights():
@@ -689,14 +888,18 @@ def test_optimize_traces_non_increasing():
 
 def test_optimizer_gradients_match_finite_differences(monkeypatch):
     # each iRProp+ gradient must be the derivative of its objective: compare
-    # it with central differences along simplex tangents at interior points
+    # it with central differences along simplex tangents at interior points.
+    # Every optimizer reaches the batched iRProp+, whose objective and
+    # gradient take one posterior per row (the alpha families' rows are
+    # alphas; irprop_plus passes one row).
     calls = []
+    batched = majority_vote._irprop_rows
 
-    def recording_irprop(gradient, objective, init, config=IRPropConfig()):
-        calls.append((gradient, objective))
-        return irprop_plus(gradient, objective, init, config)
+    def recording_irprop(gradient, objective, init, config):
+        calls.append((gradient, objective, init.shape[0]))
+        return batched(gradient, objective, init, config)
 
-    monkeypatch.setattr(majority_vote, "irprop_plus", recording_irprop)
+    monkeypatch.setattr(majority_vote, "_irprop_rows", recording_irprop)
     rng = np.random.default_rng(11)
     h, n = 4, 80
     full = np.ones((h, n), dtype=bool)
@@ -716,12 +919,13 @@ def test_optimizer_gradients_match_finite_differences(monkeypatch):
         # _quad clips it to 0, where the objective is flat in it
         for optimize in (ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize):
             optimize(plm, pi, 0.05, alpha_grid=(-0.3, -0.1, 0.1))
-    assert len(calls) > 30
+    assert sum(rows for _, _, rows in calls) > 30
     step = 1e-6
-    for gradient, objective in calls:
-        rho = 0.5 * pi + 0.5 * rng.dirichlet(np.ones(h))
+    for gradient, objective, rows in calls:
+        rho = 0.5 * pi + 0.5 * rng.dirichlet(np.ones(h), size=rows)
         for _ in range(2):
-            d = rng.normal(size=h)
-            d -= d.mean()
+            d = rng.normal(size=(rows, h))
+            d -= d.mean(axis=1, keepdims=True)
             fd = (objective(rho + step * d) - objective(rho - step * d)) / (2.0 * step)
-            assert gradient(rho) @ d == pytest.approx(fd, rel=1e-5, abs=1e-7)
+            slope = np.sum(gradient(rho) * d, axis=1)
+            assert slope == pytest.approx(fd, rel=1e-5, abs=1e-7)

@@ -289,3 +289,8 @@ def test_synth_determinism_and_guards():
                 {"correlation": -0.1}, {"correlation": math.nan}):
         with pytest.raises(DomainError):
             synth_ensemble(4, 300, "correlated", seed=19, **bad)
+    # an expected pairwise OOB overlap 300 e^(-2 rate) below 1e-3 is rejected
+    # before the bootstrap draw of rate * 300 indices
+    for rate in (6.31, 1e13):
+        with pytest.raises(DomainError, match="expected pairwise OOB overlap"):
+            synth_ensemble(4, 300, "correlated", seed=19, bagging_rate=rate)
