@@ -8,10 +8,17 @@ violation frequency of each bound's 1-delta guarantee.  A synthetic bagged
 ensemble generator feeds the majority-vote module.
 
 Randomness is derived per (grid point, repeat), or per coverage block, from
-the master seed through ``numpy.random.SeedSequence``.  Everything runs in
-one thread; the ``threads`` arguments are accepted and ignored.
+the master seed: stream ``path`` is PCG64 seeded by
+``numpy.random.SeedSequence([seed % 2**63, *path])``.  Sweeps and coverage
+runs compute those states in chunks with the SeedSequence hash (fixed by
+NEP 19) and PCG64's seeding steps, and set each one on a single reused
+generator; the tests check the states against ``SeedSequence`` itself.
+Single streams (integer seeds, synthetic ensembles) use ``SeedSequence``
+directly.  Everything runs in one thread; the ``threads`` arguments are
+accepted and ignored.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -47,6 +54,8 @@ class TernarySpec:
 
     def __post_init__(self):
         probs = (self.p_minus1, self.p_0, self.p_1)
+        if not all(math.isfinite(p) for p in probs):
+            raise DomainError("probabilities must be finite")
         if any(p < 0 for p in probs):
             raise DomainError("negative probability")
         if abs(sum(probs) - 1.0) > 1e-12:
@@ -65,8 +74,8 @@ class BetaSpec:
     beta_shape: float
 
     def __post_init__(self):
-        if self.alpha_shape <= 0 or self.beta_shape <= 0:
-            raise DomainError("shape parameters must be positive")
+        if not (0.0 < self.alpha_shape < math.inf and 0.0 < self.beta_shape < math.inf):
+            raise DomainError("shape parameters must be positive and finite")
 
     @property
     def mean(self):
@@ -104,14 +113,102 @@ def _rng(seed, *path):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+# numpy.random.SeedSequence's hash (NEP 19) with its default pool of four
+# 32-bit words, and PCG64's 128-bit LCG multiplier.  The hash runs on uint32
+# arrays; its running constant is kept as a Python int, so no numpy scalar
+# ever overflows.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = 2**128 - 1
+
+
+class _Hash:
+    """SeedSequence's hashmix: each call advances the running constant."""
+
+    def __init__(self, init, mult):
+        self.const, self.mult = init, mult
+
+    def __call__(self, value):
+        value = value ^ np.uint32(self.const)
+        self.const = self.const * self.mult & _MASK32
+        value = value * np.uint32(self.const)
+        return value ^ value >> _XSHIFT
+
+
+def _mix(x, y):
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ result >> _XSHIFT
+
+
+def _pcg64_states(seed, paths):
+    """PCG64 ``(state, inc)`` of ``_rng(seed, *path)`` for each row of
+    ``paths``, a sequence of equal-length tuples of ints below 2**32.
+
+    SeedSequence turns ``[seed % 2**63, *path]`` into 32-bit words (one or
+    two for the seed, one per path component), mixes them into its pool and
+    draws four uint64 words; PCG64 takes the first two as its initial state
+    and the last two as its stream, and steps its LCG twice."""
+    seed = int(seed) % _SEED_MOD
+    rows = np.asarray(paths, dtype=np.uint32)
+    words = [seed & _MASK32] + [seed >> 32] * (seed > _MASK32)
+    entropy = [np.full(len(rows), w, dtype=np.uint32) for w in words] + list(rows.T)
+    entropy += [np.zeros(len(rows), dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    hashmix = _Hash(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    draw = _Hash(_INIT_B, _MULT_B)
+    state = np.stack([draw(pool[i % _POOL_SIZE]) for i in range(8)], axis=1).astype(np.uint64)
+    # each uint64 word is a pair of uint32 words, low word first
+    state = state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+    out = []
+    for s_hi, s_lo, i_hi, i_lo in state.tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        out.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return out
+
+
+_STREAM_CHUNK = 1024  # paths whose states are derived in one pass
+
+
+def _streams(seed, paths):
+    """Yield, for each path in turn, one Generator set to the stream of
+    ``_rng(seed, *path)``.  It is the same object each time, re-seeded per
+    path, so a draw must be used before the next one is taken."""
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    paths = iter(paths)
+    while chunk := list(itertools.islice(paths, _STREAM_CHUNK)):
+        for state, inc in _pcg64_states(seed, chunk):
+            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+
+_TERNARY_VALUES = np.array([-1.0, 0.0, 1.0])
+
+
 def sample_ternary(spec: TernarySpec, n, seed) -> np.ndarray:
-    """n i.i.d. draws from {-1, 0, 1}; deterministic given the seed."""
+    """n i.i.d. draws from {-1, 0, 1}; deterministic given the seed.  Draws
+    exactly as ``Generator.choice(values, p=probs)`` does, without its
+    per-call validation (the spec is validated once)."""
     if n < 1:
         raise DomainError("need n >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
-    return rng.choice(
-        np.array([-1.0, 0.0, 1.0]), size=n, p=[spec.p_minus1, spec.p_0, spec.p_1]
-    )
+    cdf = np.cumsum(np.array([spec.p_minus1, spec.p_0, spec.p_1], dtype=float))
+    cdf /= cdf[-1]
+    uniform = rng.random(n)
+    return _TERNARY_VALUES[cdf.searchsorted(uniform, side="right")]
 
 
 def sample_beta(spec: BetaSpec, n, seed) -> np.ndarray:
@@ -179,12 +276,10 @@ def _sweep(sample, specs, params, n, delta, repeats, seed, lo, hi, mu):
         raise DomainError("need n >= 2")
     if repeats < 1:
         raise DomainError("need repeats >= 1")
+    streams = _streams(seed, np.ndindex(len(specs), repeats))
     stats = np.stack([
-        _row_stats(
-            np.stack([sample(spec, n, _rng(seed, i, rep)) for rep in range(repeats)]),
-            mu,
-        )
-        for i, spec in enumerate(specs)
+        _row_stats(np.stack([sample(spec, n, next(streams)) for _ in range(repeats)]), mu)
+        for spec in specs
     ], axis=1)
     bounds = _bound_values(stats, n, lo, hi, mu, delta)
     gaps = {name: np.minimum(bounds[name], hi) - stats[0] for name in BOUND_NAMES}
@@ -258,9 +353,10 @@ def coverage_experiment(dist, n, delta, trials=10000, seed=0, threads=1):
         raise DomainError("dist must be a TernarySpec or BetaSpec")
 
     full, rest = divmod(trials, _COVERAGE_BLOCK)
+    sizes = [_COVERAGE_BLOCK] * full + [rest] * (rest > 0)
     stats = [
-        _row_stats(sample(dist, size * n, _rng(seed, i)).reshape(-1, n), mu)
-        for i, size in enumerate([_COVERAGE_BLOCK] * full + [rest] * (rest > 0))
+        _row_stats(sample(dist, size * n, rng).reshape(-1, n), mu)
+        for size, rng in zip(sizes, _streams(seed, ((i,) for i in range(len(sizes)))))
     ]
     batches = ([np.stack(stats[:full], axis=1)] if full else []) + stats[full:]
     violations = dict.fromkeys(COVERAGE_BOUNDS, 0)

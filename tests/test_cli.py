@@ -165,6 +165,19 @@ GOLDEN = Path(__file__).parent / "golden"
     (["coverage", "--dist", "ternary", "--probs", "0.45,0.1,0.45", "--n", "20",
       "--trials", "1234", "--delta", "0.8", "--seed", "6"],
      "coverage_ternary_n20_t1234_d08_seed6.json"),
+    # a seed of two 32-bit words, and one that wraps mod 2**63 to 1
+    (["simulate", "--mode", "symmetric", "--n", "30", "--repeats", "5",
+      "--seed", "4294967296"],
+     "simulate_symmetric_n30_r5_seed4294967296.csv"),
+    (["simulate", "--mode", "constant_mean", "--n", "30", "--repeats", "4",
+      "--seed", "9223372036854775809"],
+     "simulate_constant_mean_n30_r4_seed9223372036854775809.csv"),
+    (["coverage", "--dist", "ternary", "--probs", "0.3,0.2,0.5", "--n", "20",
+      "--trials", "700", "--delta", "0.3", "--seed", "4294967296"],
+     "coverage_ternary_n20_t700_d03_seed4294967296.json"),
+    (["coverage", "--dist", "beta", "--shape", "0.5,2", "--n", "20",
+      "--trials", "600", "--delta", "0.8", "--seed", "9223372036854775809"],
+     "coverage_beta_n20_t600_d08_seed9223372036854775809.json"),
 ])
 def test_monte_carlo_output_matches_golden_bytes(capsys, argv, golden):
     # batching the kl inversions over all rows of a sweep or coverage run
@@ -211,6 +224,20 @@ def test_coverage_small_trials_exit_2():
 def test_coverage_beta_dist(capsys):
     assert run(["coverage", "--dist", "beta", "--shape", "2,5", "--n", "60",
                 "--trials", "300", "--seed", "2"]) == 0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dist", "ternary", "--probs", "nan,0.5,0.5"],
+    ["--dist", "ternary", "--probs", "0.5,0.5,inf"],
+    ["--dist", "beta", "--shape", "nan,2"],
+    ["--dist", "beta", "--shape", "inf,2"],
+    ["--dist", "beta", "--shape", "2,-inf"],
+])
+def test_coverage_non_finite_distribution_exit_3(capsys, flags):
+    assert run(["coverage", *flags, "--n", "20", "--trials", "100"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and "must be" in err
+    assert "Traceback" not in err
 
 
 def test_coverage_ceiling_breach_exit_1(capsys, monkeypatch):

@@ -1,4 +1,8 @@
+import itertools
 import math
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from splitkl.simulation import (
     sweep_ternary,
     synth_ensemble,
 )
-from splitkl.simulation import _bound_values, _row_stats
+from splitkl.simulation import _STREAM_CHUNK, _bound_values, _pcg64_states, _row_stats, _streams
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +79,97 @@ def test_batched_bounds_equal_the_scalar_bounds(sample, delta):
 # ---------------------------------------------------------------------------
 
 
+# ---------------------------------------------------------------------------
+# stream states
+# ---------------------------------------------------------------------------
+
+
+def _numpy_state(seed, path):
+    # the independent oracle: numpy's own SeedSequence and PCG64 seeding
+    rng = np.random.default_rng(np.random.SeedSequence([seed % 2**63, *path]))
+    return rng.bit_generator.state
+
+
+def _assert_states_match(seed, paths):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy scalar-overflow warning may leak
+        states = _pcg64_states(seed, paths)
+    assert len(states) == len(paths)
+    for path, (state, inc) in zip(paths, states):
+        assert _numpy_state(seed, path) == {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }, (seed, path)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63 + 5])
+def test_stream_states_equal_seed_sequence(seed):
+    # one- and two-word seeds, the mod 2**63 wrap, entropy shorter than,
+    # equal to and longer than SeedSequence's four-word pool
+    for length in range(5):
+        _assert_states_match(seed, list(itertools.product([0, 2**32 - 1], repeat=length)))
+
+
+@st.composite
+def _seed_and_paths(draw):
+    length = draw(st.integers(0, 6))
+    path = st.tuples(*[st.integers(0, 2**32 - 1)] * length)
+    return draw(st.integers(-(2**70), 2**70)), draw(st.lists(path, min_size=1, max_size=5))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(seed_paths=_seed_and_paths())
+def test_stream_states_property(seed_paths):
+    _assert_states_match(*seed_paths)
+
+
+def test_streams_draw_the_seed_sequence_streams():
+    # more paths than one chunk, so the chunk boundary is crossed
+    paths = list(np.ndindex(3, _STREAM_CHUNK // 2 + 1))
+    draws = [rng.random(3) for rng in _streams(2**40 + 9, paths)]
+    for path, draw in zip(paths, draws):
+        expected = np.random.default_rng(np.random.SeedSequence([2**40 + 9, *path])).random(3)
+        assert draw.tobytes() == expected.tobytes(), path
+
+
+# ---------------------------------------------------------------------------
+# samplers
+# ---------------------------------------------------------------------------
+
+
+def _choice_draws(spec, n, seed):
+    probs = [spec.p_minus1, spec.p_0, spec.p_1]
+    return np.random.default_rng(seed).choice(np.array([-1.0, 0.0, 1.0]), size=n, p=probs)
+
+
+@st.composite
+def _ternary_specs(draw):
+    weights = [draw(st.floats(0.0, 1.0)) for _ in range(3)]
+    if sum(weights) == 0.0:
+        weights[draw(st.integers(0, 2))] = 1.0
+    total = sum(weights)
+    return TernarySpec(*(w / total for w in weights))
+
+
+@settings(derandomize=True, deadline=None)
+@given(spec=_ternary_specs(), n=st.integers(1, 2000), seed=st.integers(0, 2**64 - 1))
+def test_sample_ternary_equals_generator_choice(spec, n, seed):
+    draws = sample_ternary(spec, n, np.random.default_rng(seed))
+    assert draws.dtype == np.float64
+    assert draws.tobytes() == _choice_draws(spec, n, seed).tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    TernarySpec(0, 1, 0), TernarySpec(1, 0, 0), TernarySpec(0, 0, 1),
+    TernarySpec(0.5, 0, 0.5), TernarySpec(0.0, 1.0, 0.0), TernarySpec(0.3, 0.4, 0.3),
+])
+def test_sample_ternary_equals_generator_choice_on_point_masses(spec):
+    # integer-valued probabilities need a float cdf before it is normalised
+    for seed in range(5):
+        draws = sample_ternary(spec, 300, np.random.default_rng(seed))
+        assert draws.tobytes() == _choice_draws(spec, 300, seed).tobytes()
+
+
 def test_sample_ternary_point_masses():
     assert np.all(sample_ternary(TernarySpec(0, 1, 0), 50, seed=1) == 0.0)
     assert np.all(sample_ternary(TernarySpec(1, 0, 0), 50, seed=1) == -1.0)
@@ -115,6 +210,15 @@ def test_spec_validation():
         TernarySpec(0.5, 0.5, 0.1)
     with pytest.raises(DomainError):
         BetaSpec(0.0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            TernarySpec(bad, 0.5, 0.5)
+        with pytest.raises(DomainError):
+            TernarySpec(0.5, 0.5, bad)
+        with pytest.raises(DomainError):
+            BetaSpec(bad, 2.0)
+        with pytest.raises(DomainError):
+            BetaSpec(2.0, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +238,31 @@ def test_sweep_ternary_shape_and_determinism():
     for a, b in zip(rows, threaded):
         for name in a.gaps:
             assert np.array_equal(a.gaps[name], b.gaps[name])
+
+
+def test_concurrent_sweeps_equal_serial_sweeps():
+    # every call seeds its own generator, so calls running side by side in
+    # threads cannot interleave their streams
+    jobs = [
+        lambda: sweep_ternary("skew_low", n=40, delta=0.05, repeats=30, seed=2**32),
+        lambda: sweep_beta("spectrum", n=40, delta=0.05, repeats=30, seed=2**63 + 1),
+        lambda: coverage_experiment(TernarySpec(0.2, 0.3, 0.5), 30, 0.3, trials=1100, seed=5),
+    ] * 2
+
+    def as_bytes(result):
+        if isinstance(result, dict):
+            return repr(result).encode()
+        return b"".join(row.gaps[name].tobytes() for row in result for name in row.gaps)
+
+    serial = [as_bytes(job()) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so interleaving would show
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda job: as_bytes(job()), jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_sweep_gaps_finite_and_bounded():
