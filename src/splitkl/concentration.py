@@ -147,8 +147,8 @@ def _kl_bound(invert, mean, n, delta, lo, hi):
     p_hat.  A p_hat within _SLACK of [0, 1] is clamped into it, as the mean
     of samples all equal to hi can round above hi; one further out is left
     for the inversion to reject.  Floats stay on the float path."""
-    if lo >= hi:
-        raise DomainError("need lo < hi")
+    if not (lo < hi and n >= 1 and 0.0 < delta < 1.0):
+        raise DomainError(f"need lo < hi, n >= 1, delta in (0, 1): {lo}, {hi}, {n}, {delta}")
     if np.ndim(mean) == 0:
         p_hat = (float(mean) - lo) / (hi - lo)
         p_hat = _clamp01(p_hat) if -_SLACK <= p_hat <= 1.0 + _SLACK else p_hat

@@ -7,13 +7,15 @@ psi(u) = u - ln(1+u) and phi(x) = e^x - x - 1.
 All functions accept scalars or numpy arrays (broadcasting elementwise) and
 return a python float for scalar input.  They are pure and thread-safe.
 Scalar calls of the kl inverses take a float-only path (``math``, no numpy)
-that returns the same result as the array path, bit for bit.
+that returns the same result as the array path, bit for bit.  The binomial
+tail inverse forms ln C(n, i) once per call and re-weights it per step.  Only
+the array paths, ``bernoulli_kl`` and ``discrete_kl`` import ``scipy.special``,
+on first use, for ``xlogy`` (it matches ``math.log`` where ``np.log`` may not).
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
 
 from .errors import DomainError
 
@@ -45,6 +47,7 @@ def bernoulli_kl(p_hat, p):
     Returns +inf when p_hat > 0, p = 0 or p_hat < 1, p = 1; kl(0||0) and
     kl(1||1) are 0 by the limit convention.
     """
+    from scipy.special import xlogy
     ph = _as_array(p_hat, "p_hat", 0.0, 1.0)
     q = _as_array(p, "p", 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -75,6 +78,7 @@ def _kl_inv_bisect(p_hat, eps, upper):
         lo, hi = np.zeros_like(ph_f), ph_f.copy()
         lo[pinned] = ph_f[pinned]
         hi[np.isinf(ev_f) | (ph_f <= 0.0)] = 0.0
+    from scipy.special import xlogy
     # bernoulli_kl(ph, mid) term by term, the mid-free terms computed once
     qh_f = 1.0 - ph_f
     ph_term, qh_term = xlogy(ph_f, ph_f), xlogy(qh_f, qh_f)
@@ -147,15 +151,35 @@ def _discrete_kl_unchecked(rho, pi):
     simplex projection against a prior checked once up front.  Keeps a
     trailing axis: shape (1,) for a vector rho, an (A, 1) column of the
     row KLs for an (A, H) rho."""
+    from scipy.special import xlogy
     with np.errstate(divide="ignore", invalid="ignore"):
         val = np.maximum(np.sum(xlogy(rho, rho) - xlogy(rho, pi), axis=-1, keepdims=True), 0.0)
     return np.where(np.any((pi == 0) & (rho > 0), axis=-1, keepdims=True), math.inf, val)
 
 
-def binomial_tail(n, k, p):
-    """P[Binomial(n, p) <= k], exactly, accumulated in log space."""
+def _binomial_tail_fn(n, k):
+    """p -> P[Binomial(n, p) <= k] for 0 < p < 1 and integers 0 <= k <= n; forms
+    ln C(n, i), i = 0..k, once, and each call takes a max-shifted log-sum-exp."""
+    if not all(isinstance(v, (int, np.integer)) for v in (n, k)):
+        raise DomainError(f"n and k must be integers, got n={n!r}, k={k!r}")
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
+    lg_n = math.lgamma(n + 1)
+    coef = np.array([lg_n - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(k + 1)])
+    i = np.arange(k + 1, dtype=float)
+    rest = n - i
+
+    def tail(p):
+        log_pmf = coef + i * math.log(p) + rest * math.log1p(-p)
+        top = log_pmf.max()
+        return min(1.0, math.exp(top + math.log(np.exp(log_pmf - top).sum())))
+
+    return tail
+
+
+def binomial_tail(n, k, p):
+    """P[Binomial(n, p) <= k], exactly, accumulated in log space."""
+    tail = _binomial_tail_fn(n, k)
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p outside [0, 1]: {p}")
@@ -163,22 +187,16 @@ def binomial_tail(n, k, p):
         return 1.0
     if p == 1.0:
         return 0.0
-    i = np.arange(k + 1)
-    log_pmf = (
-        gammaln(n + 1) - gammaln(i + 1) - gammaln(n - i + 1)
-        + i * np.log(p) + (n - i) * np.log1p(-p)
-    )
-    return float(min(1.0, np.exp(logsumexp(log_pmf))))
+    return tail(p)
 
 
 def binomial_tail_inverse(n, k, delta):
     """Largest p with P[Binomial(n, p) <= k] >= delta, by bisection.
 
     The tail is non-increasing in p, equal to 1 at p = 0, so the feasible
-    set is an interval [0, p*].
+    set is an interval [0, p*], and the returned p passes :func:`binomial_tail`.
     """
-    if not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
+    tail = _binomial_tail_fn(n, k)
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta outside (0, 1): {delta}")
     if k == n:
@@ -188,7 +206,7 @@ def binomial_tail_inverse(n, k, delta):
         if hi - lo <= BISECT_WIDTH:
             break
         mid = 0.5 * (lo + hi)
-        if binomial_tail(n, k, mid) >= delta:
+        if tail(mid) >= delta:
             lo = mid
         else:
             hi = mid

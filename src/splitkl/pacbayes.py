@@ -98,6 +98,8 @@ class ExcessLossInput:
 
 
 def _maurer_eps(kl_complexity, n, delta):
+    if not (kl_complexity >= 0.0 and n >= 1 and 0.0 < delta < 1.0):
+        raise DomainError(f"need KL >= 0, n >= 1, delta in (0, 1): {kl_complexity}, {n}, {delta}")
     return (kl_complexity + math.log(2.0 * math.sqrt(n) / delta)) / n
 
 

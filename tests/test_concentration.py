@@ -112,6 +112,15 @@ def test_kl_bound_rescaling():
         kl_upper_bound(0.5, 100, 0.05, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("n, delta", [(0, 0.05), (100, 0.0), (100, -0.1), (100, 1.0),
+                                      (100, math.nan), (math.nan, 0.05)])
+def test_kl_bounds_reject_bad_n_and_delta(n, delta):
+    # n = 0 and delta = 0 were a bare ZeroDivisionError, delta = -0.1 a ValueError
+    for bound in (kl_upper_bound, kl_lower_bound):
+        with pytest.raises(DomainError, match="n >= 1, delta in"):
+            bound(0.5, n, delta, 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Empirical Bernstein
 # ---------------------------------------------------------------------------

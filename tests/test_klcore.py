@@ -1,11 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitkl.errors import DomainError
 from splitkl.klcore import (
+    BISECT_WIDTH,
     bernoulli_kl,
     binomial_tail,
     binomial_tail_inverse,
@@ -304,6 +312,128 @@ def test_binomial_tail_inverse_round_trip():
         delta = float(rng.uniform(0.01, 0.95))
         p = binomial_tail_inverse(n, k, delta)
         assert binomial_tail(n, k, p) == pytest.approx(delta, abs=1e-8)
+
+
+@pytest.mark.parametrize("n, k", [(10.5, 3), (10, 2.5), (10, np.float64(3.0)), ("10", 3)])
+def test_binomial_tail_and_inverse_reject_non_integer_counts(n, k):
+    # a float k = 2.5 was bisected as if it were 3
+    with pytest.raises(DomainError, match="must be integers"):
+        binomial_tail_inverse(n, k, 0.05)
+    with pytest.raises(DomainError, match="must be integers"):
+        binomial_tail(n, k, 0.5)
+
+
+def test_binomial_tail_inverse_accepts_numpy_integers():
+    expected = binomial_tail_inverse(10, 3, 0.05)
+    assert binomial_tail_inverse(np.int64(10), np.int32(3), 0.05) == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(n=st.integers(1, 2000), data=st.data(), delta=st.floats(1e-4, 0.9))
+def test_binomial_tail_inverse_is_feasible_and_near_clopper_pearson(n, data, delta):
+    # the Clopper-Pearson upper limit, as a regularised incomplete beta inverse
+    k = data.draw(st.integers(0, n - 1), label="k")
+    p = binomial_tail_inverse(n, k, delta)
+    assert binomial_tail(n, k, p) >= delta
+    assert abs(p - scipy.special.betaincinv(k + 1, n - k, 1.0 - delta)) <= 2 * BISECT_WIDTH
+
+
+# (n, k, delta, binomial_tail_inverse) recorded before the coefficients were
+# formed once per call; reordering the sum may move a result by one halving
+BINOMIAL_TAIL_INVERSE_TABLE = [
+    (1, 0, 0.05, 0.9499999999970896),
+    (1, 0, 0.5, 0.5),
+    (2, 1, 0.75, 0.5),
+    (5, 0, 0.32768, 0.19999999999708962),
+    (7, 6, 0.3, 0.9503227992463508),
+    (10, 0, 0.0001, 0.6018928294433863),
+    (10, 3, 0.05, 0.6066242161032278),
+    (10, 9, 0.9, 0.7943282347187051),
+    (25, 12, 0.5, 0.49999999999272404),
+    (50, 0, 0.0125, 0.08390987800521543),
+    (50, 7, 0.0125, 0.2861943409225205),
+    (100, 1, 0.05, 0.04655981145333499),
+    (100, 30, 0.01, 0.4180939616053365),
+    (100, 99, 0.05, 0.9994871985836653),
+    (150, 40, 0.0125, 0.3561234698208864),
+    (300, 17, 0.05, 0.08378881305543473),
+    (500, 250, 0.0125, 0.5509613333051675),
+    (500, 499, 0.0001, 0.9999997999839252),
+    (1000, 0, 0.9, 0.00010535496403463185),
+    (1000, 123, 0.05, 0.14141275752626825),
+    (1000, 500, 0.001, 0.5492289460089523),
+    (2000, 1999, 0.05, 0.9999743536754977),
+    (2000, 64, 0.2, 0.035765899760008324),
+    (5000, 2500, 0.05, 0.5117286740351119),
+    (5000, 3, 0.0001, 0.003178655584633816),
+]
+
+
+@pytest.mark.parametrize("n, k, delta, expected", BINOMIAL_TAIL_INVERSE_TABLE)
+def test_binomial_tail_inverse_matches_recorded_values(n, k, delta, expected):
+    assert abs(binomial_tail_inverse(n, k, delta) - expected) <= BISECT_WIDTH
+
+
+# ---------------------------------------------------------------------------
+# scipy.special stays off the scalar path
+# ---------------------------------------------------------------------------
+
+SCALAR_CALLS_WITHOUT_SCIPY_SPECIAL = """
+import sys
+
+import numpy as np
+
+import splitkl
+import splitkl.cli
+from splitkl import concentration as c, klcore, pacbayes as pb
+
+z = np.array([-1.0, 0.0, 1.0, 1.0, 0.0, -1.0, 1.0, 0.0, 0.0, 1.0] * 10)
+s = c.EmpiricalSummary.from_samples(z, -1.0, 1.0)
+pbi = pb.PacBayesInput(gibbs_mean=0.3, gibbs_second_moment=0.2, gibbs_plus_mean=0.1,
+                       gibbs_minus_mean=0.3, kl_complexity=2.0, n=100, lo=0.0, hi=1.0, mu=0.5)
+xin = pb.ExcessLossInput(fwd_plus=0.2, bwd_plus=0.25, fwd_minus=0.1, bwd_minus=0.15,
+                         kl_complexity=1.0, n=100, ref_loss_counts=(7, 12), mu=0.0)
+values = [
+    c.kl_upper_bound(z.mean(), 100, 0.05, -1.0, 1.0),
+    c.kl_lower_bound(z.mean(), 100, 0.05, -1.0, 1.0),
+    c.empirical_bernstein_bound(s, 0.05),
+    c.unexpected_bernstein_grid_bound(s, 0.05).value,
+    c.split_kl_bound(c.split_decompose(z, 0.0, -1.0, 1.0), 0.05),
+    pb.pb_kl_bound(0.3, 2.0, 100, 0.05),
+    pb.pb_kl_pinsker_relaxation(0.3, 2.0, 100, 0.05),
+    pb.pb_unexpected_bernstein_grid(pbi, 0.05).value,
+    pb.pb_split_kl(pbi, 0.05),
+    pb.test_set_bound(100, 7, 0.05),
+    pb.excess_informed_bound(xin, 0.05),
+    pb.optimal_lambda(0.3, 2.0, 100, 0.05),
+    pb.optimal_gamma(0.3, 2.0, 100, 0.05),
+    klcore.kl_inv_upper(0.3, 0.1),
+    klcore.kl_inv_lower(0.3, 0.1),
+    klcore.binomial_tail(100, 7, 0.1),
+]
+assert all(np.isfinite(values)), values
+code = splitkl.cli.main(["bound", sys.argv[1], "--bound", "all", "--out", sys.argv[2]])
+assert code == 0, code
+assert "scipy.special" not in sys.modules
+r = klcore.kl_inv_upper(np.array([0.1, 0.7]), 0.05)
+assert "scipy.special" in sys.modules
+print(*(float(v).hex() for v in r))
+"""
+
+
+def test_scalar_api_and_bound_command_do_not_import_scipy_special(tmp_path):
+    sample = tmp_path / "sample.txt"
+    sample.write_text("# lo=-1 hi=1 mu=0\n" + "-1\n0\n1\n1\n0\n" * 20)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCALAR_CALLS_WITHOUT_SCIPY_SPECIAL, str(sample),
+         str(tmp_path / "out.json")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the array path's bits, unchanged by the deferred import
+    assert proc.stdout.split() == ["0x1.c2b891d260002p-3", "0x1.a8506165ccccep-1"]
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,19 @@ def test_pb_kl_values():
 
 def test_pb_kl_rejects_nan_complexity():
     # a NaN KL used to come back as the empirical mean, a "certificate" of 0.2
-    with pytest.raises(DomainError, match="eps is NaN"):
+    with pytest.raises(DomainError, match="need KL >= 0"):
         pb_kl_bound(0.2, math.nan, 100, 0.05)
+
+
+@pytest.mark.parametrize("kl, n, delta", [(-1.0, 100, 0.05), (math.nan, 100, 0.05),
+                                          (0.0, 0, 0.05), (0.0, 100, 0.0), (0.0, 100, 2.0),
+                                          (0.0, 100, -0.1), (0.0, 100, math.nan)])
+def test_pb_kl_forms_reject_bad_complexity_n_and_delta(kl, n, delta):
+    # KL = -1 and delta = 2 gave certificates below the KL = 0 value; delta = 0
+    # was a bare ZeroDivisionError and n = 0 a ValueError
+    for bound in (pb_kl_bound, pb_kl_pinsker_relaxation):
+        with pytest.raises(DomainError, match="need KL >= 0, n >= 1, delta in"):
+            bound(0.2, kl, n, delta)
 
 
 def test_pinsker_values():
