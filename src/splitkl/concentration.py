@@ -107,6 +107,12 @@ class BoundReport:
     params: Mapping = field(default_factory=dict)
 
 
+def _check_delta(delta):
+    """Raise DomainError unless 0 < delta < 1; NaN fails too."""
+    if not 0.0 < delta < 1.0:
+        raise DomainError(f"delta outside (0, 1): {delta}")
+
+
 def _validate_samples(samples, lo, hi):
     z = np.asarray(samples, dtype=float)
     if z.ndim != 1 or len(z) == 0:
@@ -163,6 +169,7 @@ def empirical_bernstein_bound(s: EmpiricalSummary, delta) -> float:
     """mean + sqrt(2 var ln(2/d) / n) + 7 (hi-lo) ln(2/d) / (3(n-1))."""
     if s.n < 2:
         raise DomainError("Empirical Bernstein needs n >= 2")
+    _check_delta(delta)
     return float(_empirical_bernstein_value(s.mean, s.unbiased_variance, s.n, delta, s.hi - s.lo))
 
 
@@ -194,6 +201,7 @@ def unexpected_bernstein_bound(s: EmpiricalSummary, gamma, delta) -> float:
         raise DomainError("Unexpected Bernstein needs an upper endpoint b > 0")
     if not 0.0 < gamma < 1.0 / b:
         raise DomainError(f"gamma must lie in (0, 1/b) = (0, {1.0 / b})")
+    _check_delta(delta)
     return _unexpected_bernstein_value(
         s.mean, s.second_moment_mean, math.log(1.0 / delta), s.n, gamma, b
     )
@@ -242,6 +250,7 @@ def split_kl_bound(s: SplitSummary, delta) -> float:
     (mu = lo or mu = hi) contributes exactly 0, the limit of the weighted
     inverse.
     """
+    _check_delta(delta)
     eps = math.log(2.0 / delta) / s.n
     return _split_kl_value(s.mu, s.hi - s.mu, s.mu - s.lo, s.plus_mean, s.minus_mean, eps)
 

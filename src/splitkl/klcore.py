@@ -7,7 +7,9 @@ psi(u) = u - ln(1+u) and phi(x) = e^x - x - 1.
 All functions accept scalars or numpy arrays (broadcasting elementwise) and
 return a python float for scalar input.  They are pure and thread-safe.
 Scalar calls of the kl inverses take a float-only path (``math``, no numpy)
-that returns the same result as the array path, bit for bit.  The binomial
+that returns the same result as the array path, bit for bit.  The array path
+bisects each distinct (p_hat, eps) once, however often it repeats, and each
+row along the last axis still stops on its own widest bracket.  The binomial
 tail inverse forms ln C(n, i) once per call and re-weights it per step.  Only
 the array paths, ``bernoulli_kl`` and ``discrete_kl`` import ``scipy.special``,
 on first use, for ``xlogy`` (it matches ``math.log`` where ``np.log`` may not).
@@ -64,36 +66,65 @@ def _kl_inv_bisect(p_hat, eps, upper):
     shape = ph_b.shape
     if ph_b.size == 0:
         return np.zeros(shape)
-    ph_f = ph_b.reshape(-1, shape[-1]).astype(float)
-    ev_f = ev_b.reshape(-1, shape[-1]).astype(float)
+    # each distinct (p_hat, eps) is bisected once; pair[i, j] is the pair of
+    # element j of row i along the last axis
+    ph_u, ev_u, pair = _distinct_pairs(ph_b, ev_b)
+    pair = pair.reshape(-1, shape[-1])
     # eps = 0 forces p = p_hat; bisecting instead would drift by the float
     # cancellation width of kl around p_hat (~1e-8).
-    pinned = ev_f == 0.0
+    pinned = ev_u == 0.0
     if upper:
-        lo, hi = ph_f.copy(), np.ones_like(ph_f)
-        hi[pinned] = ph_f[pinned]
+        lo, hi = ph_u.copy(), np.ones_like(ph_u)
+        hi[pinned] = ph_u[pinned]
         # p_hat = 1 or eps = +inf pin the answer at 1.
-        lo[np.isinf(ev_f) | (ph_f >= 1.0)] = 1.0
+        lo[np.isinf(ev_u) | (ph_u >= 1.0)] = 1.0
     else:
-        lo, hi = np.zeros_like(ph_f), ph_f.copy()
-        lo[pinned] = ph_f[pinned]
-        hi[np.isinf(ev_f) | (ph_f <= 0.0)] = 0.0
+        lo, hi = np.zeros_like(ph_u), ph_u.copy()
+        lo[pinned] = ph_u[pinned]
+        hi[np.isinf(ev_u) | (ph_u <= 0.0)] = 0.0
     from scipy.special import xlogy
     # bernoulli_kl(ph, mid) term by term, the mid-free terms computed once
-    qh_f = 1.0 - ph_f
-    ph_term, qh_term = xlogy(ph_f, ph_f), xlogy(qh_f, qh_f)
+    qh_u = 1.0 - ph_u
+    ph_term, qh_term = xlogy(ph_u, ph_u), xlogy(qh_u, qh_u)
+    out = np.empty(pair.shape)
+    open_rows, n_narrow = np.arange(len(pair)), 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(BISECT_MAX_ITER):
-            # a row that stopped keeps its brackets, so it stays stopped
-            active = np.max(hi - lo, axis=1, keepdims=True) > BISECT_WIDTH
-            if not active.any():
-                break
+            # A row stops once its widest bracket is narrow, with the
+            # endpoints of that step.  Widths never grow, so a row can only
+            # stop at a step where some bracket has just become narrow.
+            narrow = hi - lo <= BISECT_WIDTH
+            if (count := np.count_nonzero(narrow)) > n_narrow:
+                n_narrow = count
+                rows = pair[open_rows]
+                stop = narrow[rows].all(axis=1)
+                out[open_rows[stop]] = (lo if upper else hi)[rows[stop]]
+                open_rows = open_rows[~stop]
+                if not open_rows.size:
+                    break
             mid = 0.5 * (lo + hi)
-            kl = (ph_term - xlogy(ph_f, mid)) + (qh_term - xlogy(qh_f, 1.0 - mid))
-            up = (kl <= ev_f) == upper
-            lo = np.where(active & up, mid, lo)
-            hi = np.where(active & ~up, mid, hi)
-    return (lo if upper else hi).reshape(shape)
+            kl = (ph_term - xlogy(ph_u, mid)) + (qh_term - xlogy(qh_u, 1.0 - mid))
+            up = (kl <= ev_u) == upper
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    # rows still open after BISECT_MAX_ITER halvings
+    out[open_rows] = (lo if upper else hi)[pair[open_rows]]
+    return out.reshape(shape)
+
+
+def _distinct_pairs(a, b):
+    """The distinct (a, b) of two float arrays of one shape, as two 1-d
+    arrays, and the flat index of each element's pair.  Pairs are told
+    apart by bit pattern, so -0.0 and 0.0 stay distinct."""
+    a_bits, b_bits = a.ravel().view(np.uint64), b.ravel().view(np.uint64)
+    order = np.lexsort((b_bits, a_bits))
+    a_bits, b_bits = a_bits[order], b_bits[order]
+    first = np.empty(order.size, dtype=bool)
+    first[0] = True
+    np.not_equal(a_bits[1:], a_bits[:-1], out=first[1:])
+    first[1:] |= b_bits[1:] != b_bits[:-1]
+    index = np.empty(order.size, dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return a_bits[first].view(float), b_bits[first].view(float), index
 
 
 def _xlogy(x, y):
@@ -122,8 +153,9 @@ def kl_inv_upper(p_hat, eps):
 
     kl(p_hat || .) is increasing on [p_hat, 1], so the feasible set is an
     interval; the returned endpoint is feasible.  eps = +inf returns 1.
-    Array inputs broadcast, and each row along the last axis is bisected
-    until its own widest bracket is narrow enough.
+    Array inputs broadcast.  Each distinct (p_hat, eps) is bisected once,
+    and each row along the last axis stops when its own widest bracket is
+    narrow enough, every element taking its bracket at that step.
     """
     return _kl_inv_bisect(p_hat, eps, upper=True)
 

@@ -12,8 +12,11 @@ upper/lower bounds with their closed-form parameter minimisers.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .concentration import (
     BoundReport,
+    _check_delta,
     _split_kl_value,
     _unexpected_bernstein_grid,
     _unexpected_bernstein_value,
@@ -77,6 +80,10 @@ class ExcessLossInput:
     mu: float
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)):
+            raise DomainError(f"n must be an integer, got {self.n!r}")
+        if not all(isinstance(c, (int, np.integer)) for c in self.ref_loss_counts):
+            raise DomainError(f"ref_loss_counts must be integers, got {self.ref_loss_counts!r}")
         if self.n < 2 or self.n % 2 != 0:
             raise DomainError("need an even n >= 2")
         if self.kl_complexity < 0:
@@ -121,6 +128,7 @@ def pb_unexpected_bernstein(inp: PacBayesInput, gamma, delta):
         raise DomainError("needs an upper endpoint b > 0")
     if not 0.0 < gamma < 1.0 / b:
         raise DomainError(f"gamma must lie in (0, 1/b) = (0, {1.0 / b})")
+    _check_delta(delta)
     return _unexpected_bernstein_value(
         inp.gibbs_mean, inp.gibbs_second_moment, inp.kl_complexity + math.log(1.0 / delta),
         inp.n, gamma, b,
@@ -147,6 +155,7 @@ def pb_split_kl(inp: PacBayesInput, delta):
     Both inversions run at eps = (KL + ln(4 sqrt(n)/delta)) / n; degenerate
     split weights contribute exactly 0.
     """
+    _check_delta(delta)
     eps = (inp.kl_complexity + math.log(4.0 * math.sqrt(inp.n) / delta)) / inp.n
     return _split_kl_value(inp.mu, inp.hi - inp.mu, inp.mu - inp.lo,
                            inp.gibbs_plus_mean, inp.gibbs_minus_mean, eps)
@@ -164,6 +173,7 @@ def excess_informed_bound(x: ExcessLossInput, delta):
     through ``kl_complexity``) plus half the sum of two binomial tail
     inversions at delta/4 for the reference rules.
     """
+    _check_delta(delta)
     half = x.n // 2
     eps = (x.kl_complexity + math.log(8.0 * math.sqrt(half) / delta)) / half
     split = _split_kl_value(x.mu, 1.0 - x.mu, x.mu + 1.0, (x.fwd_plus + x.bwd_plus) / 2.0,
@@ -180,6 +190,7 @@ def pb_lambda_upper(gibbs_mean, kl_complexity, n, delta, lam):
     """mean/(1 - lam/2) + (KL + ln(2 sqrt(n)/d))/(lam (1 - lam/2) n)."""
     if not 0.0 < lam < 2.0:
         raise DomainError("lambda must lie in (0, 2)")
+    _check_delta(delta)
     return _lambda_upper_value(
         gibbs_mean, kl_complexity + math.log(2.0 * math.sqrt(n) / delta), n, lam
     )
@@ -189,6 +200,7 @@ def pb_lambda_lower(gibbs_mean, kl_complexity, n, delta, gamma):
     """(1 - gamma/2) mean - (KL + ln(2 sqrt(n)/d))/(gamma n); may be negative."""
     if gamma <= 0.0:
         raise DomainError("gamma must be positive")
+    _check_delta(delta)
     return _lambda_lower_value(
         gibbs_mean, kl_complexity + math.log(2.0 * math.sqrt(n) / delta), n, gamma
     )
@@ -221,6 +233,7 @@ def optimal_lambda(gibbs_mean, kl_complexity, n, delta):
     """Closed-form lambda for :func:`pb_lambda_upper`."""
     if gibbs_mean < 0.0:
         raise DomainError("gibbs_mean must be non-negative")
+    _check_delta(delta)
     return lambda_star(gibbs_mean, kl_complexity + math.log(2.0 * math.sqrt(n) / delta), n)
 
 
@@ -228,4 +241,5 @@ def optimal_gamma(gibbs_mean, kl_complexity, n, delta):
     """Closed-form gamma for :func:`pb_lambda_lower`; +inf when the mean is 0."""
     if gibbs_mean < 0.0:
         raise DomainError("gibbs_mean must be non-negative")
+    _check_delta(delta)
     return gamma_star(gibbs_mean, kl_complexity + math.log(2.0 * math.sqrt(n) / delta), n)

@@ -18,6 +18,7 @@ directly.  Everything runs in one thread; the ``threads`` arguments are
 accepted and ignored.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -64,6 +65,14 @@ class TernarySpec:
     @property
     def mean(self):
         return self.p_1 - self.p_minus1
+
+    @functools.cached_property
+    def _cdf(self):
+        """Cumulative masses of -1, 0, 1, normalised to end at 1; formed on
+        first use and kept outside the dataclass fields."""
+        cdf = np.cumsum(np.array([self.p_minus1, self.p_0, self.p_1], dtype=float))
+        cdf /= cdf[-1]
+        return cdf
 
 
 @dataclass(frozen=True)
@@ -205,10 +214,8 @@ def sample_ternary(spec: TernarySpec, n, seed) -> np.ndarray:
     if n < 1:
         raise DomainError("need n >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
-    cdf = np.cumsum(np.array([spec.p_minus1, spec.p_0, spec.p_1], dtype=float))
-    cdf /= cdf[-1]
     uniform = rng.random(n)
-    return _TERNARY_VALUES[cdf.searchsorted(uniform, side="right")]
+    return _TERNARY_VALUES[spec._cdf.searchsorted(uniform, side="right")]
 
 
 def sample_beta(spec: BetaSpec, n, seed) -> np.ndarray:

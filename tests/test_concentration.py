@@ -121,6 +121,22 @@ def test_kl_bounds_reject_bad_n_and_delta(n, delta):
             bound(0.5, n, delta, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, math.nan])
+def test_sample_bounds_reject_delta_outside_unit_interval(delta):
+    # delta = 1.5 gave split-kl 0.267 against 0.428 at delta = 0.05, and
+    # delta = 0 was a bare ZeroDivisionError in Empirical Bernstein
+    z = np.array([-1.0, 0.0, 1.0, 1.0, 0.0] * 20)
+    s = summary(z, -1.0, 1.0)
+    calls = [
+        lambda: empirical_bernstein_bound(s, delta),
+        lambda: unexpected_bernstein_bound(s, 0.25, delta),
+        lambda: split_kl_bound(split_decompose(z, 0.0, -1.0, 1.0), delta),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"delta outside \(0, 1\)"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Empirical Bernstein
 # ---------------------------------------------------------------------------

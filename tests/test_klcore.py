@@ -10,9 +10,11 @@ import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from splitkl.errors import DomainError
 from splitkl.klcore import (
+    BISECT_MAX_ITER,
     BISECT_WIDTH,
     bernoulli_kl,
     binomial_tail,
@@ -202,6 +204,90 @@ def test_kl_inv_rows_match_one_dimensional_calls():
     assert kl_inv_upper(np.array([1 - 1e-6, 0.2]), 0.05)[0] == 0.9999999999999999
     assert kl_inv_lower(np.array([1e-6]), 0.05)[0] == 7.62939453125e-12
     assert kl_inv_lower(np.array([1e-6, 0.7]), 0.05)[0] == 7.275957614183426e-18
+
+
+def rowwise_kl_inv(p_hat, eps, upper):
+    """Oracle for the array kl inverses: every element of a row is bisected
+    in place, and the row halves until its widest bracket is narrow."""
+    ph_b, ev_b = np.broadcast_arrays(np.asarray(p_hat, dtype=float), np.asarray(eps, dtype=float))
+    shape = ph_b.shape
+    ph_f = ph_b.reshape(-1, shape[-1]).astype(float)
+    ev_f = ev_b.reshape(-1, shape[-1]).astype(float)
+    pinned = ev_f == 0.0
+    if upper:
+        lo, hi = ph_f.copy(), np.ones_like(ph_f)
+        hi[pinned] = ph_f[pinned]
+        lo[np.isinf(ev_f) | (ph_f >= 1.0)] = 1.0
+    else:
+        lo, hi = np.zeros_like(ph_f), ph_f.copy()
+        lo[pinned] = ph_f[pinned]
+        hi[np.isinf(ev_f) | (ph_f <= 0.0)] = 0.0
+    qh_f = 1.0 - ph_f
+    ph_term, qh_term = scipy.special.xlogy(ph_f, ph_f), scipy.special.xlogy(qh_f, qh_f)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(BISECT_MAX_ITER):
+            active = np.max(hi - lo, axis=1, keepdims=True) > BISECT_WIDTH
+            if not active.any():
+                break
+            mid = 0.5 * (lo + hi)
+            kl = (ph_term - scipy.special.xlogy(ph_f, mid)) + (
+                qh_term - scipy.special.xlogy(qh_f, 1.0 - mid))
+            up = (kl <= ev_f) == upper
+            lo = np.where(active & up, mid, lo)
+            hi = np.where(active & ~up, mid, hi)
+    return (lo if upper else hi).reshape(shape)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and (a.view(np.uint64) == b.view(np.uint64)).all()
+
+
+# A small pool, so that arrays repeat (p_hat, eps) pairs many times, with the
+# signed zero, the ends of [0, 1] and brackets of very different widths.
+P_POOL = np.array([0.0, -0.0, 1.0, 1e-300, 1e-6, 0.07, 0.25, 1 / 3, 0.5, 0.9, 1 - 1e-6])
+EPS_POOL = np.array([0.0, 5e-324, 1e-20, 1e-3, 0.05, 1.5, math.inf])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data(), shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       eps_form=st.sampled_from(["scalar", "last_axis", "full"]))
+def test_kl_inv_arrays_match_rowwise_oracle_bitwise(data, shape, eps_form):
+    shape = tuple(shape)
+    p = P_POOL[data.draw(hnp.arrays(np.intp, shape, elements=st.integers(0, len(P_POOL) - 1)))]
+    eps_shape = {"scalar": (), "last_axis": shape[-1:], "full": shape}[eps_form]
+    e = EPS_POOL[data.draw(hnp.arrays(np.intp, eps_shape,
+                                      elements=st.integers(0, len(EPS_POOL) - 1)))]
+    for fn, upper in ((kl_inv_upper, True), (kl_inv_lower, False)):
+        assert _same_bits(fn(p, e), rowwise_kl_inv(p, e, upper)), fn.__name__
+
+
+def test_kl_inv_random_arrays_match_rowwise_oracle_bitwise():
+    rng = np.random.default_rng(7)
+    p = np.concatenate([rng.uniform(size=(6, 50)), rng.integers(0, 101, (6, 50)) / 100])
+    e = np.where(rng.uniform(size=p.shape) < 0.1, 0.0, 10.0 ** rng.uniform(-4, 0.5, p.shape))
+    for fn, upper in ((kl_inv_upper, True), (kl_inv_lower, False)):
+        assert _same_bits(fn(p, e), rowwise_kl_inv(p, e, upper)), fn.__name__
+        assert _same_bits(fn(p, 0.05), rowwise_kl_inv(p, 0.05, upper)), fn.__name__
+
+
+def test_kl_inv_pinned_element_runs_to_the_wide_elements_stop_step():
+    # eps = 0 pins the first element, so its bracket is narrow from the
+    # start; the row still halves until the wide bracket closes, and the
+    # pair (1 - 1e-6, 0.05) stops with its row in each row it appears in
+    p = np.array([[0.3, 1 - 1e-6, 1 - 1e-6], [0.3, 1 - 1e-6, 0.2], [-0.0, 0.3, 0.3]])
+    e = np.array([[0.0, 0.05, 0.05], [0.0, 0.05, 0.05], [0.0, 0.0, 0.0]])
+    up = kl_inv_upper(p, e)
+    assert _same_bits(up, rowwise_kl_inv(p, e, True))
+    assert up[0, 0] == up[1, 0] == 0.3
+    assert up[0, 1] == up[0, 2] == 0.9999999999923705
+    assert up[1, 1] == 0.9999999999999999
+    assert up[1, 2] == kl_inv_upper(np.array([0.2]), 0.05)[0]
+    assert _same_bits(up[2], [-0.0, 0.3, 0.3])
+    lo = kl_inv_lower(1.0 - p[:2], e[:2])
+    assert _same_bits(lo, rowwise_kl_inv(1.0 - p[:2], e[:2], False))
+    assert lo[0, 0] == lo[1, 0] == 0.7
+    assert lo[0, 1] != lo[1, 1]
 
 
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 3)])

@@ -249,6 +249,22 @@ def test_excess_informed_rejects_odd_n():
         x_input(n=201)
 
 
+@pytest.mark.parametrize("field, value", [("n", 100.0), ("n", "100"),
+                                          ("ref_loss_counts", (7.5, 12)),
+                                          ("ref_loss_counts", (7, 12.0))])
+def test_excess_input_rejects_non_integer_counts(field, value):
+    # n = 100.0 failed only in the bound, naming the derived n = 50.0, and
+    # (7.5, 12) was reported there as k = 7.5
+    with pytest.raises(DomainError, match=f"^{field} must be"):
+        x_input(**{field: value})
+
+
+def test_excess_input_accepts_numpy_integers():
+    x = x_input(n=np.int64(200), ref_loss_counts=(np.int32(7), np.int64(12)))
+    assert excess_informed_bound(x, 0.05) == excess_informed_bound(
+        x_input(ref_loss_counts=(7, 12)), 0.05)
+
+
 # ---------------------------------------------------------------------------
 # PAC-Bayes-lambda and closed-form minimisers
 # ---------------------------------------------------------------------------
@@ -342,3 +358,22 @@ def test_pb_kl_coverage_single_hypothesis():
         if p > pb_kl_bound(m, 0.0, n, delta):
             violations += 1
     assert violations / trials <= delta + 3 * math.sqrt(delta * (1 - delta) / trials)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, math.nan])
+def test_pac_bayes_bounds_reject_delta_outside_unit_interval(delta):
+    # delta = 3 gave PAC-Bayes-split-kl 0.444 against 0.501 at delta = 0.05
+    inp = pb_input(gibbs_mean=0.3, gibbs_second_moment=0.2, gibbs_plus_mean=0.1,
+                   gibbs_minus_mean=0.3, kl_complexity=2.0, mu=0.5)
+    calls = [
+        lambda: pb_unexpected_bernstein(inp, 0.5, delta),
+        lambda: pb_split_kl(inp, delta),
+        lambda: pb_lambda_upper(0.3, 2.0, 100, delta, 0.5),
+        lambda: pb_lambda_lower(0.3, 2.0, 100, delta, 0.5),
+        lambda: optimal_lambda(0.3, 2.0, 100, delta),
+        lambda: optimal_gamma(0.3, 2.0, 100, delta),
+        lambda: excess_informed_bound(x_input(ref_loss_counts=(7, 12)), delta),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"delta outside \(0, 1\)"):
+            call()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -168,6 +169,19 @@ def test_sample_ternary_equals_generator_choice_on_point_masses(spec):
     for seed in range(5):
         draws = sample_ternary(spec, 300, np.random.default_rng(seed))
         assert draws.tobytes() == _choice_draws(spec, 300, seed).tobytes()
+
+
+def test_ternary_spec_cdf_is_not_a_field():
+    # the cdf is formed once per spec, and equality and hashing still see
+    # only the three masses
+    spec = TernarySpec(0.2, 0.3, 0.5)
+    first = sample_ternary(spec, 100, np.random.default_rng(3))
+    assert sample_ternary(spec, 100, np.random.default_rng(3)).tobytes() == first.tobytes()
+    assert [f.name for f in dataclasses.fields(spec)] == ["p_minus1", "p_0", "p_1"]
+    fresh = TernarySpec(0.2, 0.3, 0.5)
+    assert spec == fresh and hash(spec) == hash(fresh)
+    assert repr(spec) == repr(fresh)
+    assert spec._cdf is spec._cdf
 
 
 def test_sample_ternary_point_masses():
