@@ -224,14 +224,17 @@ def unexpected_bernstein_grid_bound(s: EmpiricalSummary, delta) -> BoundReport:
     The union bound over the k grid points replaces delta by delta/k at
     each point; the report carries the minimising gamma.
     """
-    vals, grid = _unexpected_bernstein_grid(s.mean, s.second_moment_mean, 0.0, s.n, delta, s.hi)
+    return _unexpected_bernstein_grid_report("ub", s.mean, s.second_moment_mean, 0.0, s.n,
+                                             delta, s.hi)
+
+
+def _unexpected_bernstein_grid_report(name, mean, second_moment, kl, n, delta, b):
+    """The least of the :func:`_unexpected_bernstein_grid` values, as a
+    report named ``name`` that carries its gamma and the grid size."""
+    vals, grid = _unexpected_bernstein_grid(mean, second_moment, kl, n, delta, b)
     best = vals.index(min(vals))
-    return BoundReport(
-        name="ub",
-        value=vals[best],
-        delta=delta,
-        params={"gamma": grid.values[best], "grid_size": grid.count},
-    )
+    return BoundReport(name=name, value=vals[best], delta=delta,
+                       params={"gamma": grid.values[best], "grid_size": grid.count})
 
 
 def _unexpected_bernstein_grid(mean, second_moment, kl, n, delta, b):

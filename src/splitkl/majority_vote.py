@@ -8,10 +8,12 @@ Five bound families operate on those statistics: TND (second-order Markov
 on the tandem loss), and the Chebyshev-Cantelli family CCTND / CCPBB /
 CCPBUB / CCPBSkl, which bound the alpha-tandem loss with PAC-Bayes-kl,
 -Empirical-Bennett, -Unexpected-Bernstein and -split-kl respectively.
-Each family has a compute form and an optimizer that alternates closed-form
-or grid parameter steps with iRProp+ steps on the posterior, projected onto
-the simplex.  Optimizers track the best compute-form value seen, so the
-reported bound never exceeds the value at the initialization rho = pi.
+Each family has a compute form and an optimizer.  All five optimizers share
+one outer-round driver, which alternates closed-form or grid parameter steps
+with iRProp+ steps on the posterior, projected onto the simplex: the alpha
+families optimize every alpha of the grid as the rows of one batch, and TND
+and CCTND are one-row families.  Optimizers track the best compute-form
+value seen, so the reported bound never exceeds the value at rho = pi.
 """
 
 import math
@@ -21,6 +23,7 @@ import numpy as np
 
 from .concentration import (
     BoundReport,
+    _check_delta,
     _clamp01,
     _split_kl_value,
     _unexpected_bernstein_value,
@@ -421,9 +424,13 @@ def _tandem_eps(kl, m, delta):
 
 def tnd_bound(ts: TandemStats, w: PosteriorWeights, delta) -> float:
     """4 kl_inv_upper(rho' T rho, (2 KL + ln(4 sqrt(m)/d)) / m)."""
-    t = _clamp01(_quad(w.rho, ts.tandem_loss).item())
-    kl = discrete_kl(w.rho, w.pi)
-    return 4.0 * kl_inv_upper(t, _tandem_eps(kl, ts.m, delta))
+    _check_delta(delta)
+    return _tnd_value(_quad(w.rho, ts.tandem_loss).item(), discrete_kl(w.rho, w.pi), ts.m, delta)
+
+
+def _tnd_value(t, kl, m, delta):
+    """:func:`tnd_bound` from the floats rho' T rho and KL(rho||pi)."""
+    return 4.0 * kl_inv_upper(_clamp01(t), _tandem_eps(kl, m, delta))
 
 
 def cctnd_bound(ts: TandemStats, w: PosteriorWeights, alpha, delta) -> float:
@@ -433,14 +440,18 @@ def cctnd_bound(ts: TandemStats, w: PosteriorWeights, alpha, delta) -> float:
     inverse for alpha >= 0, upper inverse for alpha < 0.  alpha = 0 is
     exactly the TND bound.
     """
+    _check_delta(delta)
     if alpha >= 0.5:
         raise DomainError("alpha must be below 0.5")
-    t = _clamp01(_quad(w.rho, ts.tandem_loss).item())
-    g = _clamp01(float(w.rho @ ts.single_loss))
-    kl = discrete_kl(w.rho, w.pi)
-    t_term = kl_inv_upper(t, _tandem_eps(kl, ts.m, delta))
-    eps_g = (kl + math.log(4.0 * math.sqrt(ts.n) / delta)) / ts.n
-    g_term = kl_inv_lower(g, eps_g) if alpha >= 0 else kl_inv_upper(g, eps_g)
+    return _cctnd_value(_quad(w.rho, ts.tandem_loss).item(), float(w.rho @ ts.single_loss),
+                        discrete_kl(w.rho, w.pi), ts.n, ts.m, alpha, delta)
+
+
+def _cctnd_value(t, g, kl, n, m, alpha, delta):
+    """:func:`cctnd_bound` from the floats rho' T rho, rho . single and KL(rho||pi)."""
+    t_term = kl_inv_upper(_clamp01(t), _tandem_eps(kl, m, delta))
+    eps_g = (kl + math.log(4.0 * math.sqrt(n) / delta)) / n
+    g_term = (kl_inv_lower if alpha >= 0 else kl_inv_upper)(_clamp01(g), eps_g)
     return _cc_value(t_term, g_term, alpha)
 
 
@@ -453,6 +464,7 @@ def _cc_value(t, u, alpha):
 def ccpbb_bound(ats: AlphaTandemStats, w: PosteriorWeights, lam, gamma, delta,
                 k_lambda, k_gamma) -> float:
     """Chebyshev-Cantelli with a PAC-Bayes-Empirical-Bennett tandem estimate."""
+    _check_delta(delta)
     lam_max = 2.0 * (ats.m - 1) / ats.m
     if not 0.0 < lam < lam_max:
         raise DomainError(f"lambda must lie in (0, {lam_max})")
@@ -485,6 +497,7 @@ def ccpbub_bound(ats: AlphaTandemStats, w: PosteriorWeights, gamma, delta) -> fl
     The union-bound factor ln(k_gamma/delta) uses the canonical grid size
     for (m, delta, b) even if the supplied gamma is off-grid.
     """
+    _check_delta(delta)
     b = ats.b
     if not 0.0 < gamma < 1.0 / b:
         raise DomainError(f"gamma must lie in (0, {1.0 / b})")
@@ -507,6 +520,7 @@ def ccpbskl_bound(ats: AlphaTandemStats, w: PosteriorWeights, delta) -> float:
     Degenerate split weights contribute 0; at alpha = 0 this is exactly the
     TND bound.
     """
+    _check_delta(delta)
     return _ccpbskl_value(ats, _quad(w.rho, ats.plus).item(), _quad(w.rho, ats.minus).item(),
                           discrete_kl(w.rho, w.pi), delta)
 
@@ -539,6 +553,10 @@ class _BestTracker:
             self.params = params
         self.trace.append(self.value)
 
+    def report(self, name, delta, iterations):
+        params = dict(self.params, iterations=iterations, trace=tuple(self.trace))
+        return BoundReport(name=name, value=self.value, delta=delta, params=params)
+
 
 def _affine_gradient(pi, c_kl, *terms):
     """Gradient in rho of c_kl KL(rho||pi) plus, for each (c, form) in
@@ -559,54 +577,26 @@ def _affine_gradient(pi, c_kl, *terms):
     return gradient
 
 
-def _report(name, tracker, delta, iterations):
-    params = dict(tracker.params)
-    params["iterations"] = iterations
-    params["trace"] = tuple(tracker.trace)
-    return BoundReport(name=name, value=tracker.value, delta=delta, params=params)
-
-
 def tnd_optimize(ts: TandemStats, pi, delta, irprop_config=IRPropConfig()):
     """Alternate the closed-form lambda step with iRProp+ steps on rho."""
+    _check_delta(delta)
     pi = np.asarray(pi, dtype=float)
-    matrix = ts.tandem_loss
     m = ts.m
     ln_c = math.log(2.0 * math.sqrt(m) / delta)
-    tracker = _BestTracker()
-    rho = pi.copy()
-    tracker.update(tnd_bound(ts, PosteriorWeights(rho, pi), delta), rho, lam=None)
-    prev_val = tracker.value
-    iterations = 0
-    for _ in range(MAX_OUTER):
-        iterations += 1
-        t = _quad(rho, matrix).item()
-        kl = discrete_kl(rho, pi)
-        lam = lambda_star(t, 2.0 * kl + ln_c, m)
 
-        def objective(r, lam=lam):
-            comp = 2.0 * _discrete_kl_unchecked(r, pi) + ln_c
-            return 4.0 * _lambda_upper_value(_quad(r, matrix), comp, m, lam)
+    def objective(s, p, t, kl):
+        return 4.0 * _lambda_upper_value(t, 2.0 * kl + ln_c, m, p["lam"])
 
-        gradient = _affine_gradient(
-            pi, 8.0 / (lam * (1.0 - lam / 2.0) * m), (4.0 / (1.0 - lam / 2.0), matrix)
-        )
-        rho = irprop_plus(gradient, objective, rho, irprop_config)
-        val = tnd_bound(ts, PosteriorWeights(rho, pi), delta)
-        tracker.update(val, rho, lam=lam)
-        if abs(prev_val - val) < OUTER_TOL:
-            break
-        prev_val = val
-    w = PosteriorWeights(tracker.rho, pi)
-    return w, _report("tnd", tracker, delta, iterations)
+    def step(s, p, t, kl):
+        lam = lambda_star(t.item(), 2.0 * kl.item() + ln_c, m)
+        return {"lam": lam}, None, (8.0 / (lam * (1.0 - lam / 2.0) * m), 4.0 / (1.0 - lam / 2.0))
 
+    def bound(s, p, t, kl):
+        return np.array([[_tnd_value(t.item(), kl.item(), m, delta)]])
 
-def _cctnd_surrogates(t, g, kl, n, m, comp_t, comp_g, lam, gam_lo, gam_up):
-    """Relaxed tandem surrogate T and single-loss surrogates (lower, upper);
-    ``comp_t``/``comp_g`` are the complexity terms without their KL part."""
-    big_t = _lambda_upper_value(t, 2.0 * kl + comp_t, m, lam)
-    u_lo = 0.0 if math.isinf(gam_lo) else _lambda_lower_value(g, kl + comp_g, n, gam_lo)
-    u_up = _lambda_upper_value(g, kl + comp_g, n, gam_up)
-    return big_t, u_lo, u_up
+    family = ("tnd", ("tandem_loss",), step, objective, bound)
+    tracker, iterations = _one_row(family, ts, pi, irprop_config, {"lam": None})
+    return PosteriorWeights(tracker.rho, pi), tracker.report("tnd", delta, iterations)
 
 
 def _alpha_surrogate_min(big_t, u, lo, hi, extra):
@@ -640,55 +630,40 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None, fixed_alpha=None
     report)`` of :func:`tnd_optimize` on ``ts``, or a fresh run when it is
     None.  Fixing alpha = 0 delegates outright.
     """
+    _check_delta(delta)
+    grid = _alpha_iteration(alpha_grid, fixed_alpha)
     pi = np.asarray(pi, dtype=float)
-    grid = DEFAULT_ALPHA_GRID if alpha_grid is None else tuple(alpha_grid)
-    a_lo, a_hi = min(grid), max(grid)
-    if fixed_alpha is not None and not -0.5 <= fixed_alpha < 0.5:
-        raise DomainError("alpha must lie in [-0.5, 0.5)")
-
     if fixed_alpha in (None, 0.0):
         tnd_w, tnd_rep = tnd if tnd is not None else tnd_optimize(ts, pi, delta, irprop_config)
     if fixed_alpha == 0.0:
         report = BoundReport("cctnd", tnd_rep.value, delta, dict(tnd_rep.params, alpha=0.0))
         return tnd_w, 0.0, report
 
-    matrix, single = ts.tandem_loss, ts.single_loss
     n, m = ts.n, ts.m
     comp_g_const = math.log(4.0 * math.sqrt(n) / delta)
     comp_t_const = math.log(4.0 * math.sqrt(m) / delta)
-    tracker = _BestTracker()
-    rho = pi.copy()
-    alpha = fixed_alpha if fixed_alpha is not None else 0.0
-    tracker.update(
-        cctnd_bound(ts, PosteriorWeights(rho, pi), alpha, delta), rho, alpha=alpha
-    )
-    prev_val = tracker.value
-    iterations = 0
-    for _ in range(MAX_OUTER):
-        iterations += 1
-        t = _quad(rho, matrix).item()
-        g = _clamp01(float(rho @ single))
-        kl = discrete_kl(rho, pi)
+    a_lo, a_hi = min(grid), max(grid)
+
+    def surrogates(t, g, kl, lam, gam_lo, gam_up):
+        """Relaxed tandem surrogate T and single-loss surrogates (lower, upper)."""
+        big_t = _lambda_upper_value(t, 2.0 * kl + comp_t_const, m, lam)
+        u_lo = 0.0 if math.isinf(gam_lo) else _lambda_lower_value(g, kl + comp_g_const, n, gam_lo)
+        return big_t, u_lo, _lambda_upper_value(g, kl + comp_g_const, n, gam_up)
+
+    def objective(s, p, t, g, kl):
+        big_t, u_lo, u_up = surrogates(t, g, kl, p["lam"], p["gam"], p["gam"])
+        return _cc_value(big_t, u_lo if p["alpha"] >= 0 else u_up, p["alpha"])
+
+    def step(s, p, t, g, kl):
+        t, g, kl = t.item(), _clamp01(g.item()), kl.item()
         lam = lambda_star(t, 2.0 * kl + comp_t_const, m)
         gam_lo = gamma_star(g, kl + comp_g_const, n)
         gam_up = lambda_star(g, kl + comp_g_const, n)
-        big_t, u_lo, u_up = _cctnd_surrogates(
-            t, g, kl, n, m, comp_t_const, comp_g_const, lam, gam_lo, gam_up
-        )
-        if fixed_alpha is None:
-            pos = _alpha_surrogate_min(big_t, u_lo, max(0.0, a_lo), a_hi, grid)
-            neg = _alpha_surrogate_min(big_t, u_up, a_lo, min(0.0, a_hi), grid)
-            alpha = pos[0] if pos[1] <= neg[1] else neg[0]
-            if alpha is None:
-                raise DomainError("alpha grid spans no admissible range")
-
-        def objective(r, alpha=alpha, lam=lam, gam_lo=gam_lo, gam_up=gam_up):
-            big_t, u_lo, u_up = _cctnd_surrogates(
-                _quad(r, matrix), float(r @ single), _discrete_kl_unchecked(r, pi),
-                n, m, comp_t_const, comp_g_const, lam, gam_lo, gam_up,
-            )
-            return _cc_value(big_t, u_lo if alpha >= 0 else u_up, alpha)
-
+        big_t, u_lo, u_up = surrogates(t, g, kl, lam, gam_lo, gam_up)
+        # a fixed alpha is a one-point grid, whose one candidate wins
+        pos = _alpha_surrogate_min(big_t, u_lo, max(0.0, a_lo), a_hi, grid)
+        neg = _alpha_surrogate_min(big_t, u_up, a_lo, min(0.0, a_hi), grid)
+        alpha = pos[0] if pos[1] <= neg[1] else neg[0]
         # slopes of the single-loss surrogate in rho . single and in KL
         if alpha < 0:
             gam = gam_up
@@ -697,22 +672,20 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None, fixed_alpha=None
             gam = gam_lo
             u_g, u_kl = (0.0, 0.0) if math.isinf(gam) else (1.0 - gam / 2.0, -1.0 / (gam * n))
         scale = (0.5 - alpha) ** 2
-        gradient = _affine_gradient(
-            pi, (2.0 / (lam * (1.0 - lam / 2.0) * m) - 2.0 * alpha * u_kl) / scale,
-            (1.0 / ((1.0 - lam / 2.0) * scale), matrix), (-2.0 * alpha * u_g / scale, single),
-        )
-        rho = irprop_plus(gradient, objective, rho, irprop_config)
-        val = cctnd_bound(ts, PosteriorWeights(rho, pi), alpha, delta)
-        tracker.update(val, rho, alpha=alpha, lam=lam, gam=gam)
-        if abs(prev_val - val) < OUTER_TOL:
-            break
-        prev_val = val
+        coefficients = ((2.0 / (lam * (1.0 - lam / 2.0) * m) - 2.0 * alpha * u_kl) / scale,
+                        1.0 / ((1.0 - lam / 2.0) * scale), -2.0 * alpha * u_g / scale)
+        return {"alpha": alpha, "lam": lam, "gam": gam}, None, coefficients
 
+    def bound(s, p, t, g, kl):
+        return np.array([[_cctnd_value(t.item(), g.item(), kl.item(), n, m, p["alpha"], delta)]])
+
+    family = ("cctnd", ("tandem_loss", "single_loss"), step, objective, bound)
+    alpha0 = 0.0 if fixed_alpha is None else grid[0]
+    tracker, iterations = _one_row(family, ts, pi, irprop_config, {"alpha": alpha0})
     if fixed_alpha is None and tnd_rep.value < tracker.value:
         tracker.update(tnd_rep.value, tnd_w.rho, alpha=0.0, lam=tnd_rep.params.get("lam"))
     w = PosteriorWeights(tracker.rho, pi)
-    alpha_best = tracker.params.get("alpha", 0.0)
-    return w, alpha_best, _report("cctnd", tracker, delta, iterations)
+    return w, tracker.params.get("alpha", 0.0), tracker.report("cctnd", delta, iterations)
 
 
 def _ccpbb_grids(m):
@@ -730,6 +703,7 @@ def ccpbb_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
     middle point), then gamma at the new lambda; both grids enter the bound
     through the ln(2 k_lambda k_gamma / delta) union factor.
     """
+    _check_delta(delta)
     lam_grid, gam_grid = _ccpbb_grids(int(plm.pair_counts[0].min()))
 
     def objective(s, p, q_mean, q_var, kl):
@@ -754,6 +728,7 @@ def ccpbb_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
 def ccpbub_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
                     fixed_alpha=None, irprop_config=IRPropConfig()):
     """Outer alpha grid; per alpha, alternate grid-gamma selection and iRProp+."""
+    _check_delta(delta)
     m = int(plm.pair_counts[0].min())
     k_gam = make_gamma_grid(m, delta, 1.0).count  # set by (m, delta) alone
 
@@ -782,6 +757,7 @@ def ccpbskl_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
     toward the report's: ``tnd``, the ``(weights, report)`` of
     :func:`tnd_optimize` on this matrix's statistics, or a fresh run.
     """
+    _check_delta(delta)
     comp_const = math.log(4.0 * math.sqrt(int(plm.pair_counts[0].min())) / delta)
 
     def objective(s, p, q_plus, q_minus, kl):
@@ -813,6 +789,8 @@ def ccpbskl_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
 
 
 def _alpha_iteration(alpha_grid, fixed_alpha):
+    """The alphas to optimize: the fixed alpha alone, else the grid (the
+    default one when None); every alpha must lie in [-0.5, 0.5)."""
     if fixed_alpha is not None:
         if not -0.5 <= fixed_alpha < 0.5:
             raise DomainError("alpha must lie in [-0.5, 0.5)")
@@ -820,6 +798,8 @@ def _alpha_iteration(alpha_grid, fixed_alpha):
     if alpha_grid is None:
         return DEFAULT_ALPHA_GRID
     grid = tuple(float(a) for a in alpha_grid)
+    if not grid:
+        raise DomainError("alpha grid is empty")
     if any(not -0.5 <= a < 0.5 for a in grid):
         raise DomainError("alpha grid values must lie in [-0.5, 0.5)")
     return grid
@@ -827,13 +807,8 @@ def _alpha_iteration(alpha_grid, fixed_alpha):
 
 def _optimize_alphas(family, plm, pi, delta, alpha_grid, fixed_alpha, irprop_config,
                      at_zero=None):
-    """The alpha families' one optimizer: from rho = pi at every alpha of the
-    grid, alternate the family's parameter step with iRProp+ on rho.
-
-    ``family`` is (name, the matrices of its two quadratic forms, step,
-    objective, bound); ``step(stats, params, *forms)`` returns the new
-    parameters, the value at them before iRProp+ (or None), and the
-    objective's :func:`_affine_gradient` coefficients.  ``at_zero`` returns
+    """The alpha families' optimizer: :func:`_outer_rounds` on the stacked
+    statistics of every alpha of the grid, in chunks.  ``at_zero`` returns
     the (weights, report) standing in for alpha = 0.  The tracker replays
     the updates in grid order, as if the alphas ran one after another.
     """
@@ -844,7 +819,7 @@ def _optimize_alphas(family, plm, pi, delta, alpha_grid, fixed_alpha, irprop_con
     history, iterations = {}, 0
     for start in range(0, len(runs), chunk):
         part = runs[start:start + chunk]
-        updates, outer = _alpha_rounds(family, alpha_stats(plm, [grid[i] for i in part]), pi,
+        updates, outer = _outer_rounds(family, alpha_stats(plm, [grid[i] for i in part]), pi,
                                        irprop_config)
         history.update(zip(part, updates))
         iterations += outer
@@ -857,28 +832,54 @@ def _optimize_alphas(family, plm, pi, delta, alpha_grid, fixed_alpha, irprop_con
         for value, rho, params in history.get(i, ()):
             tracker.update(value, rho, alpha=alpha, **params)
     w = PosteriorWeights(tracker.rho, pi)
-    return w, dict(tracker.params), _report(family[0], tracker, delta, iterations)
+    return w, dict(tracker.params), tracker.report(family[0], delta, iterations)
 
 
-def _alpha_rounds(family, stats, pi, irprop_config):
-    """The outer rounds of the stacked alphas: each alpha's tracker updates
-    (value, rho, params) and the total outer iteration count.  An alpha
-    leaves the batch once its bound moves by less than OUTER_TOL."""
+def _one_row(family, stats, pi, irprop_config, start):
+    """The best of a one-row family's outer rounds (TND, CCTND), with the
+    outer iteration count; ``start`` as in :func:`_outer_rounds`."""
+    updates, iterations = _outer_rounds(family, stats, pi, irprop_config, start)
+    tracker = _BestTracker()
+    for value, rho, params in updates[0]:
+        tracker.update(value, rho, **params)
+    return tracker, iterations
+
+
+def _outer_rounds(family, stats, pi, irprop_config, start=None):
+    """Every optimizer's outer rounds: from rho = pi on each row, alternate
+    the family's parameter step with iRProp+ on the rows of rho.
+
+    ``family`` is (name, the ``stats`` fields of its forms, step, objective,
+    bound).  A matrix field gives the form rho' M rho, a vector the form
+    rho . v; the forms and KL(rho||pi) are (A, 1) columns.  ``step(stats,
+    params, *forms)`` returns the new params ((A, 1) columns, or floats for
+    one row), the value at them before iRProp+ (or None), and the
+    objective's :func:`_affine_gradient` coefficients.  The alpha families'
+    rows are the stacked alphas of ``stats``; TND and CCTND have one row and
+    pass ``start``, the params at rho = pi, whose bound is recorded first.
+    Returns each row's tracker updates (value, rho, params) and the outer
+    iteration count.  A row stops once its bound moves by less than OUTER_TOL.
+    """
     _, names, step, objective, bound = family
-    live = np.arange(len(stats.alpha))
+    live = np.arange(1 if start is not None else len(stats.alpha))
     rho = np.tile(pi, (len(live), 1))
     updates = [[] for _ in live]
     prev_val, params, iterations = math.inf, None, 0
 
     def forms(s, x):
-        return *(_quad(x, getattr(s, name)) for name in names), _discrete_kl_unchecked(x, pi)
+        fs = [getattr(s, name) for name in names]
+        return (*(_quad(x, f) if f.ndim > 1 else x @ f[:, None] for f in fs),
+                _discrete_kl_unchecked(x, pi))
 
     def record(values, rho, params):
         for j, i in enumerate(live):
-            row_params = {k: float(c[j, 0]) for k, c in params.items()}
+            row_params = {k: float(c[j, 0]) if np.ndim(c) else c for k, c in params.items()}
             updates[i].append((float(values[j, 0]), rho[j], row_params))
 
     q = forms(stats, rho)
+    if start is not None:
+        prev_val = bound(stats, start, *q)
+        record(prev_val, rho, start)
     for _ in range(MAX_OUTER):
         iterations += len(live)
         params, val0, (c_kl, *cs) = step(stats, params, *q)
@@ -895,9 +896,11 @@ def _alpha_rounds(family, stats, pi, irprop_config):
         moving = ~(np.abs(prev_val - val) < OUTER_TOL)[:, 0]
         if not moving.any():
             break
-        live, rho, prev_val, q = live[moving], rho[moving], val[moving], [f[moving] for f in q]
-        stats = _take_rows(stats, moving)
-        params = {k: v[moving] for k, v in params.items()}
+        prev_val = val
+        if not moving.all():
+            live, rho, prev_val, q = live[moving], rho[moving], val[moving], [f[moving] for f in q]
+            stats = _take_rows(stats, moving)
+            params = {k: v[moving] for k, v in params.items()}
     return updates, iterations
 
 

@@ -18,7 +18,7 @@ from .concentration import (
     BoundReport,
     _check_delta,
     _split_kl_value,
-    _unexpected_bernstein_grid,
+    _unexpected_bernstein_grid_report,
     _unexpected_bernstein_value,
 )
 from .errors import DomainError
@@ -137,16 +137,8 @@ def pb_unexpected_bernstein(inp: PacBayesInput, gamma, delta):
 
 def pb_unexpected_bernstein_grid(inp: PacBayesInput, delta) -> BoundReport:
     """Union bound over the gamma grid: min over gamma at delta/k each."""
-    vals, grid = _unexpected_bernstein_grid(
-        inp.gibbs_mean, inp.gibbs_second_moment, inp.kl_complexity, inp.n, delta, inp.hi
-    )
-    best = vals.index(min(vals))
-    return BoundReport(
-        name="pbub",
-        value=vals[best],
-        delta=delta,
-        params={"gamma": grid.values[best], "grid_size": grid.count},
-    )
+    return _unexpected_bernstein_grid_report("pbub", inp.gibbs_mean, inp.gibbs_second_moment,
+                                             inp.kl_complexity, inp.n, delta, inp.hi)
 
 
 def pb_split_kl(inp: PacBayesInput, delta):

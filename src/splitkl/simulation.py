@@ -14,8 +14,7 @@ runs compute those states in chunks with the SeedSequence hash (fixed by
 NEP 19) and PCG64's seeding steps, and set each one on a single reused
 generator; the tests check the states against ``SeedSequence`` itself.
 Single streams (integer seeds, synthetic ensembles) use ``SeedSequence``
-directly.  Everything runs in one thread; the ``threads`` arguments are
-accepted and ignored.
+directly.  Everything runs in one thread.
 """
 
 import functools
@@ -299,14 +298,14 @@ def _sweep(sample, specs, params, n, delta, repeats, seed, lo, hi, mu):
     ]
 
 
-def sweep_ternary(mode, n, delta, repeats=DEFAULT_REPEATS, seed=0, threads=1):
+def sweep_ternary(mode, n, delta, repeats=DEFAULT_REPEATS, seed=0):
     """Gap curves over a 51-point p0 grid for a ternary scenario family."""
     p0_grid = np.linspace(0.0, 1.0, GRID_POINTS)
     specs = [_ternary_probs(mode, p0) for p0 in p0_grid]
     return _sweep(sample_ternary, specs, p0_grid, n, delta, repeats, seed, -1.0, 1.0, 0.0)
 
 
-def sweep_beta(mode, n, delta, repeats=DEFAULT_REPEATS, seed=0, threads=1):
+def sweep_beta(mode, n, delta, repeats=DEFAULT_REPEATS, seed=0):
     """Gap curves over beta scenarios; param is the variance (constant_mean
     mode) or the true mean (spectrum mode)."""
     specs = _beta_specs(mode)
@@ -339,7 +338,7 @@ def sweep_rows_to_records(rows):
 _COVERAGE_BLOCK = 500
 
 
-def coverage_experiment(dist, n, delta, trials=10000, seed=0, threads=1):
+def coverage_experiment(dist, n, delta, trials=10000, seed=0):
     """Violation frequency of each bound over independent Monte Carlo trials.
 
     Returns a dict bound-name -> frequency of {true mean > bound value};

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -929,3 +931,111 @@ def test_optimizer_gradients_match_finite_differences(monkeypatch):
             fd = (objective(rho + step * d) - objective(rho - step * d)) / (2.0 * step)
             slope = np.sum(gradient(rho) * d, axis=1)
             assert slope == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, math.nan])
+def test_majority_vote_bounds_and_optimizers_reject_delta_outside_unit_interval(delta):
+    # delta = 1.5 gave tnd_optimize 1.167 against 1.484 at delta = 0.05, and
+    # delta = 0 was a bare ZeroDivisionError in TND, CCTND, CCPBB and CCPBSkl
+    from splitkl.simulation import synth_ensemble
+
+    plm, _ = synth_ensemble(4, 300, "correlated", seed=3)
+    ts, ats = compute_tandem_stats(plm), alpha_stats(plm, 0.2)
+    pi = np.full(4, 0.25)
+    w = PosteriorWeights(pi, pi)
+    calls = [
+        lambda: tnd_bound(ts, w, delta),
+        lambda: cctnd_bound(ts, w, 0.2, delta),
+        lambda: ccpbb_bound(ats, w, 0.5, 0.5, delta, 20, 20),
+        lambda: ccpbub_bound(ats, w, 0.1, delta),
+        lambda: ccpbskl_bound(ats, w, delta),
+        lambda: tnd_optimize(ts, pi, delta),
+        lambda: cctnd_optimize(ts, pi, delta, fixed_alpha=0.2),
+        lambda: ccpbb_optimize(plm, pi, delta, fixed_alpha=0.2),
+        lambda: ccpbub_optimize(plm, pi, delta, fixed_alpha=0.2),
+        lambda: ccpbskl_optimize(plm, pi, delta, fixed_alpha=0.2),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"delta outside \(0, 1\)"):
+            call()
+
+
+@pytest.mark.parametrize("grid", [(-0.9, 0.0), (0.0, 0.7), (-0.5, math.nan)])
+def test_optimizers_reject_alpha_grid_outside_range(grid):
+    # CCTND returned alpha = -0.9 and value 0.998 for (-0.9, 0.0)
+    rng = np.random.default_rng(19)
+    plm = random_plm(rng, h=3, n=60)
+    ts, pi = compute_tandem_stats(plm), np.full(3, 1.0 / 3.0)
+    for call in (lambda: cctnd_optimize(ts, pi, 0.05, alpha_grid=grid),
+                 *(lambda opt=opt: opt(plm, pi, 0.05, alpha_grid=grid)
+                   for opt in (ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize))):
+        with pytest.raises(DomainError, match=r"alpha grid values must lie in \[-0.5, 0.5\)"):
+            call()
+
+
+def test_optimizers_reject_empty_alpha_grid():
+    # CCTND raised a bare ValueError from min(), CCPBB a misleading
+    # "rho and pi must be 1-d vectors" DomainError
+    rng = np.random.default_rng(20)
+    plm = random_plm(rng, h=3, n=60)
+    ts, pi = compute_tandem_stats(plm), np.full(3, 1.0 / 3.0)
+    for call in (lambda: cctnd_optimize(ts, pi, 0.05, alpha_grid=()),
+                 *(lambda opt=opt: opt(plm, pi, 0.05, alpha_grid=[])
+                   for opt in (ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize))):
+        with pytest.raises(DomainError, match="alpha grid is empty"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# optimizer golden
+# ---------------------------------------------------------------------------
+
+OPTIMIZER_GOLDEN = Path(__file__).parent / "golden" / "optimizers_dirichlet_zero_d01.json"
+
+
+def optimizer_golden_payload():
+    """Value, rho, params, trace and iterations of all five optimizers on a
+    Dirichlet prior and on an all-zero-loss ensemble (infinite gamma), at
+    delta = 0.01, on a 5-point grid, at fixed alphas and under a short
+    iRProp+ with tol = 0; floats at 12 significant digits as in the CLI."""
+    from splitkl.cli import _round12
+    from splitkl.simulation import synth_ensemble
+
+    def entry(w, rep, params=None):
+        params = dict(rep.params, **(params or {}))
+        return {"value": rep.value, "rho": w.rho, "iterations": params.pop("iterations"),
+                "trace": params.pop("trace"),
+                "params": {k: "inf" if v == math.inf else v for k, v in params.items()}}
+
+    grid = (-0.4, -0.15, 0.0, 0.1, 0.3)
+    short = IRPropConfig(max_iter=7, tol=0.0)
+    delta = 0.01
+    plm, _ = synth_ensemble(5, 400, "correlated", seed=7, error_rate=0.2)
+    ensembles = {
+        "correlated": (plm, np.random.default_rng(5).dirichlet(np.full(5, 2.0))),
+        "zero": (PredictionLossMatrix(losses=np.zeros((4, 60)), mask=np.ones((4, 60), bool)),
+                 np.full(4, 0.25)),
+    }
+    payload = {}
+    for name, (plm, pi) in ensembles.items():
+        ts = compute_tandem_stats(plm)
+        out = payload[name] = {}
+        tnd = tnd_optimize(ts, pi, delta)
+        out["tnd"] = entry(*tnd)
+        out["tnd/short"] = entry(*tnd_optimize(ts, pi, delta, short))
+        for key, kwargs in (("grid5", {"alpha_grid": grid}), ("fixed0.2", {"fixed_alpha": 0.2}),
+                            ("fixed-0.3", {"fixed_alpha": -0.3}),
+                            ("grid5/short", {"alpha_grid": grid, "irprop_config": short})):
+            w, alpha, rep = cctnd_optimize(ts, pi, delta, tnd=tnd, **kwargs)
+            out["cctnd/" + key] = entry(w, rep, {"alpha": alpha})
+        for optimize in (ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize):
+            kw = {"tnd": tnd} if optimize is ccpbskl_optimize else {}
+            for key, kwargs in (("grid5", {"alpha_grid": grid}), ("fixed0.2", {"fixed_alpha": 0.2}),
+                                ("fixed-0.3/short", {"fixed_alpha": -0.3, "irprop_config": short})):
+                w, params, rep = optimize(plm, pi, delta, **kwargs, **kw)
+                out[rep.name + "/" + key] = entry(w, rep, params)
+    return json.dumps(_round12(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def test_optimizers_match_golden():
+    assert optimizer_golden_payload() == OPTIMIZER_GOLDEN.read_text()
