@@ -33,6 +33,7 @@ from .concentration import (
 )
 from .errors import DomainError, InputFormatError
 from .majority_vote import (
+    DEFAULT_ALPHA_GRID,
     EvaluationMatrix,
     PredictionLossMatrix,
     ccpbb_optimize,
@@ -355,8 +356,10 @@ def _read_eval_csv(path):
 
 
 def _alpha_grid_from_args(args):
-    if args.alpha is not None or args.alpha_points is None:
-        return None  # fixed alpha path, or the library default grid
+    if args.alpha is not None:
+        return (args.alpha,)  # a fixed alpha is a one-point grid
+    if args.alpha_points is None:
+        return DEFAULT_ALPHA_GRID
     if args.alpha_points < 0:
         raise InputFormatError(f"need --alpha-points >= 0, got {args.alpha_points}")
     pts = np.linspace(-0.5, 0.49, args.alpha_points)
@@ -390,10 +393,10 @@ def cmd_mv(args):
     pi = np.full(plm.h_count, 1.0 / plm.h_count)
     ts = compute_tandem_stats(plm)
     alpha_grid = _alpha_grid_from_args(args)
-    fixed = args.alpha
-    # one TND run serves tnd, and cctnd and ccpbskl at alpha = 0
+    # one TND run serves tnd, and cctnd and ccpbskl at alpha = 0, which
+    # every grid but a fixed nonzero alpha holds
     tnd = None
-    if "tnd" in names or fixed in (None, 0.0) and {"cctnd", "ccpbskl"} & set(names):
+    if "tnd" in names or 0.0 in alpha_grid and {"cctnd", "ccpbskl"} & set(names):
         tnd = tnd_optimize(ts, pi, args.delta)
 
     results = {}
@@ -402,14 +405,12 @@ def cmd_mv(args):
             w, rep = tnd
             params = {"lam": rep.params.get("lam")}
         elif name == "cctnd":
-            w, alpha, rep = cctnd_optimize(ts, pi, args.delta, alpha_grid=alpha_grid,
-                                           fixed_alpha=fixed, tnd=tnd)
+            w, alpha, rep = cctnd_optimize(ts, pi, args.delta, alpha_grid=alpha_grid, tnd=tnd)
             params = {"alpha": alpha, "lam": rep.params.get("lam"), "gam": rep.params.get("gam")}
         else:
             optimize = {"ccpbb": ccpbb_optimize, "ccpbub": ccpbub_optimize,
                         "ccpbskl": functools.partial(ccpbskl_optimize, tnd=tnd)}[name]
-            w, opt_params, rep = optimize(plm, pi, args.delta, alpha_grid=alpha_grid,
-                                          fixed_alpha=fixed)
+            w, opt_params, rep = optimize(plm, pi, args.delta, alpha_grid=alpha_grid)
             params = {k: opt_params[k] for k in ("alpha", "lam", "gam") if k in opt_params}
         if params.get("gam") == math.inf:
             # gamma = inf drops the lower form's term; JSON has no inf
@@ -478,10 +479,11 @@ def build_parser():
                    f"({LOSS_CSV_HEADER})")
     p.add_argument("--eval", default=None, help=f"eval CSV ({EVAL_CSV_HEADER})")
     p.add_argument("--bounds", default=",".join(MV_BOUNDS))
-    p.add_argument("--alpha", type=float, default=None,
-                   help="fix the offset instead of optimizing it")
-    p.add_argument("--alpha-points", type=int, default=None,
-                   help="size of the alpha search grid (0 always included)")
+    alpha = p.add_mutually_exclusive_group()
+    alpha.add_argument("--alpha", type=float, default=None,
+                       help="fix the offset instead of optimizing it (a one-point grid)")
+    alpha.add_argument("--alpha-points", type=int, default=None,
+                       help="size of the alpha search grid (0 always included)")
     p.add_argument("--h-count", type=int, default=7)
     p.add_argument("--n-examples", type=int, default=2000)
     p.add_argument("--bagging-rate", type=float, default=0.8)

@@ -218,17 +218,18 @@ def compute_tandem_stats(plm: PredictionLossMatrix) -> TandemStats:
     )
 
 
+def _offset_values(alpha):
+    """The offset tandem loss's three values (both, one, none err) and its
+    sorted range (a, mu, b, K), K = b - a, elementwise in an array of alphas."""
+    v = ((1.0 - alpha) ** 2, -alpha * (1.0 - alpha), alpha * alpha)
+    positive = alpha >= 0
+    a, mu = np.where(positive, v[1], v[2]), np.where(positive, v[2], v[1])
+    return v, (a, mu, v[0], np.maximum(1.0 - alpha, 1.0 - 2.0 * alpha))
+
+
 def alpha_value_range(alpha):
     """Sorted value range (a, mu, b, K) of the offset tandem loss."""
-    v_both = (1.0 - alpha) ** 2
-    v_one = -alpha * (1.0 - alpha)
-    v_none = alpha * alpha
-    if alpha >= 0:
-        a, mu = v_one, v_none
-    else:
-        a, mu = v_none, v_one
-    b = v_both
-    return a, mu, b, max(1.0 - alpha, 1.0 - 2.0 * alpha)
+    return tuple(float(x[0]) for x in _offset_values(np.array([alpha], dtype=float))[1])
 
 
 def alpha_stats(plm: PredictionLossMatrix, alpha) -> AlphaTandemStats:
@@ -237,37 +238,33 @@ def alpha_stats(plm: PredictionLossMatrix, alpha) -> AlphaTandemStats:
     Each pair's offset loss takes one of three values determined by whether
     both, one, or neither hypothesis errs; all moments and splits follow
     from the three per-pair counts.  Pairs with a single overlap sample get
-    unbiased variance 0.  A sequence of alphas gives one stacked instance.
-    The per-alpha coefficients are Python floats, computed as for a single
-    alpha, so each stacked row is bit-equal to its own call.
+    unbiased variance 0.  A sequence of alphas gives one stacked instance,
+    whose row for each alpha is bit-equal to that alpha's own call and to
+    :func:`alpha_value_range`: both come from one elementwise pass over the
+    alphas.
     """
-    alphas = alpha if np.ndim(alpha) else (alpha,)
-    if not all(-0.5 <= a < 0.5 for a in alphas):
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
+    if not np.all((-0.5 <= alphas) & (alphas < 0.5)):
         raise DomainError("alpha must lie in [-0.5, 0.5)")
     valid, both, one, none, row_counts = plm.pair_counts
-    consts = []
-    for a in alphas:
-        lo, mu, hi, k_range = alpha_value_range(a)
-        v = ((1.0 - a) ** 2, -a * (1.0 - a), a * a)  # both, one, none err
-        consts.append((*v, *(x**2 for x in v), *(max(0.0, x - mu) for x in v),
-                       *(max(0.0, mu - x) for x in v), a, lo, mu, hi, k_range, (0.5 - a) ** 2))
-    c = np.array(consts, dtype=float).reshape(-1, 18).T[:, :, None, None]  # 18 per alpha
+    v, (lo, mu, hi, k_range) = _offset_values(alphas[:, None, None])
 
     def pair_mean(f_both, f_one, f_none):
         return (both * f_both + one * f_one + none * f_none) / valid
 
-    mean = pair_mean(*c[0:3])
-    second = pair_mean(*c[3:6])
+    mean = pair_mean(*v)
+    second = pair_mean(*(x * x for x in v))
     with np.errstate(invalid="ignore", divide="ignore"):
         variance = np.where(
             valid >= 2, (second - mean**2) * valid / np.maximum(valid - 1.0, 1.0), 0.0
         )
     variance = np.maximum(variance, 0.0)
-    col_alpha, col_a, col_mu, col_b, col_k, col_scale = c[12:, :, :, 0]
     stats = AlphaTandemStats(
-        alpha=col_alpha, mean=mean, second_moment=second, variance=variance,
-        plus=pair_mean(*c[6:9]), minus=pair_mean(*c[9:12]), a=col_a, mu=col_mu, b=col_b,
-        k_range=col_k, scale=col_scale, n=int(row_counts.min()), m=int(valid.min()),
+        alpha=alphas[:, None], mean=mean, second_moment=second, variance=variance,
+        plus=pair_mean(*(np.maximum(0.0, x - mu) for x in v)),
+        minus=pair_mean(*(np.maximum(0.0, mu - x) for x in v)), a=lo[..., 0], mu=mu[..., 0],
+        b=hi[..., 0], k_range=k_range[..., 0], scale=((0.5 - alphas) ** 2)[:, None],
+        n=int(row_counts.min()), m=int(valid.min()),
     )
     if np.ndim(alpha):
         return stats
@@ -588,7 +585,7 @@ def tnd_optimize(ts: TandemStats, pi, delta, irprop_config=IRPropConfig()):
         return 4.0 * _lambda_upper_value(t, 2.0 * kl + ln_c, m, p["lam"])
 
     def step(s, p, t, kl):
-        lam = lambda_star(t.item(), 2.0 * kl.item() + ln_c, m)
+        lam = float(lambda_star(t.item(), 2.0 * kl.item() + ln_c, m))
         return {"lam": lam}, None, (8.0 / (lam * (1.0 - lam / 2.0) * m), 4.0 / (1.0 - lam / 2.0))
 
     def bound(s, p, t, kl):
@@ -618,31 +615,33 @@ def _alpha_surrogate_min(big_t, u, lo, hi, extra):
     return cands[best], vals[best]
 
 
-def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None, fixed_alpha=None,
+def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None,
                    irprop_config=IRPropConfig(), tnd=None):
     """Alternating minimization over (rho, lambda, gamma, alpha).
 
     Each round takes the closed-form lambda and gamma for the current rho
-    and alpha, minimizes the relaxed objective in alpha analytically (with
-    the grid points as safeguard candidates), and then runs iRProp+ on rho.
-    alpha = 0 collapses to the TND bound, so unless alpha is fixed elsewhere
-    the TND optimizer's result is a candidate: ``tnd``, the ``(weights,
-    report)`` of :func:`tnd_optimize` on ``ts``, or a fresh run when it is
-    None.  Fixing alpha = 0 delegates outright.
+    and alpha, minimizes the relaxed objective in alpha analytically over
+    the grid's range [min, max] (with the grid points as safeguard
+    candidates), and then runs iRProp+ on rho.  The start is alpha =
+    clip(0, min, max), so a one-point grid fixes alpha.  alpha = 0
+    collapses to the TND bound, so when min <= 0 <= max the TND optimizer's
+    result is a candidate: ``tnd``, the ``(weights, report)`` of
+    :func:`tnd_optimize` on ``ts``, or a fresh run when it is None.  The
+    grid (0,) delegates to it outright.
     """
     _check_delta(delta)
-    grid = _alpha_iteration(alpha_grid, fixed_alpha)
+    grid = _alpha_iteration(alpha_grid)
     pi = np.asarray(pi, dtype=float)
-    if fixed_alpha in (None, 0.0):
+    a_lo, a_hi = min(grid), max(grid)
+    if a_lo <= 0.0 <= a_hi:
         tnd_w, tnd_rep = tnd if tnd is not None else tnd_optimize(ts, pi, delta, irprop_config)
-    if fixed_alpha == 0.0:
-        report = BoundReport("cctnd", tnd_rep.value, delta, dict(tnd_rep.params, alpha=0.0))
-        return tnd_w, 0.0, report
+        if grid == (0.0,):
+            report = BoundReport("cctnd", tnd_rep.value, delta, dict(tnd_rep.params, alpha=0.0))
+            return tnd_w, 0.0, report
 
     n, m = ts.n, ts.m
     comp_g_const = math.log(4.0 * math.sqrt(n) / delta)
     comp_t_const = math.log(4.0 * math.sqrt(m) / delta)
-    a_lo, a_hi = min(grid), max(grid)
 
     def surrogates(t, g, kl, lam, gam_lo, gam_up):
         """Relaxed tandem surrogate T and single-loss surrogates (lower, upper)."""
@@ -656,11 +655,11 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None, fixed_alpha=None
 
     def step(s, p, t, g, kl):
         t, g, kl = t.item(), _clamp01(g.item()), kl.item()
-        lam = lambda_star(t, 2.0 * kl + comp_t_const, m)
-        gam_lo = gamma_star(g, kl + comp_g_const, n)
-        gam_up = lambda_star(g, kl + comp_g_const, n)
+        lam = float(lambda_star(t, 2.0 * kl + comp_t_const, m))
+        gam_lo = float(gamma_star(g, kl + comp_g_const, n))
+        gam_up = float(lambda_star(g, kl + comp_g_const, n))
         big_t, u_lo, u_up = surrogates(t, g, kl, lam, gam_lo, gam_up)
-        # a fixed alpha is a one-point grid, whose one candidate wins
+        # a one-point grid's one candidate wins
         pos = _alpha_surrogate_min(big_t, u_lo, max(0.0, a_lo), a_hi, grid)
         neg = _alpha_surrogate_min(big_t, u_up, a_lo, min(0.0, a_hi), grid)
         alpha = pos[0] if pos[1] <= neg[1] else neg[0]
@@ -680,12 +679,12 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None, fixed_alpha=None
         return np.array([[_cctnd_value(t.item(), g.item(), kl.item(), n, m, p["alpha"], delta)]])
 
     family = ("cctnd", ("tandem_loss", "single_loss"), step, objective, bound)
-    alpha0 = 0.0 if fixed_alpha is None else grid[0]
+    alpha0 = min(max(0.0, a_lo), a_hi)
     tracker, iterations = _one_row(family, ts, pi, irprop_config, {"alpha": alpha0})
-    if fixed_alpha is None and tnd_rep.value < tracker.value:
+    if a_lo <= 0.0 <= a_hi and tnd_rep.value < tracker.value:
         tracker.update(tnd_rep.value, tnd_w.rho, alpha=0.0, lam=tnd_rep.params.get("lam"))
     w = PosteriorWeights(tracker.rho, pi)
-    return w, tracker.params.get("alpha", 0.0), tracker.report("cctnd", delta, iterations)
+    return w, tracker.params["alpha"], tracker.report("cctnd", delta, iterations)
 
 
 def _ccpbb_grids(m):
@@ -696,7 +695,7 @@ def _ccpbb_grids(m):
 
 
 def ccpbb_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
-                   fixed_alpha=None, irprop_config=IRPropConfig()):
+                   irprop_config=IRPropConfig()):
     """Outer alpha grid; per alpha, grid steps on (lambda, gamma) + iRProp+.
 
     lambda is selected first at the current gamma (at first the grid's
@@ -714,7 +713,7 @@ def ccpbb_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
         gam = gam_grid[len(gam_grid) // 2] if p is None else p["gam"]
         lam = _grid_min(objective(s, {"lam": lam_grid, "gam": gam}, *forms), lam_grid)[0]
         gam, val0 = _grid_min(objective(s, {"lam": lam, "gam": gam_grid}, *forms), gam_grid)
-        k, k_sq = s.k_range, _python_rows(lambda k: k**2, s.k_range)
+        k, k_sq = s.k_range, s.k_range**2
         u = lam * s.m / (2.0 * (s.m - 1))
         bennett = phi(gam * k) / (gam * k_sq)
         c_comp = 1.0 / (gam * s.m) + bennett * k_sq / (s.n * lam * (1.0 - u))
@@ -722,11 +721,11 @@ def ccpbb_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
         return {"lam": lam, "gam": gam}, val0, coefficients
 
     family = ("ccpbb", ("mean", "variance"), step, objective, objective)
-    return _optimize_alphas(family, plm, pi, delta, alpha_grid, fixed_alpha, irprop_config)
+    return _optimize_alphas(family, plm, pi, delta, alpha_grid, irprop_config)
 
 
 def ccpbub_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
-                    fixed_alpha=None, irprop_config=IRPropConfig()):
+                    irprop_config=IRPropConfig()):
     """Outer alpha grid; per alpha, alternate grid-gamma selection and iRProp+."""
     _check_delta(delta)
     m = int(plm.pair_counts[0].min())
@@ -743,11 +742,11 @@ def ccpbub_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
         return {"gam": gam}, val0, coefficients
 
     family = ("ccpbub", ("mean", "second_moment"), step, objective, objective)
-    return _optimize_alphas(family, plm, pi, delta, alpha_grid, fixed_alpha, irprop_config)
+    return _optimize_alphas(family, plm, pi, delta, alpha_grid, irprop_config)
 
 
 def ccpbskl_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
-                     fixed_alpha=None, irprop_config=IRPropConfig(), tnd=None):
+                     irprop_config=IRPropConfig(), tnd=None):
     """Outer alpha grid; per alpha, closed-form (lambda, gamma) + iRProp+.
 
     The relaxed objective applies the lambda upper form to the plus split
@@ -770,8 +769,8 @@ def ccpbskl_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
 
     def step(s, p, q_plus, q_minus, kl):
         comp = 2.0 * kl + comp_const
-        lam = _python_rows(lambda e, c: lambda_star(e, c, s.m), q_plus / (s.b - s.mu), comp)
-        gam = _python_rows(lambda e, c: gamma_star(e, c, s.m), q_minus / (s.mu - s.a), comp)
+        lam = lambda_star(q_plus / (s.b - s.mu), comp, s.m)
+        gam = gamma_star(q_minus / (s.mu - s.a), comp, s.m)
         # gamma = +inf adds exactly 0 to c_kl, and the zero coefficient then
         # adds +0.0 to gradients that are never -0.0, as dropping the term does
         c_kl = (s.b - s.mu) / (lam * (1.0 - lam / 2.0) * s.m) + (s.mu - s.a) / (gam * s.m)
@@ -784,17 +783,12 @@ def ccpbskl_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
 
     family = ("ccpbskl", ("plus", "minus"), step, objective,
               lambda s, p, *forms: _ccpbskl_value(s, *forms, delta))
-    return _optimize_alphas(family, plm, pi, delta, alpha_grid, fixed_alpha, irprop_config,
-                            at_zero)
+    return _optimize_alphas(family, plm, pi, delta, alpha_grid, irprop_config, at_zero)
 
 
-def _alpha_iteration(alpha_grid, fixed_alpha):
-    """The alphas to optimize: the fixed alpha alone, else the grid (the
-    default one when None); every alpha must lie in [-0.5, 0.5)."""
-    if fixed_alpha is not None:
-        if not -0.5 <= fixed_alpha < 0.5:
-            raise DomainError("alpha must lie in [-0.5, 0.5)")
-        return (float(fixed_alpha),)
+def _alpha_iteration(alpha_grid):
+    """The alphas to optimize: the grid, or the default one when None; a
+    fixed alpha is a one-point grid.  Every alpha must lie in [-0.5, 0.5)."""
     if alpha_grid is None:
         return DEFAULT_ALPHA_GRID
     grid = tuple(float(a) for a in alpha_grid)
@@ -805,15 +799,16 @@ def _alpha_iteration(alpha_grid, fixed_alpha):
     return grid
 
 
-def _optimize_alphas(family, plm, pi, delta, alpha_grid, fixed_alpha, irprop_config,
-                     at_zero=None):
+def _optimize_alphas(family, plm, pi, delta, alpha_grid, irprop_config, at_zero=None):
     """The alpha families' optimizer: :func:`_outer_rounds` on the stacked
-    statistics of every alpha of the grid, in chunks.  ``at_zero`` returns
-    the (weights, report) standing in for alpha = 0.  The tracker replays
-    the updates in grid order, as if the alphas ran one after another.
+    statistics of every alpha of the grid (see :func:`_alpha_iteration`),
+    in chunks of at most ``_STACK_ENTRIES`` stacked entries.  ``at_zero``
+    returns the (weights, report) standing in for alpha = 0 when the grid
+    holds it.  The tracker replays the updates in grid order, as if the
+    alphas ran one after another, so a one-point grid is a fixed alpha.
     """
     pi = np.asarray(pi, dtype=float)
-    grid = _alpha_iteration(alpha_grid, fixed_alpha)
+    grid = _alpha_iteration(alpha_grid)
     runs = [i for i, alpha in enumerate(grid) if at_zero is None or alpha != 0.0]
     chunk = max(1, _STACK_ENTRIES // plm.h_count**2)
     history, iterations = {}, 0
@@ -910,8 +905,3 @@ def _grid_min(values, grid):
     j = np.argmin(values, axis=1)[:, None]
     return (np.take_along_axis(np.broadcast_to(grid, values.shape), j, axis=1),
             np.take_along_axis(values, j, axis=1))
-
-
-def _python_rows(fn, *columns):
-    """fn of the Python floats in each row of (A, 1) columns, as in scalar code."""
-    return np.array([[fn(*row)] for row in zip(*(c[:, 0].tolist() for c in columns))])

@@ -104,20 +104,24 @@ class ExcessLossInput:
                 raise DomainError("split mean outside its range")
 
 
-def _maurer_eps(kl_complexity, n, delta):
+def _pb_complexity(kl_complexity, n, delta):
+    """KL + ln(2 sqrt(n)/delta), the complexity term of the PAC-Bayes-kl and
+    -lambda forms; rejects KL < 0, n < 1, delta outside (0, 1) and NaN."""
     if not (kl_complexity >= 0.0 and n >= 1 and 0.0 < delta < 1.0):
         raise DomainError(f"need KL >= 0, n >= 1, delta in (0, 1): {kl_complexity}, {n}, {delta}")
-    return (kl_complexity + math.log(2.0 * math.sqrt(n) / delta)) / n
+    return kl_complexity + math.log(2.0 * math.sqrt(n) / delta)
 
 
 def pb_kl_bound(gibbs_mean, kl_complexity, n, delta):
     """Invert kl(gibbs_mean || .) at (KL + ln(2 sqrt(n)/delta)) / n."""
-    return kl_inv_upper(gibbs_mean, _maurer_eps(kl_complexity, n, delta))
+    return kl_inv_upper(gibbs_mean, _pb_complexity(kl_complexity, n, delta) / n)
 
 
 def pb_kl_pinsker_relaxation(gibbs_mean, kl_complexity, n, delta):
     """Refined Pinsker relaxation: mean + sqrt(2 mean eps) + 2 eps."""
-    eps = _maurer_eps(kl_complexity, n, delta)
+    if not 0.0 <= gibbs_mean <= 1.0:
+        raise DomainError(f"gibbs_mean outside [0, 1]: {gibbs_mean}")
+    eps = _pb_complexity(kl_complexity, n, delta) / n
     return gibbs_mean + math.sqrt(2.0 * gibbs_mean * eps) + 2.0 * eps
 
 
@@ -183,9 +187,7 @@ def pb_lambda_upper(gibbs_mean, kl_complexity, n, delta, lam):
     if not 0.0 < lam < 2.0:
         raise DomainError("lambda must lie in (0, 2)")
     _check_delta(delta)
-    return _lambda_upper_value(
-        gibbs_mean, kl_complexity + math.log(2.0 * math.sqrt(n) / delta), n, lam
-    )
+    return _lambda_upper_value(gibbs_mean, _pb_complexity(kl_complexity, n, delta), n, lam)
 
 
 def pb_lambda_lower(gibbs_mean, kl_complexity, n, delta, gamma):
@@ -193,9 +195,7 @@ def pb_lambda_lower(gibbs_mean, kl_complexity, n, delta, gamma):
     if gamma <= 0.0:
         raise DomainError("gamma must be positive")
     _check_delta(delta)
-    return _lambda_lower_value(
-        gibbs_mean, kl_complexity + math.log(2.0 * math.sqrt(n) / delta), n, gamma
-    )
+    return _lambda_lower_value(gibbs_mean, _pb_complexity(kl_complexity, n, delta), n, gamma)
 
 
 def _lambda_upper_value(emp, comp, n, lam):
@@ -210,28 +210,30 @@ def _lambda_lower_value(emp, comp, n, gamma):
 
 
 def lambda_star(emp, complexity, n):
-    """Minimiser 2/(sqrt(2 n emp / complexity + 1) + 1) of the lambda form."""
-    return 2.0 / (math.sqrt(2.0 * n * emp / complexity + 1.0) + 1.0)
+    """Minimiser 2/(sqrt(2 n emp / complexity + 1) + 1) of the lambda form,
+    elementwise in arrays; unvalidated."""
+    return 2.0 / (np.sqrt(2.0 * n * emp / complexity + 1.0) + 1.0)
 
 
 def gamma_star(emp, complexity, n):
-    """sqrt(complexity / (n emp)); +inf sentinel when emp = 0."""
-    if emp <= 0.0:
-        return math.inf
-    return math.sqrt(complexity / (n * emp))
+    """sqrt(complexity / (n emp)), +inf where emp <= 0, elementwise in
+    arrays; unvalidated."""
+    emp = np.asarray(emp, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(emp <= 0.0, np.inf, np.sqrt(complexity / (n * emp)))
 
 
 def optimal_lambda(gibbs_mean, kl_complexity, n, delta):
     """Closed-form lambda for :func:`pb_lambda_upper`."""
-    if gibbs_mean < 0.0:
+    if not gibbs_mean >= 0.0:
         raise DomainError("gibbs_mean must be non-negative")
     _check_delta(delta)
-    return lambda_star(gibbs_mean, kl_complexity + math.log(2.0 * math.sqrt(n) / delta), n)
+    return float(lambda_star(gibbs_mean, _pb_complexity(kl_complexity, n, delta), n))
 
 
 def optimal_gamma(gibbs_mean, kl_complexity, n, delta):
     """Closed-form gamma for :func:`pb_lambda_lower`; +inf when the mean is 0."""
-    if gibbs_mean < 0.0:
+    if not gibbs_mean >= 0.0:
         raise DomainError("gibbs_mean must be non-negative")
     _check_delta(delta)
-    return gamma_star(gibbs_mean, kl_complexity + math.log(2.0 * math.sqrt(n) / delta), n)
+    return float(gamma_star(gibbs_mean, _pb_complexity(kl_complexity, n, delta), n))

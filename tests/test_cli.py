@@ -316,6 +316,13 @@ def test_mv_out_of_range_numeric_flags(capsys, flags, code, message):
     assert message in capsys.readouterr().err
 
 
+def test_mv_alpha_and_alpha_points_are_mutually_exclusive(capsys):
+    # --alpha-points was ignored next to --alpha: the output was byte-identical
+    assert run(["mv", "--synthetic", "correlated", "--h-count", "3", "--n-examples", "100",
+                "--alpha", "0.2", "--alpha-points", "5"]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_mv_single_hypothesis_value(tmp_path, capsys):
     # single hypothesis: TND value is 4 kl_inv_upper(L, ln(4 sqrt(m)/d)/m)
     lines = ["hypothesis_id,example_id,loss,oob"]

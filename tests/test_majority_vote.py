@@ -164,6 +164,16 @@ def test_alpha_stats_against_bruteforce():
                 )
 
 
+@settings(max_examples=40, deadline=None)
+@given(alphas=st.lists(st.floats(-0.5, 0.5, exclude_max=True), min_size=1, max_size=8))
+def test_alpha_value_range_equals_stacked_alpha_stats_rows(alphas):
+    plm = random_plm(np.random.default_rng(25), h=3, n=30)
+    stacked = alpha_stats(plm, alphas)
+    for i, alpha in enumerate(alphas):
+        expect = tuple(getattr(stacked, name)[i, 0] for name in ("a", "mu", "b", "k_range"))
+        assert alpha_value_range(alpha) == expect
+
+
 def _pair_counts_from_scratch(plm):
     err = plm.losses == 1.0
     joint = plm.mask[:, None, :] & plm.mask[None, :, :]
@@ -387,7 +397,7 @@ def test_alpha_grid_equals_one_alpha_at_a_time(optimize):
     pi = np.full(4, 0.25)
     grid = (0.2, -0.3, 0.0, -0.1, 0.35)
     w, params, rep = optimize(plm, pi, 0.05, alpha_grid=grid)
-    alone = [optimize(plm, pi, 0.05, fixed_alpha=a) for a in grid]
+    alone = [optimize(plm, pi, 0.05, alpha_grid=(a,)) for a in grid]
     traces = [r.params["trace"] for _, _, r in alone]
     assert rep.params["trace"] == tuple(np.minimum.accumulate(np.concatenate(traces)))
     assert rep.params["iterations"] == sum(r.params["iterations"] for _, _, r in alone)
@@ -818,10 +828,24 @@ def test_cctnd_fixed_alpha_zero_equals_tnd():
     ts = compute_tandem_stats(plm)
     pi = np.full(4, 0.25)
     w_t, rep_t = tnd_optimize(ts, pi, 0.05)
-    w_c, alpha, rep_c = cctnd_optimize(ts, pi, 0.05, fixed_alpha=0.0)
+    w_c, alpha, rep_c = cctnd_optimize(ts, pi, 0.05, alpha_grid=(0.0,))
     assert alpha == 0.0
     assert rep_c.value == rep_t.value
     assert np.array_equal(w_c.rho, w_t.rho)
+
+
+@pytest.mark.parametrize("grid", [(0.3, 0.45), (-0.45, -0.3), (0.3,), (-0.2, 0.1, 0.4)])
+def test_cctnd_reports_an_alpha_inside_the_grid_range(grid):
+    # (0.3, 0.45) reported alpha = 0, the start point and TND candidate, which
+    # a grid that excludes 0 does not hold
+    from splitkl.simulation import synth_ensemble
+
+    for seed in range(4):
+        plm, _ = synth_ensemble(5, 400, "correlated", seed=seed)
+        ts, pi = compute_tandem_stats(plm), np.full(5, 0.2)
+        w, alpha, rep = cctnd_optimize(ts, pi, 0.05, alpha_grid=grid)
+        assert min(grid) <= alpha <= max(grid)
+        assert rep.value == cctnd_bound(ts, w, alpha, 0.05)
 
 
 def test_cc_optimizers_descend_and_report_consistently():
@@ -916,7 +940,7 @@ def test_optimizer_gradients_match_finite_differences(monkeypatch):
         ts = compute_tandem_stats(plm)
         tnd_optimize(ts, pi, 0.05)
         for alpha in (0.2, -0.3):
-            cctnd_optimize(ts, pi, 0.05, fixed_alpha=alpha)
+            cctnd_optimize(ts, pi, 0.05, alpha_grid=(alpha,))
         # no alpha = 0.2 here: rho' mean rho can be negative there, and
         # _quad clips it to 0, where the objective is flat in it
         for optimize in (ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize):
@@ -950,10 +974,10 @@ def test_majority_vote_bounds_and_optimizers_reject_delta_outside_unit_interval(
         lambda: ccpbub_bound(ats, w, 0.1, delta),
         lambda: ccpbskl_bound(ats, w, delta),
         lambda: tnd_optimize(ts, pi, delta),
-        lambda: cctnd_optimize(ts, pi, delta, fixed_alpha=0.2),
-        lambda: ccpbb_optimize(plm, pi, delta, fixed_alpha=0.2),
-        lambda: ccpbub_optimize(plm, pi, delta, fixed_alpha=0.2),
-        lambda: ccpbskl_optimize(plm, pi, delta, fixed_alpha=0.2),
+        lambda: cctnd_optimize(ts, pi, delta, alpha_grid=(0.2,)),
+        lambda: ccpbb_optimize(plm, pi, delta, alpha_grid=(0.2,)),
+        lambda: ccpbub_optimize(plm, pi, delta, alpha_grid=(0.2,)),
+        lambda: ccpbskl_optimize(plm, pi, delta, alpha_grid=(0.2,)),
     ]
     for call in calls:
         with pytest.raises(DomainError, match=r"delta outside \(0, 1\)"):
@@ -1023,15 +1047,16 @@ def optimizer_golden_payload():
         tnd = tnd_optimize(ts, pi, delta)
         out["tnd"] = entry(*tnd)
         out["tnd/short"] = entry(*tnd_optimize(ts, pi, delta, short))
-        for key, kwargs in (("grid5", {"alpha_grid": grid}), ("fixed0.2", {"fixed_alpha": 0.2}),
-                            ("fixed-0.3", {"fixed_alpha": -0.3}),
+        for key, kwargs in (("grid5", {"alpha_grid": grid}), ("fixed0.2", {"alpha_grid": (0.2,)}),
+                            ("fixed-0.3", {"alpha_grid": (-0.3,)}),
                             ("grid5/short", {"alpha_grid": grid, "irprop_config": short})):
             w, alpha, rep = cctnd_optimize(ts, pi, delta, tnd=tnd, **kwargs)
             out["cctnd/" + key] = entry(w, rep, {"alpha": alpha})
         for optimize in (ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize):
             kw = {"tnd": tnd} if optimize is ccpbskl_optimize else {}
-            for key, kwargs in (("grid5", {"alpha_grid": grid}), ("fixed0.2", {"fixed_alpha": 0.2}),
-                                ("fixed-0.3/short", {"fixed_alpha": -0.3, "irprop_config": short})):
+            for key, kwargs in (("grid5", {"alpha_grid": grid}),
+                                ("fixed0.2", {"alpha_grid": (0.2,)}),
+                                ("fixed-0.3/short", {"alpha_grid": (-0.3,), "irprop_config": short})):
                 w, params, rep = optimize(plm, pi, delta, **kwargs, **kw)
                 out[rep.name + "/" + key] = entry(w, rep, params)
     return json.dumps(_round12(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"

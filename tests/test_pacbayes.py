@@ -284,6 +284,25 @@ def test_pb_lambda_values():
         pb_lambda_lower(0.1, 0.0, 100, 0.05, 0.0)
 
 
+@pytest.mark.parametrize("kl, n", [(-5.0, 100), (math.nan, 100), (0.0, 0)])
+def test_lambda_forms_reject_bad_complexity_and_n(kl, n):
+    # KL = -5 gave pb_lambda_upper 0.2198 against 0.3198 at KL = 0, a NaN KL
+    # came back as NaN and n = 0 was a bare ValueError
+    for call in (lambda: pb_lambda_upper(0.1, kl, n, 0.05, 1.0),
+                 lambda: pb_lambda_lower(0.1, kl, n, 0.05, 0.5),
+                 lambda: optimal_lambda(0.1, kl, n, 0.05),
+                 lambda: optimal_gamma(0.1, kl, n, 0.05)):
+        with pytest.raises(DomainError, match="need KL >= 0, n >= 1, delta in"):
+            call()
+
+
+@pytest.mark.parametrize("gibbs_mean", [-0.1, 1.1, math.nan])
+def test_pinsker_rejects_gibbs_mean_outside_unit_interval(gibbs_mean):
+    # -0.1 was a bare ValueError from math.sqrt
+    with pytest.raises(DomainError, match=r"gibbs_mean outside \[0, 1\]"):
+        pb_kl_pinsker_relaxation(gibbs_mean, 0.1, 100, 0.05)
+
+
 def test_optimal_lambda_closed_form():
     assert optimal_lambda(0.0, 0.0, 100, 0.05) == 1.0
     expect = 2.0 / (math.sqrt(2 * 100 * 0.25 / math.log(400.0) + 1.0) + 1.0)
