@@ -504,8 +504,9 @@ def main(argv=None):
     if not 0.0 < args.delta < 1.0:
         print(f"error: delta must lie in (0, 1), got {args.delta}", file=sys.stderr)
         return EXIT_INPUT
-    if getattr(args, "seed", 0) < 0:
-        print("error: seed must be non-negative", file=sys.stderr)
+    # the streams reduce a seed mod 2**63, so a larger one would repeat a smaller one
+    if not 0 <= getattr(args, "seed", 0) < 2**63:
+        print(f"error: seed must lie in [0, 2**63), got {args.seed}", file=sys.stderr)
         return EXIT_INPUT
     try:
         return args.func(args)

@@ -6,13 +6,15 @@ psi(u) = u - ln(1+u) and phi(x) = e^x - x - 1.
 
 All functions accept scalars or numpy arrays (broadcasting elementwise) and
 return a python float for scalar input.  They are pure and thread-safe.
-Scalar calls of the kl inverses take a float-only path (``math``, no numpy)
-that returns the same result as the array path, bit for bit.  The array path
-bisects each distinct (p_hat, eps) once, however often it repeats, and each
-row along the last axis still stops on its own widest bracket.  The binomial
-tail inverse forms ln C(n, i) once per call and re-weights it per step.  Only
-the array paths, ``bernoulli_kl`` and ``discrete_kl`` import ``scipy.special``,
-on first use, for ``xlogy`` (it matches ``math.log`` where ``np.log`` may not).
+Every kl and binomial inverse halves each value's own bracket until it is at
+most ``BISECT_WIDTH`` wide and returns its outward end: at or beyond the exact
+inverse, within ``BISECT_WIDTH``.  Scalar kl inverses take a float-only path
+(``math``, no numpy), and each element of an array call equals the scalar call
+on it, bit for bit; the array path bisects each distinct (p_hat, eps) once.
+The binomial tail inverse forms ln C(n, i) once per call and re-weights it per
+step.  Only the array paths, ``bernoulli_kl`` and ``discrete_kl`` import
+``scipy.special``, on first use, for ``xlogy`` (it matches ``math.log`` where
+``np.log`` may not).
 """
 
 import math
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 
-# Bisection stops once the bracket is narrower than this (or after
+# Bisection stops once the bracket is at most this wide (or after
 # BISECT_MAX_ITER halvings).  1e-11 leaves margin for 1e-8 downstream
 # tolerances while staying above double-precision noise.
 BISECT_WIDTH = 1e-11
@@ -66,10 +68,9 @@ def _kl_inv_bisect(p_hat, eps, upper):
     shape = ph_b.shape
     if ph_b.size == 0:
         return np.zeros(shape)
-    # each distinct (p_hat, eps) is bisected once; pair[i, j] is the pair of
-    # element j of row i along the last axis
+    # each distinct (p_hat, eps) is bisected once; pair[i] is the pair of
+    # element i in flat order
     ph_u, ev_u, pair = _distinct_pairs(ph_b, ev_b)
-    pair = pair.reshape(-1, shape[-1])
     # eps = 0 forces p = p_hat; bisecting instead would drift by the float
     # cancellation width of kl around p_hat (~1e-8).
     pinned = ev_u == 0.0
@@ -86,29 +87,17 @@ def _kl_inv_bisect(p_hat, eps, upper):
     # bernoulli_kl(ph, mid) term by term, the mid-free terms computed once
     qh_u = 1.0 - ph_u
     ph_term, qh_term = xlogy(ph_u, ph_u), xlogy(qh_u, qh_u)
-    out = np.empty(pair.shape)
-    open_rows, n_narrow = np.arange(len(pair)), 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(BISECT_MAX_ITER):
-            # A row stops once its widest bracket is narrow, with the
-            # endpoints of that step.  Widths never grow, so a row can only
-            # stop at a step where some bracket has just become narrow.
-            narrow = hi - lo <= BISECT_WIDTH
-            if (count := np.count_nonzero(narrow)) > n_narrow:
-                n_narrow = count
-                rows = pair[open_rows]
-                stop = narrow[rows].all(axis=1)
-                out[open_rows[stop]] = (lo if upper else hi)[rows[stop]]
-                open_rows = open_rows[~stop]
-                if not open_rows.size:
-                    break
+            # each bracket halves until it is narrow, as in the scalar loop
+            wide = hi - lo > BISECT_WIDTH
+            if not wide.any():
+                break
             mid = 0.5 * (lo + hi)
             kl = (ph_term - xlogy(ph_u, mid)) + (qh_term - xlogy(qh_u, 1.0 - mid))
             up = (kl <= ev_u) == upper
-            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-    # rows still open after BISECT_MAX_ITER halvings
-    out[open_rows] = (lo if upper else hi)[pair[open_rows]]
-    return out.reshape(shape)
+            lo, hi = np.where(wide & up, mid, lo), np.where(wide & ~up, mid, hi)
+    return (hi if upper else lo)[pair].reshape(shape)
 
 
 def _distinct_pairs(a, b):
@@ -145,23 +134,24 @@ def _kl_inv_bisect_scalar(ph, ev, upper):
         mid = 0.5 * (lo + hi)
         kl = (ph_term - _xlogy(ph, mid)) + (qh_term - _xlogy(1.0 - ph, 1.0 - mid))
         lo, hi = (mid, hi) if (kl <= ev) == upper else (lo, mid)
-    return lo if upper else hi
+    return hi if upper else lo
 
 
 def kl_inv_upper(p_hat, eps):
     """Largest p in [p_hat, 1] with kl(p_hat || p) <= eps, by bisection.
 
     kl(p_hat || .) is increasing on [p_hat, 1], so the feasible set is an
-    interval; the returned endpoint is feasible.  eps = +inf returns 1.
-    Array inputs broadcast.  Each distinct (p_hat, eps) is bisected once,
-    and each row along the last axis stops when its own widest bracket is
-    narrow enough, every element taking its bracket at that step.
+    interval; the result is at or beyond the exact inverse, within
+    ``BISECT_WIDTH``.  eps = +inf returns 1.  Array inputs broadcast, and
+    each element equals the scalar call on it.
     """
     return _kl_inv_bisect(p_hat, eps, upper=True)
 
 
 def kl_inv_lower(p_hat, eps):
-    """Smallest p in [0, p_hat] with kl(p_hat || p) <= eps, by bisection."""
+    """Smallest p in [0, p_hat] with kl(p_hat || p) <= eps, by bisection; the
+    mirror of :func:`kl_inv_upper`, at or below the exact inverse, within
+    ``BISECT_WIDTH``."""
     return _kl_inv_bisect(p_hat, eps, upper=False)
 
 
@@ -226,7 +216,8 @@ def binomial_tail_inverse(n, k, delta):
     """Largest p with P[Binomial(n, p) <= k] >= delta, by bisection.
 
     The tail is non-increasing in p, equal to 1 at p = 0, so the feasible
-    set is an interval [0, p*], and the returned p passes :func:`binomial_tail`.
+    set is an interval [0, p*]; the result is at or beyond the exact inverse
+    p*, within ``BISECT_WIDTH``.
     """
     tail = _binomial_tail_fn(n, k)
     if not 0.0 < delta < 1.0:
@@ -242,7 +233,7 @@ def binomial_tail_inverse(n, k, delta):
             lo = mid
         else:
             hi = mid
-    return lo
+    return hi
 
 
 def psi(u):

@@ -112,6 +112,11 @@ def _pb_complexity(kl_complexity, n, delta):
     return kl_complexity + math.log(2.0 * math.sqrt(n) / delta)
 
 
+def _check_gibbs_mean(gibbs_mean):
+    if not 0.0 <= gibbs_mean <= 1.0:  # NaN fails too
+        raise DomainError(f"gibbs_mean outside [0, 1]: {gibbs_mean}")
+
+
 def pb_kl_bound(gibbs_mean, kl_complexity, n, delta):
     """Invert kl(gibbs_mean || .) at (KL + ln(2 sqrt(n)/delta)) / n."""
     return kl_inv_upper(gibbs_mean, _pb_complexity(kl_complexity, n, delta) / n)
@@ -119,8 +124,7 @@ def pb_kl_bound(gibbs_mean, kl_complexity, n, delta):
 
 def pb_kl_pinsker_relaxation(gibbs_mean, kl_complexity, n, delta):
     """Refined Pinsker relaxation: mean + sqrt(2 mean eps) + 2 eps."""
-    if not 0.0 <= gibbs_mean <= 1.0:
-        raise DomainError(f"gibbs_mean outside [0, 1]: {gibbs_mean}")
+    _check_gibbs_mean(gibbs_mean)
     eps = _pb_complexity(kl_complexity, n, delta) / n
     return gibbs_mean + math.sqrt(2.0 * gibbs_mean * eps) + 2.0 * eps
 
@@ -184,6 +188,7 @@ def excess_informed_bound(x: ExcessLossInput, delta):
 
 def pb_lambda_upper(gibbs_mean, kl_complexity, n, delta, lam):
     """mean/(1 - lam/2) + (KL + ln(2 sqrt(n)/d))/(lam (1 - lam/2) n)."""
+    _check_gibbs_mean(gibbs_mean)
     if not 0.0 < lam < 2.0:
         raise DomainError("lambda must lie in (0, 2)")
     _check_delta(delta)
@@ -192,6 +197,7 @@ def pb_lambda_upper(gibbs_mean, kl_complexity, n, delta, lam):
 
 def pb_lambda_lower(gibbs_mean, kl_complexity, n, delta, gamma):
     """(1 - gamma/2) mean - (KL + ln(2 sqrt(n)/d))/(gamma n); may be negative."""
+    _check_gibbs_mean(gibbs_mean)
     if gamma <= 0.0:
         raise DomainError("gamma must be positive")
     _check_delta(delta)
@@ -225,15 +231,13 @@ def gamma_star(emp, complexity, n):
 
 def optimal_lambda(gibbs_mean, kl_complexity, n, delta):
     """Closed-form lambda for :func:`pb_lambda_upper`."""
-    if not gibbs_mean >= 0.0:
-        raise DomainError("gibbs_mean must be non-negative")
+    _check_gibbs_mean(gibbs_mean)
     _check_delta(delta)
     return float(lambda_star(gibbs_mean, _pb_complexity(kl_complexity, n, delta), n))
 
 
 def optimal_gamma(gibbs_mean, kl_complexity, n, delta):
     """Closed-form gamma for :func:`pb_lambda_lower`; +inf when the mean is 0."""
-    if not gibbs_mean >= 0.0:
-        raise DomainError("gibbs_mean must be non-negative")
+    _check_gibbs_mean(gibbs_mean)
     _check_delta(delta)
     return float(gamma_star(gibbs_mean, _pb_complexity(kl_complexity, n, delta), n))

@@ -165,25 +165,37 @@ GOLDEN = Path(__file__).parent / "golden"
     (["coverage", "--dist", "ternary", "--probs", "0.45,0.1,0.45", "--n", "20",
       "--trials", "1234", "--delta", "0.8", "--seed", "6"],
      "coverage_ternary_n20_t1234_d08_seed6.json"),
-    # a seed of two 32-bit words, and one that wraps mod 2**63 to 1
+    # seeds of one and of two 32-bit words
     (["simulate", "--mode", "symmetric", "--n", "30", "--repeats", "5",
       "--seed", "4294967296"],
      "simulate_symmetric_n30_r5_seed4294967296.csv"),
     (["simulate", "--mode", "constant_mean", "--n", "30", "--repeats", "4",
-      "--seed", "9223372036854775809"],
-     "simulate_constant_mean_n30_r4_seed9223372036854775809.csv"),
+      "--seed", "1"],
+     "simulate_constant_mean_n30_r4_seed1.csv"),
     (["coverage", "--dist", "ternary", "--probs", "0.3,0.2,0.5", "--n", "20",
       "--trials", "700", "--delta", "0.3", "--seed", "4294967296"],
      "coverage_ternary_n20_t700_d03_seed4294967296.json"),
     (["coverage", "--dist", "beta", "--shape", "0.5,2", "--n", "20",
-      "--trials", "600", "--delta", "0.8", "--seed", "9223372036854775809"],
-     "coverage_beta_n20_t600_d08_seed9223372036854775809.json"),
+      "--trials", "600", "--delta", "0.8", "--seed", "1"],
+     "coverage_beta_n20_t600_d08_seed1.json"),
 ])
 def test_monte_carlo_output_matches_golden_bytes(capsys, argv, golden):
     # batching the kl inversions over all rows of a sweep or coverage run
     # must not move a single printed digit
     assert run(argv) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--mode", "symmetric", "--n", "30", "--repeats", "2"],
+    ["coverage", "--n", "20", "--trials", "100"],
+    ["mv", "--synthetic", "correlated", "--h-count", "3", "--n-examples", "50"],
+])
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**63 + 1])
+def test_seed_outside_63_bits_exit_2(capsys, command, seed):
+    # the streams take a seed mod 2**63, so 2**63 + 1 printed the rows of seed 1
+    assert run(command + ["--seed", str(seed)]) == 2
+    assert f"seed must lie in [0, 2**63), got {seed}" in capsys.readouterr().err
 
 
 def test_simulate_unknown_mode_exit_2(capsys):

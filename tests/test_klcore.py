@@ -14,7 +14,6 @@ from hypothesis.extra import numpy as hnp
 
 from splitkl.errors import DomainError
 from splitkl.klcore import (
-    BISECT_MAX_ITER,
     BISECT_WIDTH,
     bernoulli_kl,
     binomial_tail,
@@ -179,8 +178,8 @@ def test_kl_inv_scalar_and_vector_paths_raise_the_same_error(p, e):
 
 
 def test_kl_inv_rows_match_one_dimensional_calls():
-    # each row along the last axis stops bisecting as a 1-d call on that
-    # row alone would, so a batched call equals the per-row calls exactly
+    # every element bisects its own bracket, so a batched call equals the
+    # per-row calls exactly
     rng = np.random.default_rng(31)
     p = rng.uniform(0, 1, (7, 40))
     e = 10.0 ** rng.uniform(-4, 0.5, (7, 40))
@@ -198,44 +197,10 @@ def test_kl_inv_rows_match_one_dimensional_calls():
                 == rows[:6].reshape(2, 3, 40)).all(), fn.__name__
         scalar_eps = np.stack([fn(p[i], 0.05) for i in range(len(p))])
         assert (fn(p, 0.05) == scalar_eps).all(), fn.__name__
-    # a row stops as a whole: a narrow bracket keeps halving while a wider
-    # one in its row is still open
-    assert kl_inv_upper(np.array([1 - 1e-6]), 0.05)[0] == 0.9999999999923705
-    assert kl_inv_upper(np.array([1 - 1e-6, 0.2]), 0.05)[0] == 0.9999999999999999
-    assert kl_inv_lower(np.array([1e-6]), 0.05)[0] == 7.62939453125e-12
-    assert kl_inv_lower(np.array([1e-6, 0.7]), 0.05)[0] == 7.275957614183426e-18
-
-
-def rowwise_kl_inv(p_hat, eps, upper):
-    """Oracle for the array kl inverses: every element of a row is bisected
-    in place, and the row halves until its widest bracket is narrow."""
-    ph_b, ev_b = np.broadcast_arrays(np.asarray(p_hat, dtype=float), np.asarray(eps, dtype=float))
-    shape = ph_b.shape
-    ph_f = ph_b.reshape(-1, shape[-1]).astype(float)
-    ev_f = ev_b.reshape(-1, shape[-1]).astype(float)
-    pinned = ev_f == 0.0
-    if upper:
-        lo, hi = ph_f.copy(), np.ones_like(ph_f)
-        hi[pinned] = ph_f[pinned]
-        lo[np.isinf(ev_f) | (ph_f >= 1.0)] = 1.0
-    else:
-        lo, hi = np.zeros_like(ph_f), ph_f.copy()
-        lo[pinned] = ph_f[pinned]
-        hi[np.isinf(ev_f) | (ph_f <= 0.0)] = 0.0
-    qh_f = 1.0 - ph_f
-    ph_term, qh_term = scipy.special.xlogy(ph_f, ph_f), scipy.special.xlogy(qh_f, qh_f)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(BISECT_MAX_ITER):
-            active = np.max(hi - lo, axis=1, keepdims=True) > BISECT_WIDTH
-            if not active.any():
-                break
-            mid = 0.5 * (lo + hi)
-            kl = (ph_term - scipy.special.xlogy(ph_f, mid)) + (
-                qh_term - scipy.special.xlogy(qh_f, 1.0 - mid))
-            up = (kl <= ev_f) == upper
-            lo = np.where(active & up, mid, lo)
-            hi = np.where(active & ~up, mid, hi)
-    return (lo if upper else hi).reshape(shape)
+    # a narrow bracket stops on its own, however wide its neighbours are
+    for fn, narrow, wide in ((kl_inv_upper, 1 - 1e-6, 0.2), (kl_inv_lower, 1e-6, 0.7)):
+        pair = fn(np.array([narrow, wide]), 0.05)
+        assert pair[0] == fn(narrow, 0.05) and pair[1] == fn(wide, 0.05), fn.__name__
 
 
 def _same_bits(a, b):
@@ -245,49 +210,35 @@ def _same_bits(a, b):
 
 # A small pool, so that arrays repeat (p_hat, eps) pairs many times, with the
 # signed zero, the ends of [0, 1] and brackets of very different widths.
-P_POOL = np.array([0.0, -0.0, 1.0, 1e-300, 1e-6, 0.07, 0.25, 1 / 3, 0.5, 0.9, 1 - 1e-6])
-EPS_POOL = np.array([0.0, 5e-324, 1e-20, 1e-3, 0.05, 1.5, math.inf])
+P_POOL = [0.0, -0.0, 1.0, 1e-300, 1e-6, 0.07, 0.25, 1 / 3, 0.5, 0.9, 1 - 1e-6]
+EPS_POOL = [0.0, 5e-324, 1e-20, 1e-3, 0.05, 1.5, math.inf]
+P_VALUES = st.one_of(st.sampled_from(P_POOL), st.floats(0.0, 1.0))
+EPS_VALUES = st.one_of(st.sampled_from(EPS_POOL), st.floats(0.0, 10.0))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(data=st.data(), shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
        eps_form=st.sampled_from(["scalar", "last_axis", "full"]))
-def test_kl_inv_arrays_match_rowwise_oracle_bitwise(data, shape, eps_form):
+def test_kl_inv_arrays_match_scalar_calls_bitwise(data, shape, eps_form):
     shape = tuple(shape)
-    p = P_POOL[data.draw(hnp.arrays(np.intp, shape, elements=st.integers(0, len(P_POOL) - 1)))]
+    p = data.draw(hnp.arrays(float, shape, elements=P_VALUES), label="p")
     eps_shape = {"scalar": (), "last_axis": shape[-1:], "full": shape}[eps_form]
-    e = EPS_POOL[data.draw(hnp.arrays(np.intp, eps_shape,
-                                      elements=st.integers(0, len(EPS_POOL) - 1)))]
-    for fn, upper in ((kl_inv_upper, True), (kl_inv_lower, False)):
-        assert _same_bits(fn(p, e), rowwise_kl_inv(p, e, upper)), fn.__name__
+    e = data.draw(hnp.arrays(float, eps_shape, elements=EPS_VALUES), label="eps")
+    p_b, e_b = np.broadcast_arrays(p, e)
+    for fn in (kl_inv_upper, kl_inv_lower):
+        scalar = [fn(float(pi), float(ei)) for pi, ei in zip(p_b.ravel(), e_b.ravel())]
+        assert _same_bits(fn(p, e), np.reshape(scalar, shape)), fn.__name__
 
 
-def test_kl_inv_random_arrays_match_rowwise_oracle_bitwise():
-    rng = np.random.default_rng(7)
-    p = np.concatenate([rng.uniform(size=(6, 50)), rng.integers(0, 101, (6, 50)) / 100])
-    e = np.where(rng.uniform(size=p.shape) < 0.1, 0.0, 10.0 ** rng.uniform(-4, 0.5, p.shape))
-    for fn, upper in ((kl_inv_upper, True), (kl_inv_lower, False)):
-        assert _same_bits(fn(p, e), rowwise_kl_inv(p, e, upper)), fn.__name__
-        assert _same_bits(fn(p, 0.05), rowwise_kl_inv(p, 0.05, upper)), fn.__name__
-
-
-def test_kl_inv_pinned_element_runs_to_the_wide_elements_stop_step():
-    # eps = 0 pins the first element, so its bracket is narrow from the
-    # start; the row still halves until the wide bracket closes, and the
-    # pair (1 - 1e-6, 0.05) stops with its row in each row it appears in
-    p = np.array([[0.3, 1 - 1e-6, 1 - 1e-6], [0.3, 1 - 1e-6, 0.2], [-0.0, 0.3, 0.3]])
-    e = np.array([[0.0, 0.05, 0.05], [0.0, 0.05, 0.05], [0.0, 0.0, 0.0]])
-    up = kl_inv_upper(p, e)
-    assert _same_bits(up, rowwise_kl_inv(p, e, True))
-    assert up[0, 0] == up[1, 0] == 0.3
-    assert up[0, 1] == up[0, 2] == 0.9999999999923705
-    assert up[1, 1] == 0.9999999999999999
-    assert up[1, 2] == kl_inv_upper(np.array([0.2]), 0.05)[0]
-    assert _same_bits(up[2], [-0.0, 0.3, 0.3])
-    lo = kl_inv_lower(1.0 - p[:2], e[:2])
-    assert _same_bits(lo, rowwise_kl_inv(1.0 - p[:2], e[:2], False))
-    assert lo[0, 0] == lo[1, 0] == 0.7
-    assert lo[0, 1] != lo[1, 1]
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(p=P_VALUES, eps=EPS_VALUES)
+def test_kl_inv_rounds_outward(p, eps):
+    # each inverse returns the infeasible end of its final bracket, or an
+    # end of [0, 1], so it never falls short of the exact inverse
+    up, lo = kl_inv_upper(p, eps), kl_inv_lower(p, eps)
+    assert up == 1.0 or bernoulli_kl(p, up) >= eps
+    assert lo == 0.0 or bernoulli_kl(p, lo) >= eps
+    assert lo <= p <= up
 
 
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 3)])
@@ -386,7 +337,9 @@ def test_binomial_tail_domain():
 
 def test_binomial_tail_inverse_values():
     assert binomial_tail_inverse(7, 7, 0.3) == 1.0
-    assert binomial_tail_inverse(2, 1, 0.75) == pytest.approx(0.5, abs=1e-9)
+    # P[Bin(2, 1/2) <= 1] = 3/4, but the computed tail at 1/2 rounds below
+    # 3/4; the outward end is p* itself
+    assert binomial_tail_inverse(2, 1, 0.75) == 0.5
     assert binomial_tail_inverse(5, 0, 0.32768) == pytest.approx(0.2, abs=1e-8)
 
 
@@ -417,15 +370,26 @@ def test_binomial_tail_inverse_accepts_numpy_integers():
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(n=st.integers(1, 2000), data=st.data(), delta=st.floats(1e-4, 0.9))
 def test_binomial_tail_inverse_is_feasible_and_near_clopper_pearson(n, data, delta):
-    # the Clopper-Pearson upper limit, as a regularised incomplete beta inverse
+    # the Clopper-Pearson upper limit, as a regularised incomplete beta
+    # inverse; the returned p is at or beyond p*, where the tail is below delta
     k = data.draw(st.integers(0, n - 1), label="k")
     p = binomial_tail_inverse(n, k, delta)
-    assert binomial_tail(n, k, p) >= delta
+    assert p == 1.0 or binomial_tail(n, k, p) < delta
     assert abs(p - scipy.special.betaincinv(k + 1, n - k, 1.0 - delta)) <= 2 * BISECT_WIDTH
 
 
-# (n, k, delta, binomial_tail_inverse) recorded before the coefficients were
-# formed once per call; reordering the sum may move a result by one halving
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(n=st.integers(1, 59), data=st.data(),
+       delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_binomial_tail_inverse_rounds_outward(n, data, delta):
+    k = data.draw(st.integers(0, n), label="k")
+    p = binomial_tail_inverse(n, k, delta)
+    assert p == 1.0 or binomial_tail(n, k, p) < delta
+
+
+# (n, k, delta, inverse) recorded when the inverse returned the inward,
+# feasible end of its final bracket.  The outward end lies above it by at
+# most two halvings: one for the bracket, one for a reordered sum.
 BINOMIAL_TAIL_INVERSE_TABLE = [
     (1, 0, 0.05, 0.9499999999970896),
     (1, 0, 0.5, 0.5),
@@ -457,7 +421,7 @@ BINOMIAL_TAIL_INVERSE_TABLE = [
 
 @pytest.mark.parametrize("n, k, delta, expected", BINOMIAL_TAIL_INVERSE_TABLE)
 def test_binomial_tail_inverse_matches_recorded_values(n, k, delta, expected):
-    assert abs(binomial_tail_inverse(n, k, delta) - expected) <= BISECT_WIDTH
+    assert 0.0 <= binomial_tail_inverse(n, k, delta) - expected <= 2 * BISECT_WIDTH
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +483,7 @@ def test_scalar_api_and_bound_command_do_not_import_scipy_special(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     # the array path's bits, unchanged by the deferred import
-    assert proc.stdout.split() == ["0x1.c2b891d260002p-3", "0x1.a8506165ccccep-1"]
+    assert proc.stdout.split() == ["0x1.c2b891d29999bp-3", "0x1.a8506165e0001p-1"]
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,18 @@ def test_pinsker_rejects_gibbs_mean_outside_unit_interval(gibbs_mean):
         pb_kl_pinsker_relaxation(gibbs_mean, 0.1, 100, 0.05)
 
 
+@pytest.mark.parametrize("gibbs_mean", [-0.5, 1.5, math.nan])
+def test_lambda_forms_reject_gibbs_mean_outside_unit_interval(gibbs_mean):
+    # pb_lambda_upper(-0.5, ...) gave -0.880, a NaN mean gave NaN,
+    # pb_lambda_lower(1.5, ...) gave 1.005 and optimal_lambda(1.5, ...) 0.246
+    for call in (lambda: pb_lambda_upper(gibbs_mean, 0.0, 100, 0.05, 1.0),
+                 lambda: pb_lambda_lower(gibbs_mean, 0.0, 100, 0.05, 0.5),
+                 lambda: optimal_lambda(gibbs_mean, 0.0, 100, 0.05),
+                 lambda: optimal_gamma(gibbs_mean, 0.0, 100, 0.05)):
+        with pytest.raises(DomainError, match=r"gibbs_mean outside \[0, 1\]"):
+            call()
+
+
 def test_optimal_lambda_closed_form():
     assert optimal_lambda(0.0, 0.0, 100, 0.05) == 1.0
     expect = 2.0 / (math.sqrt(2 * 100 * 0.25 / math.log(400.0) + 1.0) + 1.0)
