@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from splitkl.errors import DomainError
 from splitkl.klcore import (
+    BISECT_MAX_ITER,
     BISECT_WIDTH,
     bernoulli_kl,
     binomial_tail,
@@ -203,6 +204,39 @@ def test_kl_inv_rows_match_one_dimensional_calls():
         assert pair[0] == fn(narrow, 0.05) and pair[1] == fn(wide, 0.05), fn.__name__
 
 
+def rowwise_kl_inv(p_hat, eps, upper):
+    """Oracle for the array kl inverses: every element of the array is
+    bisected in place, rows of the last axis side by side with no sharing of
+    repeated pairs, and each bracket halves until it is narrow."""
+    ph_b, ev_b = np.broadcast_arrays(np.asarray(p_hat, dtype=float), np.asarray(eps, dtype=float))
+    shape = ph_b.shape
+    ph_f = ph_b.reshape(-1, shape[-1]).astype(float)
+    ev_f = ev_b.reshape(-1, shape[-1]).astype(float)
+    pinned = ev_f == 0.0
+    if upper:
+        lo, hi = ph_f.copy(), np.ones_like(ph_f)
+        hi[pinned] = ph_f[pinned]
+        lo[np.isinf(ev_f) | (ph_f >= 1.0)] = 1.0
+    else:
+        lo, hi = np.zeros_like(ph_f), ph_f.copy()
+        lo[pinned] = ph_f[pinned]
+        hi[np.isinf(ev_f) | (ph_f <= 0.0)] = 0.0
+    qh_f = 1.0 - ph_f
+    ph_term, qh_term = scipy.special.xlogy(ph_f, ph_f), scipy.special.xlogy(qh_f, qh_f)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(BISECT_MAX_ITER):
+            active = hi - lo > BISECT_WIDTH
+            if not active.any():
+                break
+            mid = 0.5 * (lo + hi)
+            kl = (ph_term - scipy.special.xlogy(ph_f, mid)) + (
+                qh_term - scipy.special.xlogy(qh_f, 1.0 - mid))
+            up = (kl <= ev_f) == upper
+            lo = np.where(active & up, mid, lo)
+            hi = np.where(active & ~up, mid, hi)
+    return (hi if upper else lo).reshape(shape)
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and (a.view(np.uint64) == b.view(np.uint64)).all()
@@ -228,6 +262,27 @@ def test_kl_inv_arrays_match_scalar_calls_bitwise(data, shape, eps_form):
     for fn in (kl_inv_upper, kl_inv_lower):
         scalar = [fn(float(pi), float(ei)) for pi, ei in zip(p_b.ravel(), e_b.ravel())]
         assert _same_bits(fn(p, e), np.reshape(scalar, shape)), fn.__name__
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data(), shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       eps_form=st.sampled_from(["scalar", "last_axis", "full"]))
+def test_kl_inv_arrays_match_rowwise_oracle_bitwise(data, shape, eps_form):
+    shape = tuple(shape)
+    p = data.draw(hnp.arrays(float, shape, elements=st.sampled_from(P_POOL)), label="p")
+    eps_shape = {"scalar": (), "last_axis": shape[-1:], "full": shape}[eps_form]
+    e = data.draw(hnp.arrays(float, eps_shape, elements=st.sampled_from(EPS_POOL)), label="eps")
+    for fn, upper in ((kl_inv_upper, True), (kl_inv_lower, False)):
+        assert _same_bits(fn(p, e), rowwise_kl_inv(p, e, upper)), fn.__name__
+
+
+def test_kl_inv_random_arrays_match_rowwise_oracle_bitwise():
+    rng = np.random.default_rng(7)
+    p = np.concatenate([rng.uniform(size=(6, 50)), rng.integers(0, 101, (6, 50)) / 100])
+    e = np.where(rng.uniform(size=p.shape) < 0.1, 0.0, 10.0 ** rng.uniform(-4, 0.5, p.shape))
+    for fn, upper in ((kl_inv_upper, True), (kl_inv_lower, False)):
+        assert _same_bits(fn(p, e), rowwise_kl_inv(p, e, upper)), fn.__name__
+        assert _same_bits(fn(p, 0.05), rowwise_kl_inv(p, 0.05, upper)), fn.__name__
 
 
 @settings(derandomize=True, deadline=None, max_examples=1000)
