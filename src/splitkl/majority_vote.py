@@ -169,10 +169,14 @@ class PosteriorWeights:
         object.__setattr__(self, "pi", pi)
         if rho.shape != pi.shape or rho.ndim != 1:
             raise DomainError("rho and pi must be 1-d vectors of equal length")
-        for name, v in (("rho", rho), ("pi", pi)):
-            # negated comparisons, so that NaN fails them too
-            if not (np.all(v >= -1e-9) and abs(v.sum() - 1.0) <= 1e-9):
-                raise DomainError(f"{name} is not on the simplex")
+        _check_simplex("rho", rho)
+        _check_simplex("pi", pi)
+
+
+def _check_simplex(name, v):
+    # negated comparisons, so that NaN fails them too
+    if not (np.all(v >= -1e-9) and abs(v.sum() - 1.0) <= 1e-9):
+        raise DomainError(f"{name} is not on the simplex")
 
 
 @dataclass(frozen=True)
@@ -854,7 +858,20 @@ def _outer_rounds(family, stats, pi, irprop_config, start=None):
     pass ``start``, the params at rho = pi, whose bound is recorded first.
     Returns each row's tracker updates (value, rho, params) and the outer
     iteration count.  A row stops once its bound moves by less than OUTER_TOL.
+    Off the support of pi, rho stays 0: the rounds run on the statistics of
+    the support alone, where KL(rho||pi) is finite.
     """
+    _check_simplex("pi", pi)
+    keep = pi > 0
+    if not keep.all():
+        updates, iterations = _outer_rounds(family, _on_support(stats, keep), pi[keep],
+                                            irprop_config, start)
+        for row in updates:
+            for k, (value, rho, params) in enumerate(row):
+                full = np.zeros(len(pi))
+                full[keep] = rho
+                row[k] = value, full, params
+        return updates, iterations
     _, names, step, objective, bound = family
     live = np.arange(1 if start is not None else len(stats.alpha))
     rho = np.tile(pi, (len(live), 1))
@@ -897,6 +914,20 @@ def _outer_rounds(family, stats, pi, irprop_config, start=None):
             stats = _take_rows(stats, moving)
             params = {k: v[moving] for k, v in params.items()}
     return updates, iterations
+
+
+def _on_support(stats, keep):
+    """The statistics of the hypotheses that the mask ``keep`` selects, in
+    C order, as matmul takes the same path on them as on fresh statistics."""
+    def restrict(value):
+        return np.ascontiguousarray(value[..., keep][..., keep, :] if value.ndim > 1
+                                    else value[keep])
+
+    if isinstance(stats, TandemStats):
+        return replace(stats, single_loss=restrict(stats.single_loss),
+                       tandem_loss=restrict(stats.tandem_loss))
+    return replace(stats, **{name: restrict(value) for name, value in _row_fields(stats)
+                             if value.ndim == 3})
 
 
 def _grid_min(values, grid):

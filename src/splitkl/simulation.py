@@ -14,7 +14,10 @@ runs compute those states in chunks with the SeedSequence hash (fixed by
 NEP 19) and PCG64's seeding steps, and set each one on a single reused
 generator; the tests check the states against ``SeedSequence`` itself.
 Single streams (integer seeds, synthetic ensembles) use ``SeedSequence``
-directly.  Everything runs in one thread.
+directly.  Everything runs in one thread.  Each block of draws is reduced to
+per-row statistics as it is drawn: a ternary row from its counts of -1 and +1
+draws among its uniforms, with no samples formed, and a beta row from its
+samples.
 """
 
 import functools
@@ -227,14 +230,65 @@ def sample_beta(spec: BetaSpec, n, seed) -> np.ndarray:
 
 def _row_stats(x, mu):
     """Mean, unbiased variance, second moment, and the means of the plus and
-    minus parts around mu of each row of a (rows, n) sample matrix."""
-    return np.stack([
-        x.mean(axis=1),
-        x.var(axis=1, ddof=1),
-        np.mean(x * x, axis=1),
-        np.maximum(0.0, x - mu).mean(axis=1),
-        np.maximum(0.0, mu - x).mean(axis=1),
-    ])
+    minus parts around mu of each row of a (rows, n) sample matrix, as a
+    (5, rows) array.  The temporaries share one scratch buffer, and each
+    value is bit-equal to numpy's ``mean``, ``var(ddof=1)``, ``mean(x * x)``
+    and ``maximum(0, x - mu).mean`` / ``maximum(0, mu - x).mean``."""
+    out = np.empty((5, len(x)))
+    mean, var, second, plus, minus = out
+    buf = np.empty_like(x)
+    x.mean(axis=1, out=mean)
+    # numpy's var: the squared deviations from the row mean, summed, over n - 1
+    np.subtract(x, mean[:, None], out=buf)
+    np.multiply(buf, buf, out=buf).sum(axis=1, out=var)
+    var /= x.shape[1] - 1
+    np.multiply(x, x, out=buf).mean(axis=1, out=second)
+    np.maximum(0.0, np.subtract(x, mu, out=buf), out=buf).mean(axis=1, out=plus)
+    np.maximum(0.0, np.subtract(mu, x, out=buf), out=buf).mean(axis=1, out=minus)
+    return out
+
+
+def _ternary_draw(spec, rng, out):
+    """Fill ``out`` with the uniforms that :func:`sample_ternary` maps to
+    draws through the spec's cdf."""
+    rng.random(out=out)
+
+
+def _ternary_stats(spec, u):
+    """:func:`_row_stats` around mu = 0 of the ternary draws behind each row
+    of a (rows, n) block of uniforms, from two counts per row: the -1 draws
+    (u < cdf[0]) and the +1 draws (u >= cdf[1]), as :func:`sample_ternary`
+    maps them.  Every partial sum of the draws is an integer, so the mean,
+    second moment and parts equal numpy's bit for bit.  The variance is the
+    one correctly rounded ratio (n s2 - s1^2) / (n (n - 1)) of the integer
+    sums s1 and s2 of the draws and their squares: both terms are at most
+    n^2, below 2**53 while n < 9.4e7, so each converts to float64 exactly."""
+    n = u.shape[1]
+    minus = np.count_nonzero(u < spec._cdf[0], axis=1)
+    plus = n - np.count_nonzero(u < spec._cdf[1], axis=1)
+    s1, s2 = plus - minus, plus + minus
+    return np.stack([s1 / n, (n * s2 - s1 * s1) / (n * (n - 1)), s2 / n, plus / n, minus / n])
+
+
+def _beta_draw(spec, rng, out):
+    out[...] = sample_beta(spec, out.size, rng).reshape(out.shape)
+
+
+def _beta_stats(spec, x):
+    return _row_stats(x, 0.5)
+
+
+def _distribution(spec):
+    """(lo, hi, mu, draw, reduce) of a spec's family: its range and the
+    split point, ``draw(spec, rng, out)``, which fills a (rows, n) block
+    from one generator, and ``reduce(spec, block)``, the block's
+    :func:`_row_stats` rows.  A ternary block holds the uniforms behind the
+    draws, which are counted and never mapped to samples."""
+    if isinstance(spec, TernarySpec):
+        return -1.0, 1.0, 0.0, _ternary_draw, _ternary_stats
+    if isinstance(spec, BetaSpec):
+        return 0.0, 1.0, 0.5, _beta_draw, _beta_stats
+    raise DomainError("dist must be a TernarySpec or BetaSpec")
 
 
 def _bound_values(stats, n, lo, hi, mu, delta, pbkl0=False):
@@ -274,19 +328,23 @@ def _beta_specs(mode):
     raise DomainError(f"unknown beta mode: {mode}")
 
 
-def _sweep(sample, specs, params, n, delta, repeats, seed, lo, hi, mu):
-    """One SweepRow per spec.  Repeat ``rep`` of point ``i`` draws from the
-    stream (seed, i, rep); each point's block is reduced as it is drawn, and
-    each bound inverts kl once over the stacked (points, repeats) rows."""
+def _sweep(specs, params, n, delta, repeats, seed):
+    """One SweepRow per spec.  Repeat ``rep`` of point ``i`` draws row
+    ``rep`` of one reused (repeats, n) block from the stream (seed, i, rep);
+    each point's block is reduced as it is drawn, and each bound inverts kl
+    once over the stacked (points, repeats) rows."""
     if n < 2:
         raise DomainError("need n >= 2")
     if repeats < 1:
         raise DomainError("need repeats >= 1")
+    lo, hi, mu, draw, reduce = _distribution(specs[0])
     streams = _streams(seed, np.ndindex(len(specs), repeats))
-    stats = np.stack([
-        _row_stats(np.stack([sample(spec, n, next(streams)) for _ in range(repeats)]), mu)
-        for spec in specs
-    ], axis=1)
+    block = np.empty((repeats, n))
+    stats = np.empty((5, len(specs), repeats))
+    for i, spec in enumerate(specs):
+        for row in block:
+            draw(spec, next(streams), row)
+        stats[:, i] = reduce(spec, block)
     bounds = _bound_values(stats, n, lo, hi, mu, delta)
     gaps = {name: np.minimum(bounds[name], hi) - stats[0] for name in BOUND_NAMES}
     return [
@@ -302,7 +360,7 @@ def sweep_ternary(mode, n, delta, repeats=DEFAULT_REPEATS, seed=0):
     """Gap curves over a 51-point p0 grid for a ternary scenario family."""
     p0_grid = np.linspace(0.0, 1.0, GRID_POINTS)
     specs = [_ternary_probs(mode, p0) for p0 in p0_grid]
-    return _sweep(sample_ternary, specs, p0_grid, n, delta, repeats, seed, -1.0, 1.0, 0.0)
+    return _sweep(specs, p0_grid, n, delta, repeats, seed)
 
 
 def sweep_beta(mode, n, delta, repeats=DEFAULT_REPEATS, seed=0):
@@ -312,7 +370,7 @@ def sweep_beta(mode, n, delta, repeats=DEFAULT_REPEATS, seed=0):
     params = [
         spec.variance if mode == "constant_mean" else spec.mean for spec in specs
     ]
-    return _sweep(sample_beta, specs, params, n, delta, repeats, seed, 0.0, 1.0, 0.5)
+    return _sweep(specs, params, n, delta, repeats, seed)
 
 
 def sweep_rows_to_records(rows):
@@ -351,19 +409,14 @@ def coverage_experiment(dist, n, delta, trials=10000, seed=0):
         raise DomainError("need trials >= 100")
     if n < 2:
         raise DomainError("need n >= 2")
-    if isinstance(dist, TernarySpec):
-        lo, hi, mu, sample = -1.0, 1.0, 0.0, sample_ternary
-    elif isinstance(dist, BetaSpec):
-        lo, hi, mu, sample = 0.0, 1.0, 0.5, sample_beta
-    else:
-        raise DomainError("dist must be a TernarySpec or BetaSpec")
-
+    lo, hi, mu, draw, reduce = _distribution(dist)
     full, rest = divmod(trials, _COVERAGE_BLOCK)
     sizes = [_COVERAGE_BLOCK] * full + [rest] * (rest > 0)
-    stats = [
-        _row_stats(sample(dist, size * n, rng).reshape(-1, n), mu)
-        for size, rng in zip(sizes, _streams(seed, ((i,) for i in range(len(sizes)))))
-    ]
+    block = np.empty((sizes[0], n))
+    stats = []
+    for size, rng in zip(sizes, _streams(seed, ((i,) for i in range(len(sizes))))):
+        draw(dist, rng, block[:size])
+        stats.append(reduce(dist, block[:size]))
     batches = ([np.stack(stats[:full], axis=1)] if full else []) + stats[full:]
     violations = dict.fromkeys(COVERAGE_BOUNDS, 0)
     for batch in batches:

@@ -296,6 +296,53 @@ def test_kl_inv_rounds_outward(p, eps):
     assert lo <= p <= up
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(p=P_VALUES, eps=st.lists(EPS_VALUES, min_size=2, max_size=12))
+def test_kl_inv_monotone_in_eps(p, eps):
+    # a larger eps takes the feasible side at every midpoint where a smaller
+    # one does, so the two brackets part at most once, exactly
+    eps = np.sort(eps)
+    for fn, sign in ((kl_inv_upper, 1.0), (kl_inv_lower, -1.0)):
+        array = fn(p, eps)
+        scalar = np.array([fn(p, float(e)) for e in eps])
+        for r in (array, scalar):
+            assert np.all(sign * np.diff(r) >= 0.0), fn.__name__
+
+
+# Near p_hat, kl(p_hat || p) ~ (p - p_hat)^2 / (2 p_hat (1 - p_hat)) falls below
+# its float rounding (a few 1e-16) for |p - p_hat| up to about 1e-8, so for
+# tiny eps the inverses resolve p only to that width.  For eps >= 1e-8 the
+# rounding moves an inverse by far less than one bracket.
+KL_ROUNDING_WIDTH = 2e-8
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(p=st.lists(P_VALUES, min_size=2, max_size=12), eps=EPS_VALUES)
+def test_kl_inv_monotone_in_p_hat(p, eps):
+    # each inverse lies within one bracket of where the computed kl crosses
+    # eps, which moves with p_hat up to the kl's rounding; two brackets and
+    # the rounding width bound any drop
+    p = np.sort(np.abs(p))
+    slack = 2.0 * BISECT_WIDTH + (KL_ROUNDING_WIDTH if eps < 1e-8 else 0.0)
+    for fn in (kl_inv_upper, kl_inv_lower):
+        array = fn(p, eps)
+        scalar = np.array([fn(float(v), eps) for v in p])
+        for r in (array, scalar):
+            assert np.all(np.diff(r) >= -slack), fn.__name__
+
+
+def test_kl_inv_monotone_in_p_hat_on_dense_grids():
+    # neighbouring floats and 1e-7 spacings, where the drops are largest
+    rng = np.random.default_rng(5)
+    for center in (1e-6, 0.01, 0.3, 0.5, 0.9, 1 - 1e-6):
+        p = np.sort(center + rng.uniform(-1e-7, 1e-7, 2000))
+        p = np.sort(np.concatenate([p, np.nextafter(p, 2.0)]))
+        for eps in (5e-324, 1e-20, 1e-16, 1e-12, 1e-8, 1e-4, 0.3):
+            slack = 2.0 * BISECT_WIDTH + (KL_ROUNDING_WIDTH if eps < 1e-8 else 0.0)
+            for fn in (kl_inv_upper, kl_inv_lower):
+                assert np.diff(fn(p, eps)).min() >= -slack, (fn.__name__, center, eps)
+
+
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 3)])
 def test_kl_inv_empty_input_returns_empty_array(shape):
     for fn in (kl_inv_upper, kl_inv_lower):

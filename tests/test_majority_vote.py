@@ -1010,6 +1010,81 @@ def test_optimizers_reject_empty_alpha_grid():
             call()
 
 
+def _run_all_optimizers(plm, pi):
+    ts = compute_tandem_stats(plm)
+    grid = (-0.3, 0.0, 0.2)
+    w, rep = tnd_optimize(ts, pi, 0.05)
+    runs = {"tnd": (w, {}, rep)}
+    w, alpha, rep = cctnd_optimize(ts, pi, 0.05, alpha_grid=grid)
+    runs["cctnd"] = w, {"alpha": alpha}, rep
+    for optimize in (ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize):
+        w, params, rep = optimize(plm, pi, 0.05, alpha_grid=grid)
+        runs[rep.name] = w, params, rep
+    return runs
+
+
+def test_optimizers_keep_rho_zero_off_the_prior_support():
+    # log(rho / pi) made every optimizer raise "non-finite gradient" here
+    from splitkl.simulation import synth_ensemble
+
+    plm, _ = synth_ensemble(4, 300, "correlated", seed=3)
+    pi = np.array([0.5, 0.5, 0.0, 0.0])
+    ts = compute_tandem_stats(plm)
+    runs = _run_all_optimizers(plm, pi)
+    assert set(runs) == {"tnd", "cctnd", "ccpbb", "ccpbub", "ccpbskl"}
+    for name, (w, params, rep) in runs.items():
+        assert math.isfinite(rep.value), name
+        assert np.array_equal(w.rho[2:], [0.0, 0.0]) and np.array_equal(w.pi, pi), name
+    assert runs["tnd"][2].value == tnd_bound(ts, runs["tnd"][0], 0.05)
+    w, params, rep = runs["cctnd"]
+    assert rep.value == cctnd_bound(ts, w, params["alpha"], 0.05)
+    w, params, rep = runs["ccpbb"]
+    assert rep.value == pytest.approx(
+        ccpbb_bound(alpha_stats(plm, params["alpha"]), w, params["lam"], params["gam"],
+                    0.05, 20, 20), abs=1e-12)
+
+
+@pytest.mark.parametrize("pi", [(0.0, 0.0, 0.0, 0.0), (0.5, 0.5, math.nan, 0.0),
+                                (1.5, -0.5, 0.0, 0.0), (0.6, 0.6, 0.0, 0.0)])
+def test_optimizers_reject_a_prior_off_the_simplex(pi):
+    from splitkl.simulation import synth_ensemble
+
+    plm, _ = synth_ensemble(4, 300, "correlated", seed=3)
+    ts, pi = compute_tandem_stats(plm), np.array(pi)
+    for call in (lambda: tnd_optimize(ts, pi, 0.05),
+                 lambda: cctnd_optimize(ts, pi, 0.05, alpha_grid=(0.2,)),
+                 *(lambda opt=opt: opt(plm, pi, 0.05, alpha_grid=(0.2,))
+                   for opt in (ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize))):
+        with pytest.raises(DomainError, match="pi is not on the simplex"):
+            call()
+
+
+def test_zero_prior_entries_equal_the_optimizer_on_the_support():
+    # hypotheses with zero prior weight and full masks leave n and m as they
+    # are, so every optimizer must return the support's own run, padded
+    rng = np.random.default_rng(3)
+    rates = np.array([0.05, 0.3, 0.45])[:, None]
+    sub = PredictionLossMatrix(losses=rng.uniform(size=(3, 80)) < rates,
+                               mask=rng.uniform(size=(3, 80)) < 0.5)
+    pi_sub = rng.dirichlet(np.ones(3))
+    support, off = [0, 2, 3], [1, 4]
+    losses, mask = np.zeros((5, 80)), np.ones((5, 80), dtype=bool)
+    losses[support], mask[support] = sub.losses, sub.mask
+    losses[off] = rng.uniform(size=(2, 80)) < 0.3
+    pi = np.zeros(5)
+    pi[support] = pi_sub
+    full = _run_all_optimizers(PredictionLossMatrix(losses=losses, mask=mask), pi)
+    sub_runs = _run_all_optimizers(sub, pi_sub)
+    # CCPBSkl leaves the prior here, so a moved rho is padded too
+    assert np.abs(sub_runs["ccpbskl"][0].rho - pi_sub).max() > 0.1
+    for name, (w_sub, params_sub, rep_sub) in sub_runs.items():
+        w, params, rep = full[name]
+        assert rep.value == rep_sub.value, name
+        assert w.rho[support].tobytes() == w_sub.rho.tobytes(), name
+        assert np.array_equal(w.rho[off], [0.0, 0.0]), name
+        assert params == params_sub and rep.params == rep_sub.params, name
+
+
 # ---------------------------------------------------------------------------
 # optimizer golden
 # ---------------------------------------------------------------------------

@@ -37,7 +37,11 @@ from splitkl.simulation import (
     sweep_ternary,
     synth_ensemble,
 )
-from splitkl.simulation import _STREAM_CHUNK, _bound_values, _pcg64_states, _row_stats, _streams
+from splitkl import simulation
+from splitkl.simulation import (
+    _STREAM_CHUNK, _TERNARY_VALUES, _bound_values, _pcg64_states, _rng, _row_stats, _streams,
+    _ternary_stats,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +80,80 @@ def test_batched_bounds_equal_the_scalar_bounds(sample, delta):
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# row statistics
 # ---------------------------------------------------------------------------
+
+
+def _numpy_row_stats(x, mu):
+    # the formulas the scratch-buffer reduction must reproduce bit for bit
+    return np.stack([
+        x.mean(axis=1),
+        x.var(axis=1, ddof=1),
+        np.mean(x * x, axis=1),
+        np.maximum(0.0, x - mu).mean(axis=1),
+        np.maximum(0.0, mu - x).mean(axis=1),
+    ])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(rows=st.integers(1, 40), n=st.integers(2, 1500), seed=st.integers(0, 2**32 - 1),
+       source=st.sampled_from(["beta", "ternary", "lattice", "normal"]),
+       mu=st.sampled_from([0.5, 0.0, -0.25]))
+def test_row_stats_equal_numpy_formulas_bitwise(rows, n, seed, source, mu):
+    rng = np.random.default_rng(seed)
+    x = {
+        "beta": lambda: rng.beta(0.3, 2.0, (rows, n)),
+        "ternary": lambda: rng.choice(_TERNARY_VALUES, (rows, n)),
+        # exact ties with mu, so the parts see zero differences
+        "lattice": lambda: rng.integers(-4, 5, (rows, n)) / 8.0,
+        "normal": lambda: rng.normal(mu, 3.0, (rows, n)),
+    }[source]()
+    assert _row_stats(x, mu).tobytes() == _numpy_row_stats(x, mu).tobytes()
+
+
+@st.composite
+def _ternary_specs_with_zero_masses(draw):
+    # point masses and zero masses, then arbitrary weights
+    weights = draw(st.one_of(
+        st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 0), (0, 1, 1)]),
+        st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda w: sum(w) > 0.0),
+    ))
+    total = sum(weights)
+    return TernarySpec(*(w / total for w in weights))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(spec=_ternary_specs_with_zero_masses(), n=st.integers(2, 2000),
+       rows=st.integers(1, 8), seed=st.integers(0, 2**64 - 1))
+def test_ternary_counts_equal_row_stats_of_the_draws(spec, n, rows, seed):
+    u = np.random.default_rng(seed).random((rows, n))
+    counted = _ternary_stats(spec, u)
+    sampled = _row_stats(_TERNARY_VALUES[spec._cdf.searchsorted(u, side="right")], 0.0)
+    mean, var, second, plus, minus = counted
+    # mean, second moment and both parts: integer partial sums, so equal bits
+    for k in (0, 2, 3, 4):
+        assert counted[k].tobytes() == sampled[k].tobytes(), k
+    # the variance is the exact ratio; numpy's two-pass form rounds a few times
+    assert np.all(np.abs(var - sampled[1]) <= 1e-15 * np.abs(var))
+    assert np.all(np.abs(mean - (plus - minus)) <= 1e-15)
+
+
+def test_sweep_rows_are_drawn_from_their_streams(monkeypatch):
+    # each (point, repeat) row of a ternary sweep is the uniforms of its own
+    # stream, in order, however the block buffer is reused
+    blocks = []
+
+    def capture(spec, u):
+        blocks.append(u.copy())
+        return _ternary_stats(spec, u)
+
+    monkeypatch.setattr(simulation, "_ternary_stats", capture)
+    seed, n, repeats = 2**40 + 3, 17, 4
+    sweep_ternary("skew_low", n, 0.05, repeats=repeats, seed=seed)
+    assert len(blocks) == 51
+    for i, block in enumerate(blocks):
+        for rep in range(repeats):
+            assert block[rep].tobytes() == _rng(seed, i, rep).random(n).tobytes(), (i, rep)
 
 
 # ---------------------------------------------------------------------------
