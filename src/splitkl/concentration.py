@@ -210,12 +210,7 @@ def unexpected_bernstein_bound(s: EmpiricalSummary, gamma, delta) -> float:
 def _unexpected_bernstein_value(mean, second_moment, comp, n, gamma, b):
     """mean + psi(-gamma b)/(gamma b^2) second_moment + comp/(gamma n),
     elementwise; ``comp`` is ln(1/d) plus any KL complexity."""
-    return mean + _unexpected_bernstein_weight(gamma, b) * second_moment + comp / (gamma * n)
-
-
-def _unexpected_bernstein_weight(gamma, b):
-    """psi(-gamma b)/(gamma b^2), the weight of the second moment."""
-    return psi(-gamma * b) / (gamma * b * b)
+    return mean + psi(-gamma * b) / (gamma * b * b) * second_moment + comp / (gamma * n)
 
 
 def unexpected_bernstein_grid_bound(s: EmpiricalSummary, delta) -> BoundReport:

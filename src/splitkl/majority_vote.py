@@ -12,8 +12,10 @@ Each family has a compute form and an optimizer.  All five optimizers share
 one outer-round driver, which alternates closed-form or grid parameter steps
 with iRProp+ steps on the posterior, projected onto the simplex: the alpha
 families optimize every alpha of the grid as the rows of one batch, and TND
-and CCTND are one-row families.  Optimizers track the best compute-form
-value seen, so the reported bound never exceeds the value at rho = pi.
+and CCTND are one-row families.  Each family states its iRProp+ objective
+once; the driver reads the gradient's coefficients off it.  Optimizers track
+the best compute-form value seen, so the reported bound never exceeds the
+value at rho = pi.
 """
 
 import math
@@ -27,7 +29,6 @@ from .concentration import (
     _clamp01,
     _split_kl_value,
     _unexpected_bernstein_value,
-    _unexpected_bernstein_weight,
     make_gamma_grid,
 )
 from .errors import DomainError
@@ -442,8 +443,8 @@ def cctnd_bound(ts: TandemStats, w: PosteriorWeights, alpha, delta) -> float:
     exactly the TND bound.
     """
     _check_delta(delta)
-    if alpha >= 0.5:
-        raise DomainError("alpha must be below 0.5")
+    if not -math.inf < alpha < 0.5:  # NaN fails too
+        raise DomainError(f"alpha must be finite and below 0.5, got {alpha}")
     return _cctnd_value(_quad(w.rho, ts.tandem_loss).item(), float(w.rho @ ts.single_loss),
                         discrete_kl(w.rho, w.pi), ts.n, ts.m, alpha, delta)
 
@@ -469,8 +470,9 @@ def ccpbb_bound(ats: AlphaTandemStats, w: PosteriorWeights, lam, gamma, delta,
     lam_max = 2.0 * (ats.m - 1) / ats.m
     if not 0.0 < lam < lam_max:
         raise DomainError(f"lambda must lie in (0, {lam_max})")
-    if gamma <= 0.0:
-        raise DomainError("gamma must be positive")
+    if not (0.0 < gamma < math.inf and k_lambda >= 1 and k_gamma >= 1):
+        raise DomainError(f"need gamma in (0, inf) and grid counts k_lambda, k_gamma >= 1, "
+                          f"got {gamma}, {k_lambda}, {k_gamma}")
     return _ccpbb_value(ats, _quad(w.rho, ats.mean).item(), _quad(w.rho, ats.variance).item(),
                         discrete_kl(w.rho, w.pi), lam, gamma, delta, k_lambda, k_gamma)
 
@@ -566,8 +568,9 @@ def _affine_gradient(pi, c_kl, *terms):
 
     Every iRProp+ objective below is, for fixed outer parameters, affine in
     its quadratic forms, the linear form rho . single and KL(rho||pi), so
-    its gradient is this chain rule with the objective's coefficients.  For
-    rows, each c is an (A, 1) column and each matrix form is stacked.
+    its gradient is this chain rule with the objective's coefficients, which
+    :func:`_outer_rounds` reads off the objective itself.  For rows, each c
+    is an (A, 1) column and each matrix form is stacked.
     """
     def gradient(r):
         grad = c_kl * (np.log(np.maximum(r, _TINY) / pi) + 1.0)
@@ -589,13 +592,10 @@ def tnd_optimize(ts: TandemStats, pi, delta, irprop_config=IRPropConfig()):
         return 4.0 * _lambda_upper_value(t, 2.0 * kl + ln_c, m, p["lam"])
 
     def step(s, p, t, kl):
-        lam = float(lambda_star(t.item(), 2.0 * kl.item() + ln_c, m))
-        return {"lam": lam}, None, (8.0 / (lam * (1.0 - lam / 2.0) * m), 4.0 / (1.0 - lam / 2.0))
+        return {"lam": float(lambda_star(t.item(), 2.0 * kl.item() + ln_c, m))}, None
 
-    def bound(s, p, t, kl):
-        return np.array([[_tnd_value(t.item(), kl.item(), m, delta)]])
-
-    family = ("tnd", ("tandem_loss",), step, objective, bound)
+    family = ("tnd", ("tandem_loss",), step, objective,
+              lambda s, p, t, kl: np.array([[_tnd_value(t.item(), kl.item(), m, delta)]]))
     tracker, iterations = _one_row(family, ts, pi, irprop_config, {"lam": None})
     return PosteriorWeights(tracker.rho, pi), tracker.report("tnd", delta, iterations)
 
@@ -667,22 +667,10 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None,
         pos = _alpha_surrogate_min(big_t, u_lo, max(0.0, a_lo), a_hi, grid)
         neg = _alpha_surrogate_min(big_t, u_up, a_lo, min(0.0, a_hi), grid)
         alpha = pos[0] if pos[1] <= neg[1] else neg[0]
-        # slopes of the single-loss surrogate in rho . single and in KL
-        if alpha < 0:
-            gam = gam_up
-            u_g, u_kl = 1.0 / (1.0 - gam / 2.0), 1.0 / (gam * (1.0 - gam / 2.0) * n)
-        else:
-            gam = gam_lo
-            u_g, u_kl = (0.0, 0.0) if math.isinf(gam) else (1.0 - gam / 2.0, -1.0 / (gam * n))
-        scale = (0.5 - alpha) ** 2
-        coefficients = ((2.0 / (lam * (1.0 - lam / 2.0) * m) - 2.0 * alpha * u_kl) / scale,
-                        1.0 / ((1.0 - lam / 2.0) * scale), -2.0 * alpha * u_g / scale)
-        return {"alpha": alpha, "lam": lam, "gam": gam}, None, coefficients
+        return {"alpha": alpha, "lam": lam, "gam": gam_up if alpha < 0 else gam_lo}, None
 
-    def bound(s, p, t, g, kl):
-        return np.array([[_cctnd_value(t.item(), g.item(), kl.item(), n, m, p["alpha"], delta)]])
-
-    family = ("cctnd", ("tandem_loss", "single_loss"), step, objective, bound)
+    family = ("cctnd", ("tandem_loss", "single_loss"), step, objective, lambda s, p, t, g, kl:
+              np.array([[_cctnd_value(t.item(), g.item(), kl.item(), n, m, p["alpha"], delta)]]))
     alpha0 = min(max(0.0, a_lo), a_hi)
     tracker, iterations = _one_row(family, ts, pi, irprop_config, {"alpha": alpha0})
     if a_lo <= 0.0 <= a_hi and tnd_rep.value < tracker.value:
@@ -717,12 +705,7 @@ def ccpbb_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
         gam = gam_grid[len(gam_grid) // 2] if p is None else p["gam"]
         lam = _grid_min(objective(s, {"lam": lam_grid, "gam": gam}, *forms), lam_grid)[0]
         gam, val0 = _grid_min(objective(s, {"lam": lam, "gam": gam_grid}, *forms), gam_grid)
-        k, k_sq = s.k_range, s.k_range**2
-        u = lam * s.m / (2.0 * (s.m - 1))
-        bennett = phi(gam * k) / (gam * k_sq)
-        c_comp = 1.0 / (gam * s.m) + bennett * k_sq / (s.n * lam * (1.0 - u))
-        coefficients = 2.0 * c_comp / s.scale, 1.0 / s.scale, bennett / ((1.0 - u) * s.scale)
-        return {"lam": lam, "gam": gam}, val0, coefficients
+        return {"lam": lam, "gam": gam}, val0
 
     family = ("ccpbb", ("mean", "variance"), step, objective, objective)
     return _optimize_alphas(family, plm, pi, delta, alpha_grid, irprop_config)
@@ -741,9 +724,7 @@ def ccpbub_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
     def step(s, p, *forms):
         grid = np.array([make_gamma_grid(m, delta, b).values for b in s.b[:, 0].tolist()])
         gam, val0 = _grid_min(objective(s, {"gam": grid}, *forms), grid)
-        coefficients = (2.0 / (gam * s.m * s.scale), 1.0 / s.scale,
-                        _unexpected_bernstein_weight(gam, s.b) / s.scale)
-        return {"gam": gam}, val0, coefficients
+        return {"gam": gam}, val0
 
     family = ("ccpbub", ("mean", "second_moment"), step, objective, objective)
     return _optimize_alphas(family, plm, pi, delta, alpha_grid, irprop_config)
@@ -773,14 +754,8 @@ def ccpbskl_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
 
     def step(s, p, q_plus, q_minus, kl):
         comp = 2.0 * kl + comp_const
-        lam = lambda_star(q_plus / (s.b - s.mu), comp, s.m)
-        gam = gamma_star(q_minus / (s.mu - s.a), comp, s.m)
-        # gamma = +inf adds exactly 0 to c_kl, and the zero coefficient then
-        # adds +0.0 to gradients that are never -0.0, as dropping the term does
-        c_kl = (s.b - s.mu) / (lam * (1.0 - lam / 2.0) * s.m) + (s.mu - s.a) / (gam * s.m)
-        c_minus = np.where(np.isinf(gam), 0.0, -(1.0 - gam / 2.0) / s.scale)
-        coefficients = 2.0 * c_kl / s.scale, 1.0 / ((1.0 - lam / 2.0) * s.scale), c_minus
-        return {"lam": lam, "gam": gam}, None, coefficients
+        return {"lam": lambda_star(q_plus / (s.b - s.mu), comp, s.m),
+                "gam": gamma_star(q_minus / (s.mu - s.a), comp, s.m)}, None
 
     def at_zero():
         return tnd or tnd_optimize(compute_tandem_stats(plm), pi, delta, irprop_config)
@@ -852,8 +827,10 @@ def _outer_rounds(family, stats, pi, irprop_config, start=None):
     bound).  A matrix field gives the form rho' M rho, a vector the form
     rho . v; the forms and KL(rho||pi) are (A, 1) columns.  ``step(stats,
     params, *forms)`` returns the new params ((A, 1) columns, or floats for
-    one row), the value at them before iRProp+ (or None), and the
-    objective's :func:`_affine_gradient` coefficients.  The alpha families'
+    one row) and the value at them before iRProp+ (or None).  At fixed
+    params, ``objective(stats, params, *forms)`` is affine in the forms, so
+    its :func:`_affine_gradient` coefficients are its rises from all-zero
+    forms to each unit form.  The alpha families'
     rows are the stacked alphas of ``stats``; TND and CCTND have one row and
     pass ``start``, the params at rho = pi, whose bound is recorded first.
     Returns each row's tracker updates (value, rho, params) and the outer
@@ -894,9 +871,12 @@ def _outer_rounds(family, stats, pi, irprop_config, start=None):
         record(prev_val, rho, start)
     for _ in range(MAX_OUTER):
         iterations += len(live)
-        params, val0, (c_kl, *cs) = step(stats, params, *q)
+        params, val0 = step(stats, params, *q)
         if val0 is not None:
             record(val0, rho, params)
+        # column 0 puts every form at 0, column j + 1 puts form j alone at 1
+        values = objective(stats, params, *np.eye(len(q) + 1)[1:, None, :])
+        *cs, c_kl = (values[:, 1:] - values[:, :1]).T[..., None]
         gradient = _affine_gradient(pi, c_kl, *zip(cs, (getattr(stats, n) for n in names)))
         # the objective binds this round's stats and params, which are rebound below
         rho = _irprop_rows(

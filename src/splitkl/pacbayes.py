@@ -196,12 +196,19 @@ def pb_lambda_upper(gibbs_mean, kl_complexity, n, delta, lam):
 
 
 def pb_lambda_lower(gibbs_mean, kl_complexity, n, delta, gamma):
-    """(1 - gamma/2) mean - (KL + ln(2 sqrt(n)/d))/(gamma n); may be negative."""
+    """(1 - gamma/2) mean - (KL + ln(2 sqrt(n)/d))/(gamma n); may be negative.
+
+    gamma = +inf, which :func:`optimal_gamma` returns at a mean of 0, gives
+    the limit: 0 at a mean of 0, -inf above it.
+    """
     _check_gibbs_mean(gibbs_mean)
-    if gamma <= 0.0:
-        raise DomainError("gamma must be positive")
+    if not gamma > 0.0:  # NaN fails too
+        raise DomainError(f"gamma must be positive, got {gamma}")
     _check_delta(delta)
-    return _lambda_lower_value(gibbs_mean, _pb_complexity(kl_complexity, n, delta), n, gamma)
+    comp = _pb_complexity(kl_complexity, n, delta)
+    if math.isinf(gamma):
+        return 0.0 if gibbs_mean == 0.0 else -math.inf
+    return _lambda_lower_value(gibbs_mean, comp, n, gamma)
 
 
 def _lambda_upper_value(emp, comp, n, lam):

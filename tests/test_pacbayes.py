@@ -284,6 +284,19 @@ def test_pb_lambda_values():
         pb_lambda_lower(0.1, 0.0, 100, 0.05, 0.0)
 
 
+def test_pb_lambda_lower_at_infinite_gamma_is_its_limit():
+    # optimal_gamma is +inf at a mean of 0, where (1 - inf/2) * 0 gave NaN
+    gamma = optimal_gamma(0.0, 1.0, 100, 0.05)
+    assert gamma == math.inf
+    assert pb_lambda_lower(0.0, 1.0, 100, 0.05, gamma) == 0.0
+    assert pb_lambda_lower(0.3, 1.0, 100, 0.05, math.inf) == -math.inf
+    # the limit of large finite gammas
+    assert pb_lambda_lower(0.0, 1.0, 100, 0.05, 1e12) == pytest.approx(0.0, abs=1e-12)
+    assert pb_lambda_lower(0.3, 1.0, 100, 0.05, 1e12) < -1e10
+    with pytest.raises(DomainError, match="gamma must be positive"):
+        pb_lambda_lower(0.0, 1.0, 100, 0.05, math.nan)
+
+
 @pytest.mark.parametrize("kl, n", [(-5.0, 100), (math.nan, 100), (0.0, 0)])
 def test_lambda_forms_reject_bad_complexity_and_n(kl, n):
     # KL = -5 gave pb_lambda_upper 0.2198 against 0.3198 at KL = 0, a NaN KL
