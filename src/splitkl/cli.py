@@ -100,7 +100,7 @@ def _parse_sample_file(path):
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -255,13 +255,25 @@ def cmd_coverage(args):
 # ---------------------------------------------------------------------------
 
 
-_BLANK_LINES = re.compile(r"^\s+$", re.MULTILINE)  # loadtxt skips only empty lines
 _INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _loadtxt_int4(lines):
+    """``lines`` as a ``(rows, 4)`` int64 array, or None if they are not one."""
+    with warnings.catch_warnings():
+        # numpy < 2 parses "1.0" as the integer 1, with this warning
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            rows = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, DeprecationWarning):
+            return None
+    return rows if rows.shape[1] == 4 else None
 
 
 def _read_csv_rows(path, expected_header):
     """Parse a CSV of four integer columns under ``expected_header`` into a
-    ``(rows, 4)`` int64 array; blank and whitespace-only lines are skipped."""
+    ``(rows, 4)`` int64 array; blank and whitespace-only lines are skipped.
+    The file is opened once, so a pipe or ``/dev/stdin`` reads whole."""
     try:
         with open(path) as fh:
             header, body = fh.readline(), fh.read()
@@ -271,17 +283,13 @@ def _read_csv_rows(path, expected_header):
         raise InputFormatError(f"{path}: expected header {expected_header!r}")
     if not body.strip():
         raise InputFormatError(f"{path}: no data rows")
-    with warnings.catch_warnings():
-        # numpy < 2 parses "1.0" as the integer 1, with this warning
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            rows = np.loadtxt(_BLANK_LINES.sub("", body).split("\n"), dtype=np.int64,
-                              delimiter=",", comments=None, ndmin=2)
-            if rows.shape[1] == 4:
-                return rows
-        except (ValueError, DeprecationWarning):
-            pass
-    for lineno, line in enumerate(body.split("\n"), start=2):  # name the bad line
+    lines = body.split("\n")
+    rows = _loadtxt_int4(lines)
+    if rows is None:  # loadtxt skips only empty lines, so drop whitespace-only ones
+        rows = _loadtxt_int4([line for line in lines if line.strip()])
+    if rows is not None:
+        return rows
+    for lineno, line in enumerate(lines, start=2):  # name the bad line
         fields = line.split(",")
         if line.strip() and len(fields) != 4:
             raise InputFormatError(f"{path} line {lineno}: expected 4 fields")
@@ -292,17 +300,32 @@ def _read_csv_rows(path, expected_header):
     raise InputFormatError(f"{path}: not a CSV of four integer columns")
 
 
+def _id_index(col):
+    """``np.unique(col, return_inverse=True)``.  Ids spanning fewer values
+    than there are rows are ranked through a presence table, with no sort."""
+    lo = int(col.min())
+    span = int(col.max()) - lo
+    if span >= len(col):
+        return np.unique(col, return_inverse=True)
+    offset = col - lo
+    present = np.zeros(span + 1, dtype=bool)
+    present[offset] = True
+    return np.flatnonzero(present) + lo, (np.cumsum(present) - 1)[offset]
+
+
 def _cell_index(path, rows):
-    """Each row's position in the matrix of sorted hypothesis ids by sorted
-    example ids, that matrix's shape, and the sorted hypothesis ids; a
-    repeated cell is rejected."""
-    h_ids, h = np.unique(rows[:, 0], return_inverse=True)
-    e_ids, e = np.unique(rows[:, 1], return_inverse=True)
-    _, first = np.unique(h * len(e_ids) + e, return_index=True)
-    if len(first) < len(rows):
+    """Each row's flat position in the matrix of sorted hypothesis ids by
+    sorted example ids, its example's position, that matrix's shape, and
+    the sorted hypothesis ids; a repeated cell is rejected."""
+    h_ids, h = _id_index(rows[:, 0])
+    e_ids, e = _id_index(rows[:, 1])
+    shape = (len(h_ids), len(e_ids))
+    flat = h * shape[1] + e
+    if np.bincount(flat).max() > 1:
+        _, first = np.unique(flat, return_index=True)
         i = np.setdiff1d(np.arange(len(rows)), first)[0]  # the first repeat
         raise InputFormatError(f"{path}: duplicate cell {tuple(rows[i, :2].tolist())}")
-    return h, e, (len(h_ids), len(e_ids)), h_ids
+    return flat, e, shape, h_ids
 
 
 def read_loss_csv(path) -> PredictionLossMatrix:
@@ -314,11 +337,11 @@ def read_loss_csv(path) -> PredictionLossMatrix:
 def _read_loss_csv(path):
     """:func:`read_loss_csv` and the sorted hypothesis ids, one per row."""
     rows = _read_csv_rows(path, LOSS_CSV_HEADER)
-    if not np.isin(rows[:, 2:], (0, 1)).all():
+    if rows[:, 2:].min() < 0 or rows[:, 2:].max() > 1:
         raise InputFormatError(f"{path}: loss/oob must be 0 or 1")
-    h, e, shape, h_ids = _cell_index(path, rows)
+    flat, _, shape, h_ids = _cell_index(path, rows)
     losses, mask = np.zeros(shape), np.zeros(shape, dtype=bool)
-    losses[h, e], mask[h, e] = rows[:, 2], rows[:, 3]
+    losses.reshape(-1)[flat], mask.reshape(-1)[flat] = rows[:, 2], rows[:, 3]
     return PredictionLossMatrix(losses=losses, mask=mask), h_ids
 
 
@@ -343,15 +366,17 @@ def _read_eval_csv(path):
     for col, what in ((2, "predictions"), (3, "labels")):
         if rows[:, col].min() < 0:
             raise InputFormatError(f"{path}: {what} must be non-negative")
-    h, e, shape, h_ids = _cell_index(path, rows)
-    labels = rows[np.unique(e, return_index=True)[1], 3]  # each example's first label
+    flat, e, shape, h_ids = _cell_index(path, rows)
+    first = np.full(shape[1], len(rows))
+    np.minimum.at(first, e, np.arange(len(rows)))
+    labels = rows[first, 3]  # each example's first label
     conflict = np.flatnonzero(rows[:, 3] != labels[e])
     if conflict.size:
         raise InputFormatError(f"{path}: conflicting labels for example {rows[conflict[0], 1]}")
     if len(rows) < shape[0] * shape[1]:
         raise InputFormatError(f"{path}: missing (hypothesis, example) cells")
     preds = np.empty(shape, dtype=np.int64)
-    preds[h, e] = rows[:, 2]
+    preds.reshape(-1)[flat] = rows[:, 2]
     return EvaluationMatrix(predictions=preds, labels=labels), h_ids
 
 

@@ -59,6 +59,13 @@ def test_bound_parse_error_reports_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_bound_undecodable_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"# lo=0 hi=1\n0.5\n\xff\xfe\n")
+    assert run(["bound", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("bound", ["kl", "eb", "ub", "skl", "all"])
 def test_bound_non_finite_sample_exit_2(tmp_path, capsys, bad, bound):

@@ -2,23 +2,28 @@
 which message, what is accepted, and that a read reproduces the matrices."""
 
 import json
+import os
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from splitkl.cli import (
     EVAL_CSV_HEADER,
     LOSS_CSV_HEADER,
+    _id_index,
     _read_eval_csv,
     _read_loss_csv,
     main,
     read_eval_csv,
     read_loss_csv,
+    write_loss_csv,
 )
+from splitkl.simulation import synth_ensemble
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -62,6 +67,11 @@ REJECTIONS = {
                     "loss/oob must be 0 or 1", None),
     "duplicate loss cell": ("loss", LOSS_CSV_HEADER + "\n" + LOSS_ROWS + "1,0,0,1\n",
                             "duplicate cell (1, 0)", None),
+    # compact unsorted ids, two repeats after a whitespace-only line: the
+    # message names the earlier one
+    "blank then duplicates": ("loss", LOSS_CSV_HEADER
+                              + "\n2,1,0,1\n \n0,0,0,1\n2,0,1,1\n0,0,1,1\n2,1,1,1\n",
+                              "duplicate cell (0, 0)", None),
     "id beyond int64": ("loss", LOSS_CSV_HEADER + "\n" + LOSS_ROWS
                         + "99999999999999999999999,0,0,1\n", "int64", 6),
     "digit separator": ("loss", LOSS_CSV_HEADER + "\n1_0,0,0,1\n" + LOSS_ROWS,
@@ -159,6 +169,77 @@ def test_readers_return_sorted_hypothesis_ids(tmp_path):
     assert ids.tolist() == [3, 7] and plm.h_count == 2
     em, ids = _read_eval_csv(_write(tmp_path, "eval.csv", EVAL_CSV_HEADER + "\n" + EVAL_ROWS))
     assert ids.tolist() == [0, 1] and em.predictions.shape == (2, 2)
+
+
+def _pipe_read(reader, text):
+    """``reader`` on ``/dev/fd/<r>`` of a pipe that a thread fills with ``text``."""
+    r, w = os.pipe()
+
+    def feed():
+        try:
+            with os.fdopen(w, "wb") as fh:
+                fh.write(text.encode())
+        except BrokenPipeError:  # the reader closed the pipe early
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return reader(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        writer.join()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_readers_read_a_pipe_whole(tmp_path):
+    # 2400 rows, well past the 8 KB chunk the header's readline buffers, so
+    # a reader that opened the path a second time would lose rows
+    plm, em = synth_ensemble(4, 600, "correlated", seed=0, eval_size=600)
+    losses = tmp_path / "loss.csv"
+    write_loss_csv(plm, str(losses))
+    rows = [f"{i},{j},{p},{y}" for i in range(4)
+            for j, (p, y) in enumerate(zip(em.predictions[i], em.labels))]
+    evals = _write(tmp_path, "eval.csv", EVAL_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+    for reader, path, fields in ((read_loss_csv, str(losses), ("losses", "mask")),
+                                 (read_eval_csv, evals, ("predictions", "labels"))):
+        piped = _pipe_read(reader, Path(path).read_text())
+        plain = reader(path)
+        for field in fields:
+            got, want = getattr(piped, field), getattr(plain, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
+
+
+# ---------------------------------------------------------------------------
+# id index
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _id_column(draw):
+    """Shuffled int64 ids whose span is below, at or above the row count."""
+    n = draw(st.integers(2, 40))
+    span = draw(st.one_of(st.integers(0, n - 2), st.sampled_from([n - 1, n]),
+                          st.integers(n, 2**64 - 1)))
+    lo = draw(st.one_of(st.sampled_from([-(2**63), 2**63 - 1 - span]),
+                        st.integers(-(2**63), 2**63 - 1 - span)))
+    inner = st.integers(lo, lo + span)
+    ids = [lo, lo + span] + draw(st.lists(inner, min_size=n - 2, max_size=n - 2))
+    return np.array(draw(st.permutations(ids)), dtype=np.int64)
+
+
+@settings(derandomize=True, deadline=None)
+@given(col=_id_column())
+@example(col=np.array([7], dtype=np.int64))
+@example(col=np.array([2**63 - 1, -(2**63)], dtype=np.int64))
+@example(col=np.array([2**63 - 1, 2**63 - 2, 2**63 - 1], dtype=np.int64))
+@example(col=np.array([-(2**63) + 1, -(2**63), -(2**63)], dtype=np.int64))
+def test_id_index_equals_np_unique(col):
+    ids, inverse = _id_index(col)
+    want_ids, want_inverse = np.unique(col, return_inverse=True)
+    for got, want in ((ids, want_ids), (inverse, want_inverse)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
