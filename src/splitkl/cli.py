@@ -80,9 +80,12 @@ def _round12(obj):
 def _emit(text, out_path):
     if out_path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _emit_json(obj, out_path):
@@ -408,16 +411,16 @@ def cmd_mv(args):
             raise InputFormatError("--eval hypothesis count does not match losses")
         if not np.array_equal(eval_ids, h_ids):
             raise InputFormatError("--eval hypothesis ids do not match the losses'")
-    if args.dump_losses:
-        write_loss_csv(plm, args.dump_losses)
-
     names = tuple(args.bounds.split(","))
     for name in names:
         if name not in MV_BOUNDS:
             raise InputFormatError(f"unknown bound {name!r}")
+    alpha_grid = _alpha_grid_from_args(args)
+    if args.dump_losses:
+        write_loss_csv(plm, args.dump_losses)
+
     pi = np.full(plm.h_count, 1.0 / plm.h_count)
     ts = compute_tandem_stats(plm)
-    alpha_grid = _alpha_grid_from_args(args)
     # one TND run serves tnd, and cctnd and ccpbskl at alpha = 0, which
     # every grid but a fixed nonzero alpha holds
     tnd = None

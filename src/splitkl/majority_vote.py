@@ -13,9 +13,9 @@ one outer-round driver, which alternates closed-form or grid parameter steps
 with iRProp+ steps on the posterior, projected onto the simplex: the alpha
 families optimize every alpha of the grid as the rows of one batch, and TND
 and CCTND are one-row families.  Each family states its iRProp+ objective
-once; the driver reads the gradient's coefficients off it.  Optimizers track
-the best compute-form value seen, so the reported bound never exceeds the
-value at rho = pi.
+once; the driver reads the gradient's coefficients off it, and logs each
+compute-form value with its rho and parameters.  One rule picks the record
+an optimizer reports, so the reported bound never exceeds the value at rho = pi.
 """
 
 import math
@@ -37,7 +37,7 @@ from .pacbayes import _lambda_lower_value, _lambda_upper_value, gamma_star, lamb
 
 # Alpha grid for the offset bounds: step 0.01 over [-0.5, 0.49], which puts
 # the TND collapse point alpha = 0 exactly on the grid.
-DEFAULT_ALPHA_GRID = tuple(np.round(np.arange(-50, 50) / 100.0, 2))
+DEFAULT_ALPHA_GRID = tuple(np.round(np.arange(-50, 50) / 100.0, 2).tolist())
 
 OUTER_TOL = 1e-9
 MAX_OUTER = 50
@@ -540,27 +540,6 @@ def _ccpbskl_value(ats, q_plus, q_minus, kl, delta):
 # ---------------------------------------------------------------------------
 
 
-class _BestTracker:
-    """Keeps the best compute-form value seen; trace is non-increasing."""
-
-    def __init__(self):
-        self.value = math.inf
-        self.rho = None
-        self.params = {}
-        self.trace = []
-
-    def update(self, value, rho, **params):
-        if value < self.value:
-            self.value = value
-            self.rho = np.array(rho, dtype=float, copy=True)
-            self.params = params
-        self.trace.append(self.value)
-
-    def report(self, name, delta, iterations):
-        params = dict(self.params, iterations=iterations, trace=tuple(self.trace))
-        return BoundReport(name=name, value=self.value, delta=delta, params=params)
-
-
 def _affine_gradient(pi, c_kl, *terms):
     """Gradient in rho of c_kl KL(rho||pi) plus, for each (c, form) in
     ``terms``, c rho' form rho (symmetric matrix form) or c rho . form
@@ -596,8 +575,10 @@ def tnd_optimize(ts: TandemStats, pi, delta, irprop_config=IRPropConfig()):
 
     family = ("tnd", ("tandem_loss",), step, objective,
               lambda s, p, t, kl: np.array([[_tnd_value(t.item(), kl.item(), m, delta)]]))
-    tracker, iterations = _one_row(family, ts, pi, irprop_config, {"lam": None})
-    return PosteriorWeights(tracker.rho, pi), tracker.report("tnd", delta, iterations)
+    log, iterations = _outer_rounds(family, ts, pi, irprop_config, {"lam": None})
+    value, rho, params, trace = _best(log)
+    return PosteriorWeights(rho, pi), BoundReport(
+        "tnd", value, delta, dict(params, iterations=iterations, trace=trace))
 
 
 def _alpha_surrogate_min(big_t, u, lo, hi, extra):
@@ -672,11 +653,13 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None,
     family = ("cctnd", ("tandem_loss", "single_loss"), step, objective, lambda s, p, t, g, kl:
               np.array([[_cctnd_value(t.item(), g.item(), kl.item(), n, m, p["alpha"], delta)]]))
     alpha0 = min(max(0.0, a_lo), a_hi)
-    tracker, iterations = _one_row(family, ts, pi, irprop_config, {"alpha": alpha0})
-    if a_lo <= 0.0 <= a_hi and tnd_rep.value < tracker.value:
-        tracker.update(tnd_rep.value, tnd_w.rho, alpha=0.0, lam=tnd_rep.params.get("lam"))
-    w = PosteriorWeights(tracker.rho, pi)
-    return w, tracker.params["alpha"], tracker.report("cctnd", delta, iterations)
+    log, iterations = _outer_rounds(family, ts, pi, irprop_config, {"alpha": alpha0})
+    if a_lo <= 0.0 <= a_hi and tnd_rep.value < _best(log)[0]:
+        log.append(([0], [tnd_rep.value], tnd_w.rho[None],
+                    {"alpha": 0.0, "lam": tnd_rep.params.get("lam")}))
+    value, rho, params, trace = _best(log)
+    report = BoundReport("cctnd", value, delta, dict(params, iterations=iterations, trace=trace))
+    return PosteriorWeights(rho, pi), params["alpha"], report
 
 
 def _ccpbb_grids(m):
@@ -715,14 +698,14 @@ def ccpbub_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
                     irprop_config=IRPropConfig()):
     """Outer alpha grid; per alpha, alternate grid-gamma selection and iRProp+."""
     _check_delta(delta)
-    m = int(plm.pair_counts[0].min())
-    k_gam = make_gamma_grid(m, delta, 1.0).count  # set by (m, delta) alone
+    k_gam = make_gamma_grid(int(plm.pair_counts[0].min()), delta, 1.0).count  # set by (m, delta)
 
     def objective(s, p, q_mean, q_second, kl):
         return _ccpbub_value(s, q_mean, q_second, kl, p["gam"], delta, k_gam)
 
     def step(s, p, *forms):
-        grid = np.array([make_gamma_grid(m, delta, b).values for b in s.b[:, 0].tolist()])
+        # make_gamma_grid(m, delta, b) of each row's b; a power-of-two scale is exact
+        grid = 1.0 / (2.0 ** np.arange(1, k_gam + 1) * s.b)
         gam, val0 = _grid_min(objective(s, {"gam": grid}, *forms), grid)
         return {"gam": gam}, val0
 
@@ -783,40 +766,31 @@ def _optimize_alphas(family, plm, pi, delta, alpha_grid, irprop_config, at_zero=
     statistics of every alpha of the grid (see :func:`_alpha_iteration`),
     in chunks of at most ``_STACK_ENTRIES`` stacked entries.  ``at_zero``
     returns the (weights, report) standing in for alpha = 0 when the grid
-    holds it.  The tracker replays the updates in grid order, as if the
-    alphas ran one after another, so a one-point grid is a fixed alpha.
+    holds it, logged as a one-row entry.  The log's rows are grid indices,
+    with an alpha column among the params, so :func:`_best` reads the
+    alphas in grid order and a one-point grid is a fixed alpha.
     """
     pi = np.asarray(pi, dtype=float)
     grid = _alpha_iteration(alpha_grid)
-    runs = [i for i, alpha in enumerate(grid) if at_zero is None or alpha != 0.0]
+    alphas = np.array(grid)[:, None]
+    runs = np.array([i for i, a in enumerate(grid) if at_zero is None or a != 0.0], dtype=int)
     chunk = max(1, _STACK_ENTRIES // plm.h_count**2)
-    history, iterations = {}, 0
+    log, iterations = [], 0
     for start in range(0, len(runs), chunk):
         part = runs[start:start + chunk]
-        updates, outer = _outer_rounds(family, alpha_stats(plm, [grid[i] for i in part]), pi,
-                                       irprop_config)
-        history.update(zip(part, updates))
+        part_log, outer = _outer_rounds(family, alpha_stats(plm, alphas[part, 0]), pi,
+                                        irprop_config)
+        log += [(part[rows], values, rho, {"alpha": alphas[part[rows]], **params})
+                for rows, values, rho, params in part_log]
         iterations += outer
-    tracker = _BestTracker()
-    for i, alpha in enumerate(grid):
-        if i not in history:
-            w0, rep0 = at_zero()
-            iterations += rep0.params["iterations"]
-            tracker.update(rep0.value, w0.rho, alpha=0.0, lam=rep0.params.get("lam"), gam=None)
-        for value, rho, params in history.get(i, ()):
-            tracker.update(value, rho, alpha=alpha, **params)
-    w = PosteriorWeights(tracker.rho, pi)
-    return w, dict(tracker.params), tracker.report(family[0], delta, iterations)
-
-
-def _one_row(family, stats, pi, irprop_config, start):
-    """The best of a one-row family's outer rounds (TND, CCTND), with the
-    outer iteration count; ``start`` as in :func:`_outer_rounds`."""
-    updates, iterations = _outer_rounds(family, stats, pi, irprop_config, start)
-    tracker = _BestTracker()
-    for value, rho, params in updates[0]:
-        tracker.update(value, rho, **params)
-    return tracker, iterations
+    for i in np.setdiff1d(np.arange(len(grid)), runs):
+        w0, rep0 = at_zero()
+        iterations += rep0.params["iterations"]
+        log.append(([i], [rep0.value], w0.rho[None],
+                    {"alpha": 0.0, "lam": rep0.params.get("lam"), "gam": None}))
+    value, rho, params, trace = _best(log)
+    report = BoundReport(family[0], value, delta, dict(params, iterations=iterations, trace=trace))
+    return PosteriorWeights(rho, pi), params, report
 
 
 def _outer_rounds(family, stats, pi, irprop_config, start=None):
@@ -830,29 +804,29 @@ def _outer_rounds(family, stats, pi, irprop_config, start=None):
     one row) and the value at them before iRProp+ (or None).  At fixed
     params, ``objective(stats, params, *forms)`` is affine in the forms, so
     its :func:`_affine_gradient` coefficients are its rises from all-zero
-    forms to each unit form.  The alpha families'
-    rows are the stacked alphas of ``stats``; TND and CCTND have one row and
-    pass ``start``, the params at rho = pi, whose bound is recorded first.
-    Returns each row's tracker updates (value, rho, params) and the outer
-    iteration count.  A row stops once its bound moves by less than OUTER_TOL.
-    Off the support of pi, rho stays 0: the rounds run on the statistics of
-    the support alone, where KL(rho||pi) is finite.
+    forms to each unit form.  The alpha families' rows are the stacked
+    alphas of ``stats``; TND and CCTND have one row and pass ``start``, the
+    params at rho = pi, whose bound is recorded first.  Returns the log, one
+    entry (rows, values, rho, params) per record of the L live rows (their
+    indices, (L,) values, (L, H) rho and params), for :func:`_best`, and the
+    outer iteration count.  A row stops once its bound moves by less than
+    OUTER_TOL.  Off the support of pi, rho stays 0: the rounds run on the
+    statistics of the support alone, where KL(rho||pi) is finite.
     """
     _check_simplex("pi", pi)
     keep = pi > 0
     if not keep.all():
-        updates, iterations = _outer_rounds(family, _on_support(stats, keep), pi[keep],
-                                            irprop_config, start)
-        for row in updates:
-            for k, (value, rho, params) in enumerate(row):
-                full = np.zeros(len(pi))
-                full[keep] = rho
-                row[k] = value, full, params
-        return updates, iterations
+        log, iterations = _outer_rounds(family, _on_support(stats, keep), pi[keep],
+                                        irprop_config, start)
+        for k, (rows, values, rho, params) in enumerate(log):
+            full = np.zeros((len(rho), len(pi)))
+            full[:, keep] = rho
+            log[k] = rows, values, full, params
+        return log, iterations
     _, names, step, objective, bound = family
     live = np.arange(1 if start is not None else len(stats.alpha))
     rho = np.tile(pi, (len(live), 1))
-    updates = [[] for _ in live]
+    log = []
     prev_val, params, iterations = math.inf, None, 0
 
     def forms(s, x):
@@ -860,20 +834,15 @@ def _outer_rounds(family, stats, pi, irprop_config, start=None):
         return (*(_quad(x, f) if f.ndim > 1 else x @ f[:, None] for f in fs),
                 _discrete_kl_unchecked(x, pi))
 
-    def record(values, rho, params):
-        for j, i in enumerate(live):
-            row_params = {k: float(c[j, 0]) if np.ndim(c) else c for k, c in params.items()}
-            updates[i].append((float(values[j, 0]), rho[j], row_params))
-
     q = forms(stats, rho)
     if start is not None:
         prev_val = bound(stats, start, *q)
-        record(prev_val, rho, start)
+        log.append((live, prev_val[:, 0], rho, start))
     for _ in range(MAX_OUTER):
         iterations += len(live)
         params, val0 = step(stats, params, *q)
         if val0 is not None:
-            record(val0, rho, params)
+            log.append((live, val0[:, 0], rho, params))
         # column 0 puts every form at 0, column j + 1 puts form j alone at 1
         values = objective(stats, params, *np.eye(len(q) + 1)[1:, None, :])
         *cs, c_kl = (values[:, 1:] - values[:, :1]).T[..., None]
@@ -884,7 +853,7 @@ def _outer_rounds(family, stats, pi, irprop_config, start=None):
             irprop_config)
         q = forms(stats, rho)
         val = bound(stats, params, *q)
-        record(val, rho, params)
+        log.append((live, val[:, 0], rho, params))
         moving = ~(np.abs(prev_val - val) < OUTER_TOL)[:, 0]
         if not moving.any():
             break
@@ -893,7 +862,31 @@ def _outer_rounds(family, stats, pi, irprop_config, start=None):
             live, rho, prev_val, q = live[moving], rho[moving], val[moving], [f[moving] for f in q]
             stats = _take_rows(stats, moving)
             params = {k: v[moving] for k, v in params.items()}
-    return updates, iterations
+    return log, iterations
+
+
+def _best(log):
+    """The record an optimizer reports, from a log of :func:`_outer_rounds`
+    entries (rows, values, rho, params).
+
+    The records are read row by row in row (= grid) order, and within a row
+    in record order.  Returns the first strictly least value (NaN never is),
+    a copy of its rho, its params as floats, and the trace: the least value
+    after each record.  With no value below inf, rho is None and params {}.
+    """
+    order = np.argsort(np.concatenate([entry[0] for entry in log]), kind="stable")
+    ordered = np.concatenate([entry[1] for entry in log])[order]
+    trace = np.minimum.accumulate(np.fmin(ordered, math.inf))  # fmin turns NaN into inf
+    if not trace[-1] < math.inf:
+        return math.inf, None, {}, tuple(trace.tolist())
+    k = order[np.argmax(ordered == trace[-1])]
+    ends = np.cumsum([len(entry[0]) for entry in log])
+    e = int(np.searchsorted(ends, k, side="right"))
+    _, values, rho, params = log[e]
+    j = k - ends[e] + len(values)
+    return (float(values[j]), rho[j].copy(),
+            {name: float(c[j, 0]) if np.ndim(c) else c for name, c in params.items()},
+            tuple(trace.tolist()))
 
 
 def _on_support(stats, keep):

@@ -430,5 +430,34 @@ def test_mv_huge_bagging_rate_exit_3(capsys):
     assert "expected pairwise OOB overlap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "SAMPLE", "--out", "TARGET"],
+    ["simulate", "--mode", "symmetric", "--n", "10", "--repeats", "1", "--out", "TARGET"],
+    ["coverage", "--n", "20", "--trials", "100", "--out", "TARGET"],
+    ["mv", "--synthetic", "independent", "--h-count", "3", "--n-examples", "100",
+     "--bounds", "tnd", "--out", "TARGET"],
+    ["mv", "--synthetic", "independent", "--h-count", "3", "--n-examples", "100",
+     "--bounds", "tnd", "--dump-losses", "TARGET"],
+])
+@pytest.mark.parametrize("target", [".", "missing/out.txt"])
+def test_unwritable_output_exit_2(tmp_path, capsys, argv, target):
+    # a directory or a missing parent directory exited 1, coverage's
+    # ceiling-failure code, with a traceback
+    sample = write_sample(tmp_path, ["0.5"] * 10)
+    target = str(tmp_path / target)
+    argv = [sample if a == "SAMPLE" else target if a == "TARGET" else a for a in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [["--bounds", "bogus"], ["--alpha-points", "-1"]])
+def test_mv_flag_errors_write_no_dump(tmp_path, flags):
+    dump = tmp_path / "x.csv"
+    assert run(["mv", "--synthetic", "correlated", "--h-count", "3", "--n-examples", "100",
+                "--dump-losses", str(dump), *flags]) == 2
+    assert not dump.exists()
+
+
 def test_exit_code_contract_bad_delta():
     assert run(["coverage", "--delta", "1.5", "--trials", "200"]) == 2

@@ -426,6 +426,58 @@ def test_alpha_grid_in_chunks_equals_one_batch(monkeypatch, optimize):
     assert rep.params["iterations"] == whole.params["iterations"]
 
 
+def _best_by_loop(log):
+    """The reported record by the plain rule: rows in order, within a row
+    records in log order, and a record replaces the best on a strict <."""
+    value, rho, params, trace = math.inf, None, {}, []
+    for row in sorted({int(r) for rows, *_ in log for r in rows}):
+        for rows, values, rhos, cols in log:
+            for j in np.flatnonzero(np.asarray(rows) == row):
+                if values[j] < value:
+                    value, rho = float(values[j]), np.array(rhos[j], dtype=float)
+                    params = {k: float(c[j, 0]) if np.ndim(c) else c for k, c in cols.items()}
+                trace.append(value)
+    return value, rho, params, tuple(trace)
+
+
+@st.composite
+def outer_round_logs(draw):
+    """Logs shaped as the alpha families' are: rows that stop after
+    different rounds, tied, infinite and NaN values, and maybe a one-row
+    stand-in entry for alpha = 0 appended last."""
+    rows, h = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    zero = draw(st.one_of(st.none(), st.integers(0, rows - 1)))
+    run = np.array([r for r in range(rows) if r != zero], dtype=int)
+    stops = np.array([draw(st.integers(1, 4)) for _ in run], dtype=int)
+    value = st.sampled_from([0.3, 0.5, 0.5, 0.7, math.inf, math.nan])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    log = []
+    for k in range(stops.max(initial=0)):
+        live = run[stops > k]
+        values = np.array([draw(value) for _ in live])
+        rho = rng.dirichlet(np.ones(h), size=len(live))
+        cols = {"alpha": live[:, None] / 10.0, "lam": rng.uniform(size=(len(live), 1))}
+        log.append((live, values, rho, cols))
+    if zero is not None:
+        log.append(([zero], [draw(value)], rng.dirichlet(np.ones(h))[None],
+                    {"alpha": 0.0, "lam": draw(st.one_of(st.none(), st.floats(0, 1))),
+                     "gam": None}))
+    return log
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(outer_round_logs())
+def test_best_equals_the_plain_loop(log):
+    value, rho, params, trace = majority_vote._best(log)
+    want_value, want_rho, want_params, want_trace = _best_by_loop(log)
+    assert value == want_value and params == want_params and trace == want_trace
+    if want_rho is None:
+        assert rho is None
+    else:
+        assert np.array_equal(rho, want_rho)
+        assert not any(np.shares_memory(rho, rhos) for _, _, rhos, _ in log)
+
+
 def _recorded_batches(monkeypatch, run):
     """The (gradient, objective, init, config) of every batched iRProp+
     call that ``run`` makes with more than one row."""
