@@ -33,22 +33,15 @@ if __name__ == "__main__":
 
     print(f"{'bound':8s} {'value':>8s} {'eval risk':>10s} {'alpha':>7s} {'iters':>6s}")
 
-    w, rep = tnd_optimize(ts, pi, DELTA)
-    print(f"{'tnd':8s} {rep.value:8.4f} {mv_risk(em, w):10.4f} {'-':>7s} "
-          f"{rep.params['iterations']:6d}")
-
-    w, alpha, rep = cctnd_optimize(ts, pi, DELTA, alpha_grid=ALPHA_GRID)
-    print(f"{'cctnd':8s} {rep.value:8.4f} {mv_risk(em, w):10.4f} {alpha:7.3f} "
-          f"{rep.params['iterations']:6d}")
-
-    for name, optimize in (
-        ("ccpbb", ccpbb_optimize),
-        ("ccpbub", ccpbub_optimize),
-        ("ccpbskl", ccpbskl_optimize),
-    ):
-        w, params, rep = optimize(plm, pi, DELTA, alpha_grid=ALPHA_GRID)
-        print(f"{name:8s} {rep.value:8.4f} {mv_risk(em, w):10.4f} "
-              f"{params['alpha']:7.3f} {rep.params['iterations']:6d}")
+    # every optimizer returns (weights, report); the report's params hold
+    # the chosen alpha (TND has none) and the iteration count
+    runs = [tnd_optimize(ts, pi, DELTA), cctnd_optimize(ts, pi, DELTA, alpha_grid=ALPHA_GRID)]
+    runs += [optimize(plm, pi, DELTA, alpha_grid=ALPHA_GRID)
+             for optimize in (ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize)]
+    for w, rep in runs:
+        alpha = f"{rep.params['alpha']:7.3f}" if "alpha" in rep.params else f"{'-':>7s}"
+        print(f"{rep.name:8s} {rep.value:8.4f} {mv_risk(em, w):10.4f} {alpha} "
+              f"{rep.params['iterations']:6d}")
 
     print("\noptimized posteriors are never worse than rho = pi, and the "
           "certificates hold for the true majority-vote risk with "

@@ -13,7 +13,6 @@ ignore it.
 """
 
 import argparse
-import functools
 import json
 import math
 import re
@@ -51,7 +50,10 @@ EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 
 BOUND_CHOICES = ("kl", "eb", "ub", "skl")
-MV_BOUNDS = ("tnd", "cctnd", "ccpbb", "ccpbub", "ccpbskl")
+# the params mv prints for each bound, as null where the reported record lacks one
+MV_PARAMS = {"tnd": ("lam",), "cctnd": ("alpha", "lam", "gam"), "ccpbb": ("alpha", "lam", "gam"),
+             "ccpbub": ("alpha", "gam"), "ccpbskl": ("alpha", "lam", "gam")}
+MV_BOUNDS = tuple(MV_PARAMS)
 
 LOSS_CSV_HEADER = "hypothesis_id,example_id,loss,oob"
 EVAL_CSV_HEADER = "hypothesis_id,example_id,prediction,label"
@@ -331,14 +333,10 @@ def _cell_index(path, rows):
     return flat, e, shape, h_ids
 
 
-def read_loss_csv(path) -> PredictionLossMatrix:
+def read_loss_csv(path):
     """Ingest ``hypothesis_id,example_id,loss,oob`` into a loss matrix;
-    cells absent from the file are masked out."""
-    return _read_loss_csv(path)[0]
-
-
-def _read_loss_csv(path):
-    """:func:`read_loss_csv` and the sorted hypothesis ids, one per row."""
+    cells absent from the file are masked out.  Returns the
+    :class:`PredictionLossMatrix` and the sorted hypothesis ids, one per row."""
     rows = _read_csv_rows(path, LOSS_CSV_HEADER)
     if rows[:, 2:].min() < 0 or rows[:, 2:].max() > 1:
         raise InputFormatError(f"{path}: loss/oob must be 0 or 1")
@@ -357,14 +355,11 @@ def write_loss_csv(plm: PredictionLossMatrix, path):
     _emit(LOSS_CSV_HEADER + "\n" + body, path)
 
 
-def read_eval_csv(path) -> EvaluationMatrix:
+def read_eval_csv(path):
     """Ingest ``hypothesis_id,example_id,prediction,label``; must be dense,
-    with non-negative predictions and one non-negative label per example."""
-    return _read_eval_csv(path)[0]
-
-
-def _read_eval_csv(path):
-    """:func:`read_eval_csv` and the sorted hypothesis ids, one per row."""
+    with non-negative predictions and one non-negative label per example.
+    Returns the :class:`EvaluationMatrix` and the sorted hypothesis ids,
+    one per row."""
     rows = _read_csv_rows(path, EVAL_CSV_HEADER)
     for col, what in ((2, "predictions"), (3, "labels")):
         if rows[:, col].min() < 0:
@@ -404,9 +399,9 @@ def cmd_mv(args):
             seed=args.seed, error_rate=args.error_rate)
         h_ids = np.arange(plm.h_count)  # the ids --dump-losses writes
     else:
-        plm, h_ids = _read_loss_csv(args.losses)
+        plm, h_ids = read_loss_csv(args.losses)
     if args.eval is not None:
-        em, eval_ids = _read_eval_csv(args.eval)
+        em, eval_ids = read_eval_csv(args.eval)
         if em.predictions.shape[0] != plm.h_count:
             raise InputFormatError("--eval hypothesis count does not match losses")
         if not np.array_equal(eval_ids, h_ids):
@@ -415,6 +410,8 @@ def cmd_mv(args):
     for name in names:
         if name not in MV_BOUNDS:
             raise InputFormatError(f"unknown bound {name!r}")
+    if args.dump_losses == "-" and args.out in (None, "-"):
+        raise InputFormatError("--dump-losses - needs --out FILE: both would write to stdout")
     alpha_grid = _alpha_grid_from_args(args)
     if args.dump_losses:
         write_loss_csv(plm, args.dump_losses)
@@ -427,19 +424,17 @@ def cmd_mv(args):
     if "tnd" in names or 0.0 in alpha_grid and {"cctnd", "ccpbskl"} & set(names):
         tnd = tnd_optimize(ts, pi, args.delta)
 
+    optimize = {
+        "tnd": lambda: tnd,
+        "cctnd": lambda: cctnd_optimize(ts, pi, args.delta, alpha_grid=alpha_grid, tnd=tnd),
+        "ccpbb": lambda: ccpbb_optimize(plm, pi, args.delta, alpha_grid=alpha_grid),
+        "ccpbub": lambda: ccpbub_optimize(plm, pi, args.delta, alpha_grid=alpha_grid),
+        "ccpbskl": lambda: ccpbskl_optimize(plm, pi, args.delta, alpha_grid=alpha_grid, tnd=tnd),
+    }
     results = {}
     for name in names:
-        if name == "tnd":
-            w, rep = tnd
-            params = {"lam": rep.params.get("lam")}
-        elif name == "cctnd":
-            w, alpha, rep = cctnd_optimize(ts, pi, args.delta, alpha_grid=alpha_grid, tnd=tnd)
-            params = {"alpha": alpha, "lam": rep.params.get("lam"), "gam": rep.params.get("gam")}
-        else:
-            optimize = {"ccpbb": ccpbb_optimize, "ccpbub": ccpbub_optimize,
-                        "ccpbskl": functools.partial(ccpbskl_optimize, tnd=tnd)}[name]
-            w, opt_params, rep = optimize(plm, pi, args.delta, alpha_grid=alpha_grid)
-            params = {k: opt_params[k] for k in ("alpha", "lam", "gam") if k in opt_params}
+        w, rep = optimize[name]()
+        params = {k: rep.params.get(k) for k in MV_PARAMS[name]}
         if params.get("gam") == math.inf:
             # gamma = inf drops the lower form's term; JSON has no inf
             params["gam"] = None

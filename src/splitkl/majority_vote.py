@@ -16,6 +16,8 @@ and CCTND are one-row families.  Each family states its iRProp+ objective
 once; the driver reads the gradient's coefficients off it, and logs each
 compute-form value with its rho and parameters.  One rule picks the record
 an optimizer reports, so the reported bound never exceeds the value at rho = pi.
+Every optimizer returns ``(PosteriorWeights, BoundReport)``; the report's
+params hold the chosen parameters, the iteration count and the trace.
 """
 
 import math
@@ -610,9 +612,10 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None,
     candidates), and then runs iRProp+ on rho.  The start is alpha =
     clip(0, min, max), so a one-point grid fixes alpha.  alpha = 0
     collapses to the TND bound, so when min <= 0 <= max the TND optimizer's
-    result is a candidate: ``tnd``, the ``(weights, report)`` of
-    :func:`tnd_optimize` on ``ts``, or a fresh run when it is None.  The
-    grid (0,) delegates to it outright.
+    result is a candidate, and wins only when strictly lower: ``tnd``, what
+    :func:`tnd_optimize` returns on ``ts`` (the ``(weights, report)`` every
+    optimizer returns), or a fresh run when it is None.  The grid (0,)
+    delegates to it outright.
     """
     _check_delta(delta)
     grid = _alpha_iteration(alpha_grid)
@@ -621,8 +624,8 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None,
     if a_lo <= 0.0 <= a_hi:
         tnd_w, tnd_rep = tnd if tnd is not None else tnd_optimize(ts, pi, delta, irprop_config)
         if grid == (0.0,):
-            report = BoundReport("cctnd", tnd_rep.value, delta, dict(tnd_rep.params, alpha=0.0))
-            return tnd_w, 0.0, report
+            return tnd_w, BoundReport("cctnd", tnd_rep.value, delta,
+                                      dict(tnd_rep.params, alpha=0.0))
 
     n, m = ts.n, ts.m
     comp_g_const = math.log(4.0 * math.sqrt(n) / delta)
@@ -658,8 +661,8 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None,
         log.append(([0], [tnd_rep.value], tnd_w.rho[None],
                     {"alpha": 0.0, "lam": tnd_rep.params.get("lam")}))
     value, rho, params, trace = _best(log)
-    report = BoundReport("cctnd", value, delta, dict(params, iterations=iterations, trace=trace))
-    return PosteriorWeights(rho, pi), params["alpha"], report
+    return PosteriorWeights(rho, pi), BoundReport(
+        "cctnd", value, delta, dict(params, iterations=iterations, trace=trace))
 
 
 def _ccpbb_grids(m):
@@ -721,8 +724,9 @@ def ccpbskl_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
     and the gamma lower form to the minus split; gamma = +inf, where the
     minus split is 0, drops the lower form.  alpha = 0 collapses to the TND
     bound and takes the TND optimizer's result, whose iterations count
-    toward the report's: ``tnd``, the ``(weights, report)`` of
-    :func:`tnd_optimize` on this matrix's statistics, or a fresh run.
+    toward the report's: ``tnd``, what :func:`tnd_optimize` returns on this
+    matrix's statistics (the ``(weights, report)`` every optimizer
+    returns), or a fresh run.
     """
     _check_delta(delta)
     comp_const = math.log(4.0 * math.sqrt(int(plm.pair_counts[0].min())) / delta)
@@ -789,8 +793,8 @@ def _optimize_alphas(family, plm, pi, delta, alpha_grid, irprop_config, at_zero=
         log.append(([i], [rep0.value], w0.rho[None],
                     {"alpha": 0.0, "lam": rep0.params.get("lam"), "gam": None}))
     value, rho, params, trace = _best(log)
-    report = BoundReport(family[0], value, delta, dict(params, iterations=iterations, trace=trace))
-    return PosteriorWeights(rho, pi), params, report
+    return PosteriorWeights(rho, pi), BoundReport(
+        family[0], value, delta, dict(params, iterations=iterations, trace=trace))
 
 
 def _outer_rounds(family, stats, pi, irprop_config, start=None):

@@ -402,8 +402,7 @@ def coverage_experiment(dist, n, delta, trials=10000, seed=0):
     Returns a dict bound-name -> frequency of {true mean > bound value};
     includes the PAC-Bayes-kl bound at KL = 0 alongside the four sample
     bounds.  Trials are drawn in fixed-size blocks with per-block seed
-    derivation; the full blocks are bounded as one batch of rows and a
-    shorter last block on its own.
+    derivation, and all blocks are bounded as one batch.
     """
     if trials < 100:
         raise DomainError("need trials >= 100")
@@ -417,13 +416,8 @@ def coverage_experiment(dist, n, delta, trials=10000, seed=0):
     for size, rng in zip(sizes, _streams(seed, ((i,) for i in range(len(sizes))))):
         draw(dist, rng, block[:size])
         stats.append(reduce(dist, block[:size]))
-    batches = ([np.stack(stats[:full], axis=1)] if full else []) + stats[full:]
-    violations = dict.fromkeys(COVERAGE_BOUNDS, 0)
-    for batch in batches:
-        bounds = _bound_values(batch, n, lo, hi, mu, delta, pbkl0=True)
-        for name in COVERAGE_BOUNDS:
-            violations[name] += int(np.sum(dist.mean > bounds[name]))
-    return {name: count / trials for name, count in violations.items()}
+    bounds = _bound_values(np.concatenate(stats, axis=1), n, lo, hi, mu, delta, pbkl0=True)
+    return {name: int(np.sum(dist.mean > bounds[name])) / trials for name in COVERAGE_BOUNDS}
 
 
 def coverage_ceiling(delta, trials):

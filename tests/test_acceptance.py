@@ -120,13 +120,13 @@ def _mv_one(seed):
     rec = {"seed": seed}
     w, rep = tnd_optimize(ts, pi, DELTA)
     rec["tnd"] = {"bound": rep.value, "risk": mv_risk(em, w)}
-    w, _, rep = cctnd_optimize(ts, pi, DELTA, alpha_grid=ALPHA_GRID)
+    w, rep = cctnd_optimize(ts, pi, DELTA, alpha_grid=ALPHA_GRID)
     rec["cctnd"] = {"bound": rep.value, "risk": mv_risk(em, w)}
     for name, optimize in (
         ("ccpbb", ccpbb_optimize), ("ccpbub", ccpbub_optimize),
         ("ccpbskl", ccpbskl_optimize),
     ):
-        w, _, rep = optimize(plm, pi, DELTA, alpha_grid=ALPHA_GRID)
+        w, rep = optimize(plm, pi, DELTA, alpha_grid=ALPHA_GRID)
         rec[name] = {"bound": rep.value, "risk": mv_risk(em, w)}
     return rec
 
@@ -284,12 +284,12 @@ def test_criterion_07_mv_collapse_and_descent():
             assert rep_t.value <= tnd_bound(ts, w_pi, DELTA) + 1e-12
             reports.append(rep_t)
 
-            w, alpha, rep_c = cctnd_optimize(ts, pi, DELTA, alpha_grid=ALPHA_GRID)
+            w, rep_c = cctnd_optimize(ts, pi, DELTA, alpha_grid=ALPHA_GRID)
             assert rep_c.value <= cctnd_bound(ts, w_pi, 0.0, DELTA) + 1e-12
             reports.append(rep_c)
 
             ats0 = alpha_stats(plm, 0.0)
-            w, _, rep_u = ccpbub_optimize(plm, pi, DELTA, alpha_grid=ALPHA_GRID)
+            w, rep_u = ccpbub_optimize(plm, pi, DELTA, alpha_grid=ALPHA_GRID)
             init_u = min(
                 ccpbub_bound(ats0, w_pi, g, DELTA)
                 for g in ccpbub_gamma_grid(ats0, DELTA).values
@@ -297,11 +297,11 @@ def test_criterion_07_mv_collapse_and_descent():
             assert rep_u.value <= init_u + 1e-12
             reports.append(rep_u)
 
-            w, _, rep_s = ccpbskl_optimize(plm, pi, DELTA, alpha_grid=ALPHA_GRID)
+            w, rep_s = ccpbskl_optimize(plm, pi, DELTA, alpha_grid=ALPHA_GRID)
             assert rep_s.value <= ccpbskl_bound(ats0, w_pi, DELTA) + 1e-12
             reports.append(rep_s)
 
-            w, _, rep_b = ccpbb_optimize(plm, pi, DELTA, alpha_grid=ALPHA_GRID)
+            w, rep_b = ccpbb_optimize(plm, pi, DELTA, alpha_grid=ALPHA_GRID)
             lam_grid, gam_grid = _ccpbb_grids(ats0.m)
             init_b = min(
                 ccpbb_bound(ats0, w_pi, lv, gv, DELTA, len(lam_grid), len(gam_grid))

@@ -380,7 +380,7 @@ def test_loss_csv_round_trip(tmp_path):
     plm, _ = synth_ensemble(4, 200, "independent", seed=8, eval_size=10)
     path = str(tmp_path / "dump.csv")
     write_loss_csv(plm, path)
-    again = read_loss_csv(path)
+    again, _ = read_loss_csv(path)
     assert np.array_equal(plm.losses, again.losses)
     assert np.array_equal(plm.mask, again.mask)
     a, b = compute_tandem_stats(plm), compute_tandem_stats(again)
@@ -457,6 +457,27 @@ def test_mv_flag_errors_write_no_dump(tmp_path, flags):
     assert run(["mv", "--synthetic", "correlated", "--h-count", "3", "--n-examples", "100",
                 "--dump-losses", str(dump), *flags]) == 2
     assert not dump.exists()
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "-"]])
+def test_mv_dump_losses_and_json_both_on_stdout_exit_2(capsys, out):
+    # the CSV came out ahead of the JSON, so stdout was not valid JSON
+    argv = ["mv", "--synthetic", "independent", "--h-count", "2", "--n-examples", "4",
+            "--bounds", "tnd", "--dump-losses", "-"]
+    assert run(argv + out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--dump-losses - needs --out FILE" in captured.err
+
+
+def test_mv_dump_losses_to_stdout_with_json_to_a_file(tmp_path, capsys):
+    path = tmp_path / "mv.json"
+    assert run(["mv", "--synthetic", "independent", "--h-count", "2", "--n-examples", "4",
+                "--bounds", "tnd", "--dump-losses", "-", "--out", str(path)]) == 0
+    dumped = capsys.readouterr().out
+    assert dumped.startswith("hypothesis_id,example_id,loss,oob\n")
+    assert len(dumped.splitlines()) == 1 + 2 * 4
+    assert set(json.loads(path.read_text())["bounds"]) == {"tnd"}
 
 
 def test_exit_code_contract_bad_delta():

@@ -16,8 +16,6 @@ from splitkl.cli import (
     EVAL_CSV_HEADER,
     LOSS_CSV_HEADER,
     _id_index,
-    _read_eval_csv,
-    _read_loss_csv,
     main,
     read_eval_csv,
     read_loss_csv,
@@ -131,17 +129,17 @@ def test_header_only_prints_only_its_error(tmp_path, capsys):
     " +0 ,\t0\t, 0,1 \n 0,  1, 1 ,1\n1, -0,1,1\n\t1,1,0,1\n",
 ])
 def test_loss_csv_accepted_variants(tmp_path, variant):
-    plain = read_loss_csv(_write(tmp_path, "plain.csv", LOSS_CSV_HEADER + "\n" + LOSS_ROWS))
+    plain, _ = read_loss_csv(_write(tmp_path, "plain.csv", LOSS_CSV_HEADER + "\n" + LOSS_ROWS))
     header = LOSS_CSV_HEADER + ("\r\n" if "\r" in variant else "\n")
-    again = read_loss_csv(_write(tmp_path, "variant.csv", header + variant))
+    again, _ = read_loss_csv(_write(tmp_path, "variant.csv", header + variant))
     assert np.array_equal(again.losses, plain.losses)
     assert np.array_equal(again.mask, plain.mask)
 
 
 def test_eval_csv_accepts_blank_lines_and_padding(tmp_path):
-    plain = read_eval_csv(_write(tmp_path, "plain.csv", EVAL_CSV_HEADER + "\n" + EVAL_ROWS))
+    plain, _ = read_eval_csv(_write(tmp_path, "plain.csv", EVAL_CSV_HEADER + "\n" + EVAL_ROWS))
     padded = EVAL_ROWS.replace(",", " , ").replace("\n", "\r\n  \r\n")
-    again = read_eval_csv(_write(tmp_path, "padded.csv", EVAL_CSV_HEADER + "\r\n\r\n" + padded))
+    again, _ = read_eval_csv(_write(tmp_path, "padded.csv", EVAL_CSV_HEADER + "\r\n\r\n" + padded))
     assert np.array_equal(again.predictions, plain.predictions)
     assert np.array_equal(again.labels, plain.labels)
 
@@ -165,9 +163,9 @@ def test_eval_hypothesis_ids_must_match_loss_ids(tmp_path, capsys):
 
 def test_readers_return_sorted_hypothesis_ids(tmp_path):
     text = LOSS_CSV_HEADER + "\n7,0,0,1\n7,1,1,1\n3,0,1,1\n3,1,0,1\n"
-    plm, ids = _read_loss_csv(_write(tmp_path, "loss.csv", text))
+    plm, ids = read_loss_csv(_write(tmp_path, "loss.csv", text))
     assert ids.tolist() == [3, 7] and plm.h_count == 2
-    em, ids = _read_eval_csv(_write(tmp_path, "eval.csv", EVAL_CSV_HEADER + "\n" + EVAL_ROWS))
+    em, ids = read_eval_csv(_write(tmp_path, "eval.csv", EVAL_CSV_HEADER + "\n" + EVAL_ROWS))
     assert ids.tolist() == [0, 1] and em.predictions.shape == (2, 2)
 
 
@@ -203,8 +201,8 @@ def test_readers_read_a_pipe_whole(tmp_path):
     evals = _write(tmp_path, "eval.csv", EVAL_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
     for reader, path, fields in ((read_loss_csv, str(losses), ("losses", "mask")),
                                  (read_eval_csv, evals, ("predictions", "labels"))):
-        piped = _pipe_read(reader, Path(path).read_text())
-        plain = reader(path)
+        piped, _ = _pipe_read(reader, Path(path).read_text())
+        plain, _ = reader(path)
         for field in fields:
             got, want = getattr(piped, field), getattr(plain, field)
             assert got.dtype == want.dtype and np.array_equal(got, want), field
@@ -329,7 +327,7 @@ def _eval_file(draw):
 @given(data=_loss_file())
 def test_loss_csv_read_reproduces_the_matrices(tmp_path, data):
     text, losses, mask = data
-    plm = read_loss_csv(_write(tmp_path, "loss.csv", text))
+    plm, _ = read_loss_csv(_write(tmp_path, "loss.csv", text))
     assert np.array_equal(plm.losses, losses)
     assert np.array_equal(plm.mask, mask)
 
@@ -339,6 +337,6 @@ def test_loss_csv_read_reproduces_the_matrices(tmp_path, data):
 @given(data=_eval_file())
 def test_eval_csv_read_reproduces_the_matrices(tmp_path, data):
     text, preds, labels = data
-    em = read_eval_csv(_write(tmp_path, "eval.csv", text))
+    em, _ = read_eval_csv(_write(tmp_path, "eval.csv", text))
     assert np.array_equal(em.predictions, preds)
     assert np.array_equal(em.labels, labels)

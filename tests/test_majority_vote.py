@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from splitkl import majority_vote
 from splitkl.errors import DomainError
 from splitkl.klcore import discrete_kl, kl_inv_lower, kl_inv_upper, phi, psi
+from splitkl.concentration import BoundReport
 from splitkl.majority_vote import (
+    DEFAULT_ALPHA_GRID,
     AlphaTandemStats,
     EvaluationMatrix,
     IRPropConfig,
@@ -396,13 +398,14 @@ def test_alpha_grid_equals_one_alpha_at_a_time(optimize):
     plm = random_plm(rng, h=4, n=90)
     pi = np.full(4, 0.25)
     grid = (0.2, -0.3, 0.0, -0.1, 0.35)
-    w, params, rep = optimize(plm, pi, 0.05, alpha_grid=grid)
+    w, rep = optimize(plm, pi, 0.05, alpha_grid=grid)
     alone = [optimize(plm, pi, 0.05, alpha_grid=(a,)) for a in grid]
-    traces = [r.params["trace"] for _, _, r in alone]
+    traces = [r.params["trace"] for _, r in alone]
     assert rep.params["trace"] == tuple(np.minimum.accumulate(np.concatenate(traces)))
-    assert rep.params["iterations"] == sum(r.params["iterations"] for _, _, r in alone)
-    first = [r.value for _, _, r in alone].index(rep.value)
-    assert params == alone[first][1] and np.array_equal(w.rho, alone[first][0].rho)
+    assert rep.params["iterations"] == sum(r.params["iterations"] for _, r in alone)
+    first = [r.value for _, r in alone].index(rep.value)
+    assert (_chosen(rep) == _chosen(alone[first][1])
+            and np.array_equal(w.rho, alone[first][0].rho))
 
 
 @pytest.mark.parametrize("optimize", [ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize])
@@ -412,18 +415,24 @@ def test_alpha_grid_in_chunks_equals_one_batch(monkeypatch, optimize):
     plm = random_plm(rng, h=4, n=90)
     pi = np.full(4, 0.25)
     grid = (0.2, -0.3, 0.0, -0.1, 0.35, 0.1, -0.45, 0.05)
-    whole_w, whole_params, whole = optimize(plm, pi, 0.05, alpha_grid=grid)
+    whole_w, whole = optimize(plm, pi, 0.05, alpha_grid=grid)
     batches = []
     stacked = majority_vote.alpha_stats
     monkeypatch.setattr(majority_vote, "alpha_stats",
                         lambda plm, alphas: batches.append(alphas) or stacked(plm, alphas))
     monkeypatch.setattr(majority_vote, "_STACK_ENTRIES", 2 * 4 * 4)  # two alphas per chunk
-    w, params, rep = optimize(plm, pi, 0.05, alpha_grid=grid)
+    w, rep = optimize(plm, pi, 0.05, alpha_grid=grid)
     assert len(batches) >= 3 and max(len(b) for b in batches) == 2
-    assert rep.value == whole.value and params == whole_params
+    assert rep.value == whole.value and _chosen(rep) == _chosen(whole)
     assert np.array_equal(w.rho, whole_w.rho)
     assert rep.params["trace"] == whole.params["trace"]
     assert rep.params["iterations"] == whole.params["iterations"]
+
+
+def _chosen(rep):
+    """An optimizer report's chosen parameters: its params without the
+    iteration count and the trace."""
+    return {k: v for k, v in rep.params.items() if k not in ("iterations", "trace")}
 
 
 def _best_by_loop(log):
@@ -521,8 +530,8 @@ def test_alpha_family_batches_equal_irprop_plus_per_row(monkeypatch):
                     rho, evals = _row_run(gradient, objective, init, cfg, i)
                     assert np.array_equal(batch[i], rho)
                     stops.add((evals - 1, cfg.max_iter))
-        _, params, _ = ccpbskl_optimize(plm, pi, 0.05, alpha_grid=(0.3,))
-        infinite_gamma |= params["gam"] == math.inf
+        _, rep = ccpbskl_optimize(plm, pi, 0.05, alpha_grid=(0.3,))
+        infinite_gamma |= rep.params["gam"] == math.inf
     assert infinite_gamma
     assert (12, 12) in stops  # a row that ran to max_iter
     assert len({it for it, cap in stops if it < cap}) >= 3  # rows stopping at different iterations
@@ -619,17 +628,19 @@ def test_rho2_quadratic_matches_double_sum():
         assert float(rho @ m @ rho) == pytest.approx(brute, abs=1e-12)
 
 
-def test_cctnd_and_ccpbskl_collapse_at_alpha_zero():
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        plm = random_plm(rng, h=int(rng.integers(2, 6)), n=40)
-        ts = compute_tandem_stats(plm)
-        ats = alpha_stats(plm, 0.0)
-        rho = project_simplex(rng.uniform(size=plm.h_count))
-        w = PosteriorWeights(rho=rho, pi=np.full(plm.h_count, 1.0 / plm.h_count))
-        base = tnd_bound(ts, w, 0.05)
-        assert abs(cctnd_bound(ts, w, 0.0, 0.05) - base) <= 1e-12
-        assert abs(ccpbskl_bound(ats, w, 0.05) - base) <= 1e-12
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(2, 6), n=st.integers(20, 120),
+       delta=st.floats(1e-4, 0.9))
+def test_cctnd_and_ccpbskl_collapse_at_alpha_zero(seed, h, n, delta):
+    # at alpha = 0 both forms are the TND bound, bit for bit, on random
+    # ensembles, posteriors and Dirichlet priors
+    rng = np.random.default_rng(seed)
+    plm = random_plm(rng, h=h, n=n, rate=rng.uniform(0.05, 0.5))
+    ts, ats = compute_tandem_stats(plm), alpha_stats(plm, 0.0)
+    w = PosteriorWeights(rho=rng.dirichlet(np.ones(h)), pi=rng.dirichlet(np.full(h, 2.0)))
+    base = tnd_bound(ts, w, delta)
+    assert cctnd_bound(ts, w, 0.0, delta) == base
+    assert ccpbskl_bound(ats, w, delta) == base
 
 
 def _plm_with_rates(n, r1, r2, joint):
@@ -875,7 +886,8 @@ def test_cctnd_optimize_beats_alpha_zero():
         plm = random_plm(rng, h=3, n=80)
         ts = compute_tandem_stats(plm)
         pi = np.full(3, 1.0 / 3.0)
-        w, alpha, rep = cctnd_optimize(ts, pi, 0.05, alpha_grid=SMALL_ALPHA_GRID)
+        w, rep = cctnd_optimize(ts, pi, 0.05, alpha_grid=SMALL_ALPHA_GRID)
+        alpha = rep.params["alpha"]
         init = cctnd_bound(ts, PosteriorWeights(pi, pi), 0.0, 0.05)
         assert rep.value <= init + 1e-12
         assert rep.value == pytest.approx(cctnd_bound(ts, w, alpha, 0.05), abs=1e-12)
@@ -887,10 +899,46 @@ def test_cctnd_fixed_alpha_zero_equals_tnd():
     ts = compute_tandem_stats(plm)
     pi = np.full(4, 0.25)
     w_t, rep_t = tnd_optimize(ts, pi, 0.05)
-    w_c, alpha, rep_c = cctnd_optimize(ts, pi, 0.05, alpha_grid=(0.0,))
-    assert alpha == 0.0
+    w_c, rep_c = cctnd_optimize(ts, pi, 0.05, alpha_grid=(0.0,))
+    assert rep_c.params["alpha"] == 0.0
     assert rep_c.value == rep_t.value
     assert np.array_equal(w_c.rho, w_t.rho)
+
+
+def test_cctnd_takes_the_tnd_candidate_only_when_strictly_lower():
+    # a grid around 0 makes the given TND result a candidate; one with no
+    # finite value never wins, so that run is CCTND's own best
+    rng = np.random.default_rng(21)
+    plm = random_plm(rng, h=4, n=80)
+    ts, pi = compute_tandem_stats(plm), np.full(4, 0.25)
+    grid = (-0.2, 0.0, 0.3)
+    cand_rho = np.array([0.4, 0.3, 0.2, 0.1])
+
+    def cctnd_with_tnd(value):
+        tnd = (PosteriorWeights(cand_rho, pi),
+               BoundReport("tnd", value, 0.05, {"lam": 0.25, "iterations": 3, "trace": ()}))
+        return cctnd_optimize(ts, pi, 0.05, alpha_grid=grid, tnd=tnd)
+
+    own_w, own = cctnd_with_tnd(math.inf)
+    w, rep = cctnd_with_tnd(np.nextafter(own.value, -math.inf))
+    assert rep.value == np.nextafter(own.value, -math.inf)
+    assert np.array_equal(w.rho, cand_rho) and w.rho is not cand_rho
+    assert {k: rep.params[k] for k in ("alpha", "lam")} == {"alpha": 0.0, "lam": 0.25}
+    assert "gam" not in rep.params
+    assert rep.params["trace"] == own.params["trace"] + (rep.value,)
+    assert rep.params["iterations"] == own.params["iterations"]
+    w, rep = cctnd_with_tnd(own.value)  # a tie keeps CCTND's own record
+    assert rep.value == own.value and np.array_equal(w.rho, own_w.rho)
+    assert rep.params == own.params
+
+
+def test_alpha_grid_none_is_the_default_grid():
+    rng = np.random.default_rng(22)
+    plm = random_plm(rng, h=3, n=60)
+    pi = np.full(3, 1.0 / 3.0)
+    w, rep = ccpbub_optimize(plm, pi, 0.05, alpha_grid=None)
+    w_default, rep_default = ccpbub_optimize(plm, pi, 0.05, alpha_grid=DEFAULT_ALPHA_GRID)
+    assert rep == rep_default and np.array_equal(w.rho, w_default.rho)
 
 
 @pytest.mark.parametrize("grid", [(0.3, 0.45), (-0.45, -0.3), (0.3,), (-0.2, 0.1, 0.4)])
@@ -902,7 +950,8 @@ def test_cctnd_reports_an_alpha_inside_the_grid_range(grid):
     for seed in range(4):
         plm, _ = synth_ensemble(5, 400, "correlated", seed=seed)
         ts, pi = compute_tandem_stats(plm), np.full(5, 0.2)
-        w, alpha, rep = cctnd_optimize(ts, pi, 0.05, alpha_grid=grid)
+        w, rep = cctnd_optimize(ts, pi, 0.05, alpha_grid=grid)
+        alpha = rep.params["alpha"]
         assert min(grid) <= alpha <= max(grid)
         assert rep.value == cctnd_bound(ts, w, alpha, 0.05)
 
@@ -913,7 +962,8 @@ def test_cc_optimizers_descend_and_report_consistently():
     pi = np.full(3, 1.0 / 3.0)
     w_pi = PosteriorWeights(pi, pi)
 
-    w, params, rep = ccpbub_optimize(plm, pi, 0.05, alpha_grid=SMALL_ALPHA_GRID)
+    w, rep = ccpbub_optimize(plm, pi, 0.05, alpha_grid=SMALL_ALPHA_GRID)
+    params = rep.params
     ats0 = alpha_stats(plm, 0.0)
     grid0 = ccpbub_gamma_grid(ats0, 0.05).values
     init = min(ccpbub_bound(ats0, w_pi, g, 0.05) for g in grid0)
@@ -923,7 +973,8 @@ def test_cc_optimizers_descend_and_report_consistently():
         ccpbub_bound(ats, w, params["gam"], 0.05), abs=1e-12
     )
 
-    w, params, rep = ccpbskl_optimize(plm, pi, 0.05, alpha_grid=SMALL_ALPHA_GRID)
+    w, rep = ccpbskl_optimize(plm, pi, 0.05, alpha_grid=SMALL_ALPHA_GRID)
+    params = rep.params
     ts = compute_tandem_stats(plm)
     init = tnd_bound(ts, w_pi, 0.05)  # alpha = 0 value at rho = pi
     assert rep.value <= init + 1e-12
@@ -933,7 +984,8 @@ def test_cc_optimizers_descend_and_report_consistently():
         ats = alpha_stats(plm, params["alpha"])
         assert rep.value == pytest.approx(ccpbskl_bound(ats, w, 0.05), abs=1e-12)
 
-    w, params, rep = ccpbb_optimize(plm, pi, 0.05, alpha_grid=SMALL_ALPHA_GRID)
+    w, rep = ccpbb_optimize(plm, pi, 0.05, alpha_grid=SMALL_ALPHA_GRID)
+    params = rep.params
     assert rep.value <= ccpbb_first_eval(plm, pi, 0.05) + 1e-9
     ats = alpha_stats(plm, params["alpha"])
     assert rep.value == pytest.approx(
@@ -962,10 +1014,10 @@ def test_optimize_traces_non_increasing():
     pi = np.full(4, 0.25)
     for rep in [
         tnd_optimize(ts, pi, 0.05)[1],
-        cctnd_optimize(ts, pi, 0.05, alpha_grid=SMALL_ALPHA_GRID)[2],
-        ccpbub_optimize(plm, pi, 0.05, alpha_grid=SMALL_ALPHA_GRID)[2],
-        ccpbskl_optimize(plm, pi, 0.05, alpha_grid=SMALL_ALPHA_GRID)[2],
-        ccpbb_optimize(plm, pi, 0.05, alpha_grid=SMALL_ALPHA_GRID)[2],
+        cctnd_optimize(ts, pi, 0.05, alpha_grid=SMALL_ALPHA_GRID)[1],
+        ccpbub_optimize(plm, pi, 0.05, alpha_grid=SMALL_ALPHA_GRID)[1],
+        ccpbskl_optimize(plm, pi, 0.05, alpha_grid=SMALL_ALPHA_GRID)[1],
+        ccpbb_optimize(plm, pi, 0.05, alpha_grid=SMALL_ALPHA_GRID)[1],
     ]:
         trace = rep.params["trace"]
         assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
@@ -1095,14 +1147,10 @@ def test_optimizers_reject_empty_alpha_grid():
 def _run_all_optimizers(plm, pi):
     ts = compute_tandem_stats(plm)
     grid = (-0.3, 0.0, 0.2)
-    w, rep = tnd_optimize(ts, pi, 0.05)
-    runs = {"tnd": (w, {}, rep)}
-    w, alpha, rep = cctnd_optimize(ts, pi, 0.05, alpha_grid=grid)
-    runs["cctnd"] = w, {"alpha": alpha}, rep
-    for optimize in (ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize):
-        w, params, rep = optimize(plm, pi, 0.05, alpha_grid=grid)
-        runs[rep.name] = w, params, rep
-    return runs
+    runs = [tnd_optimize(ts, pi, 0.05), cctnd_optimize(ts, pi, 0.05, alpha_grid=grid)]
+    runs += [optimize(plm, pi, 0.05, alpha_grid=grid)
+             for optimize in (ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize)]
+    return {rep.name: (w, rep) for w, rep in runs}
 
 
 def test_optimizers_keep_rho_zero_off_the_prior_support():
@@ -1114,13 +1162,14 @@ def test_optimizers_keep_rho_zero_off_the_prior_support():
     ts = compute_tandem_stats(plm)
     runs = _run_all_optimizers(plm, pi)
     assert set(runs) == {"tnd", "cctnd", "ccpbb", "ccpbub", "ccpbskl"}
-    for name, (w, params, rep) in runs.items():
+    for name, (w, rep) in runs.items():
         assert math.isfinite(rep.value), name
         assert np.array_equal(w.rho[2:], [0.0, 0.0]) and np.array_equal(w.pi, pi), name
-    assert runs["tnd"][2].value == tnd_bound(ts, runs["tnd"][0], 0.05)
-    w, params, rep = runs["cctnd"]
-    assert rep.value == cctnd_bound(ts, w, params["alpha"], 0.05)
-    w, params, rep = runs["ccpbb"]
+    assert runs["tnd"][1].value == tnd_bound(ts, runs["tnd"][0], 0.05)
+    w, rep = runs["cctnd"]
+    assert rep.value == cctnd_bound(ts, w, rep.params["alpha"], 0.05)
+    w, rep = runs["ccpbb"]
+    params = rep.params
     assert rep.value == pytest.approx(
         ccpbb_bound(alpha_stats(plm, params["alpha"]), w, params["lam"], params["gam"],
                     0.05, 20, 20), abs=1e-12)
@@ -1159,12 +1208,12 @@ def test_zero_prior_entries_equal_the_optimizer_on_the_support():
     sub_runs = _run_all_optimizers(sub, pi_sub)
     # CCPBSkl leaves the prior here, so a moved rho is padded too
     assert np.abs(sub_runs["ccpbskl"][0].rho - pi_sub).max() > 0.1
-    for name, (w_sub, params_sub, rep_sub) in sub_runs.items():
-        w, params, rep = full[name]
+    for name, (w_sub, rep_sub) in sub_runs.items():
+        w, rep = full[name]
         assert rep.value == rep_sub.value, name
         assert w.rho[support].tobytes() == w_sub.rho.tobytes(), name
         assert np.array_equal(w.rho[off], [0.0, 0.0]), name
-        assert params == params_sub and rep.params == rep_sub.params, name
+        assert rep.params == rep_sub.params, name
 
 
 # ---------------------------------------------------------------------------
@@ -1182,8 +1231,8 @@ def optimizer_golden_payload():
     from splitkl.cli import _round12
     from splitkl.simulation import synth_ensemble
 
-    def entry(w, rep, params=None):
-        params = dict(rep.params, **(params or {}))
+    def entry(w, rep):
+        params = dict(rep.params)
         return {"value": rep.value, "rho": w.rho, "iterations": params.pop("iterations"),
                 "trace": params.pop("trace"),
                 "params": {k: "inf" if v == math.inf else v for k, v in params.items()}}
@@ -1207,15 +1256,14 @@ def optimizer_golden_payload():
         for key, kwargs in (("grid5", {"alpha_grid": grid}), ("fixed0.2", {"alpha_grid": (0.2,)}),
                             ("fixed-0.3", {"alpha_grid": (-0.3,)}),
                             ("grid5/short", {"alpha_grid": grid, "irprop_config": short})):
-            w, alpha, rep = cctnd_optimize(ts, pi, delta, tnd=tnd, **kwargs)
-            out["cctnd/" + key] = entry(w, rep, {"alpha": alpha})
+            out["cctnd/" + key] = entry(*cctnd_optimize(ts, pi, delta, tnd=tnd, **kwargs))
         for optimize in (ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize):
             kw = {"tnd": tnd} if optimize is ccpbskl_optimize else {}
             for key, kwargs in (("grid5", {"alpha_grid": grid}),
                                 ("fixed0.2", {"alpha_grid": (0.2,)}),
                                 ("fixed-0.3/short", {"alpha_grid": (-0.3,), "irprop_config": short})):
-                w, params, rep = optimize(plm, pi, delta, **kwargs, **kw)
-                out[rep.name + "/" + key] = entry(w, rep, params)
+                w, rep = optimize(plm, pi, delta, **kwargs, **kw)
+                out[rep.name + "/" + key] = entry(w, rep)
     return json.dumps(_round12(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from splitkl.concentration import (
+    EmpiricalSummary,
+    SplitSummary,
+    empirical_bernstein_bound,
+    kl_upper_bound,
+    split_kl_bound,
+)
 from splitkl.errors import DomainError
 from splitkl.klcore import kl_inv_lower, kl_inv_upper
 from splitkl.pacbayes import (
@@ -389,6 +398,42 @@ def test_monotonicity_in_kl_and_n():
         ):
             assert f(inp_bigger_kl) >= f(inp) - 1e-12
             assert f(inp_bigger_n) <= f(inp) + 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bounds_non_increasing_in_n(seed):
+    # at fixed statistics, more samples never loosen a bound: n + extra,
+    # up to 5% more, against n, log-uniform in [2, 20000].  The Unexpected
+    # Bernstein grids (UB, PB-UB) are left out: their union bound grows
+    # with n, and the bound rises where it does.  At mean 0.1, second
+    # moment 0.02 and delta 0.05 the grid goes from 1 to 2 points at
+    # n = 48, and the UB bound rises 0.2352 -> 0.2614 from n = 47 to 48; it
+    # rises again at n = 192, 767 and 3068.
+    rng = np.random.default_rng(seed)
+    n = int(math.exp(rng.uniform(math.log(2.0), math.log(20000.0))))
+    extra = 1 + int(n * rng.uniform(0.0, 0.05))
+    mean, spread, mu = rng.uniform(size=3)
+    kl, delta = rng.uniform(0.0, 5.0), rng.uniform(1e-4, 0.9)
+    plus, minus = mean * (1.0 - mu), spread * mu
+
+    def pb(k):
+        return pb_input(gibbs_mean=mean, gibbs_second_moment=mean, gibbs_plus_mean=plus,
+                        gibbs_minus_mean=minus, kl_complexity=kl, n=k, mu=mu)
+
+    bounds = {
+        "kl": lambda k: kl_upper_bound(mean, k, delta, 0.0, 1.0),
+        "eb": lambda k: empirical_bernstein_bound(
+            EmpiricalSummary(k, mean, mean, spread * mean * (1.0 - mean), 0.0, 1.0), delta),
+        "split-kl": lambda k: split_kl_bound(SplitSummary(k, mu, plus, minus, 0.0, 1.0), delta),
+        "pb-kl": lambda k: pb_kl_bound(mean, kl, k, delta),
+        "refined-pinsker": lambda k: pb_kl_pinsker_relaxation(mean, kl, k, delta),
+        "pb-split-kl": lambda k: pb_split_kl(pb(k), delta),
+        "pb-lambda": lambda k: pb_lambda_upper(mean, kl, k, delta,
+                                               optimal_lambda(mean, kl, k, delta)),
+    }
+    for name, bound in bounds.items():
+        assert bound(n + extra) <= bound(n), name
 
 
 def test_pb_kl_coverage_single_hypothesis():
