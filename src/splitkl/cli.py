@@ -7,14 +7,16 @@ or ingested loss matrices).
 
 Exit codes: 0 success, 1 acceptance-check failure, 2 input/usage error,
 3 domain error.  All floats are printed with 12 significant digits and all
-outputs are byte-deterministic given (args, seed).  ``simulate``,
-``coverage`` and ``mv`` run in one thread: they accept ``--threads`` and
-ignore it.
+outputs are byte-deterministic given (args, seed).  Every command takes
+``--delta`` and ``--out``; ``simulate``, ``coverage`` and ``mv`` also take
+``--seed`` and ``--threads``.  Each is declared once, on a parent parser.
+Every command runs in one thread, so ``--threads`` is accepted and ignored.
 """
 
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -88,6 +90,11 @@ def _emit(text, out_path):
             fh.write(text)
     except OSError as exc:
         raise InputFormatError(f"cannot write {out_path}: {exc}") from exc
+
+
+def _target(out_path):
+    """The file ``_emit`` writes ``out_path`` to, for comparing two outputs."""
+    return os.path.realpath("/dev/stdout" if out_path in (None, "-") else out_path)
 
 
 def _emit_json(obj, out_path):
@@ -180,21 +187,11 @@ BETA_MODES = ("constant_mean", "spectrum")
 
 def _sweep_csv(rows):
     lines = ["param,bound,gap_mean,gap_std,repeats,n,delta,seed"]
-    for rec in simulation.sweep_rows_to_records(rows):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(rec["param"]),
-                    rec["bound"],
-                    _fmt(rec["gap_mean"]),
-                    _fmt(rec["gap_std"]),
-                    str(rec["repeats"]),
-                    str(rec["n"]),
-                    _fmt(rec["delta"]),
-                    str(rec["seed"]),
-                ]
-            )
-        )
+    for row in rows:
+        meta = f"{row.repeats},{row.n},{_fmt(row.delta)},{row.seed}"
+        for name in simulation.BOUND_NAMES:
+            gaps = f"{_fmt(row.gap_mean(name))},{_fmt(row.gap_std(name))}"
+            lines.append(f"{_fmt(row.param)},{name},{gaps},{meta}")
     return "\n".join(lines) + "\n"
 
 
@@ -410,8 +407,9 @@ def cmd_mv(args):
     for name in names:
         if name not in MV_BOUNDS:
             raise InputFormatError(f"unknown bound {name!r}")
-    if args.dump_losses == "-" and args.out in (None, "-"):
-        raise InputFormatError("--dump-losses - needs --out FILE: both would write to stdout")
+    if args.dump_losses is not None and _target(args.dump_losses) == _target(args.out):
+        raise InputFormatError(f"--dump-losses {args.dump_losses} needs --out FILE naming "
+                               "another file: both would write to one file")
     alpha_grid = _alpha_grid_from_args(args)
     if args.dump_losses:
         write_loss_csv(plm, args.dump_losses)
@@ -460,43 +458,41 @@ def build_parser():
         description="Concentration and PAC-Bayes bound computation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options every command shares, and those of the seeded commands
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--delta", type=float, default=0.05)
+    shared.add_argument("--out", default="-")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
-    p = sub.add_parser("bound", help="scalar bounds on a sample file")
+    p = sub.add_parser("bound", parents=[shared], help="scalar bounds on a sample file")
     p.add_argument("file", help="text file, one real per line; optional "
                                "'# lo=<a> hi=<b> mu=<m>' header")
     p.add_argument("--bound", choices=BOUND_CHOICES + ("all",), default="all")
-    p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--lo", type=float, default=None)
     p.add_argument("--hi", type=float, default=None)
     p.add_argument("--mu", type=float, default=None)
     p.add_argument("--clip", action="store_true", help="clip bounds to hi")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("simulate", help="bound-gap sweep CSV")
+    p = sub.add_parser("simulate", parents=[shared, seeded], help="bound-gap sweep CSV")
     p.add_argument("--mode", choices=TERNARY_MODES + BETA_MODES, required=True)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--repeats", type=int, default=simulation.DEFAULT_REPEATS)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("coverage", help="Monte Carlo violation frequencies")
+    p = sub.add_parser("coverage", parents=[shared, seeded],
+                       help="Monte Carlo violation frequencies")
     p.add_argument("--dist", choices=("ternary", "beta"), default="ternary")
     p.add_argument("--probs", default="0.25,0.5,0.25",
                    help="ternary masses p_minus1,p_0,p_1")
     p.add_argument("--shape", default="2,5", help="beta shapes alpha,beta")
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_coverage)
 
-    p = sub.add_parser("mv", help="majority-vote bound optimization")
+    p = sub.add_parser("mv", parents=[shared, seeded], help="majority-vote bound optimization")
     p.add_argument("--synthetic", choices=simulation.NOISE_PROFILES, default=None)
     p.add_argument("--losses", default=None, help="loss CSV "
                    f"({LOSS_CSV_HEADER})")
@@ -511,12 +507,7 @@ def build_parser():
     p.add_argument("--n-examples", type=int, default=2000)
     p.add_argument("--bagging-rate", type=float, default=0.8)
     p.add_argument("--error-rate", type=float, default=0.3)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored: mv is single-threaded")
     p.add_argument("--dump-losses", default=None)
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_mv)
     return parser
 

@@ -137,8 +137,7 @@ class AlphaTandemStats:
 
     The loss takes the three values a^2, -a(1-a), (1-a)^2; ``a``/``mu``/``b``
     are its sorted range with ``mu`` the middle value, ``k_range`` =
-    b - a = max(1-alpha, 1-2alpha), and ``scale`` = (1/2 - alpha)^2 is the
-    Chebyshev-Cantelli denominator.  ``n`` and ``m`` are the single and
+    b - a = max(1-alpha, 1-2alpha).  ``n`` and ``m`` are the single and
     pairwise minimum OOB counts of the source matrix.  A stacked instance
     holds A alphas: (A, H, H) matrices and (A, 1) columns of the scalars.
     """
@@ -153,7 +152,6 @@ class AlphaTandemStats:
     mu: float
     b: float
     k_range: float
-    scale: float
     n: int
     m: int
 
@@ -270,8 +268,7 @@ def alpha_stats(plm: PredictionLossMatrix, alpha) -> AlphaTandemStats:
         alpha=alphas[:, None], mean=mean, second_moment=second, variance=variance,
         plus=pair_mean(*(np.maximum(0.0, x - mu) for x in v)),
         minus=pair_mean(*(np.maximum(0.0, mu - x) for x in v)), a=lo[..., 0], mu=mu[..., 0],
-        b=hi[..., 0], k_range=k_range[..., 0], scale=((0.5 - alphas) ** 2)[:, None],
-        n=int(row_counts.min()), m=int(valid.min()),
+        b=hi[..., 0], k_range=k_range[..., 0], n=int(row_counts.min()), m=int(valid.min()),
     )
     if np.ndim(alpha):
         return stats
@@ -488,7 +485,7 @@ def _ccpbb_value(ats, q_mean, q_var, kl, lam, gamma, delta, k_lambda, k_gamma):
     val = q_mean + comp / (gamma * m) + bennett * (
         q_var / (1.0 - u) + k * k * comp / (n * lam * (1.0 - u))
     )
-    return val / ats.scale
+    return val / np.square(0.5 - ats.alpha)
 
 
 def ccpbub_gamma_grid(ats: AlphaTandemStats, delta):
@@ -516,7 +513,7 @@ def _ccpbub_value(ats, q_mean, q_second, kl, gamma, delta, k_gamma):
     """:func:`ccpbub_bound` from rho' mean rho, rho' second_moment rho and KL(rho||pi)."""
     comp = 2.0 * kl + math.log(k_gamma / delta)
     val = _unexpected_bernstein_value(q_mean, q_second, comp, ats.m, gamma, ats.b)
-    return val / ats.scale
+    return val / np.square(0.5 - ats.alpha)
 
 
 def ccpbskl_bound(ats: AlphaTandemStats, w: PosteriorWeights, delta) -> float:
@@ -534,7 +531,7 @@ def _ccpbskl_value(ats, q_plus, q_minus, kl, delta):
     """:func:`ccpbskl_bound` from rho' plus rho, rho' minus rho and KL(rho||pi)."""
     val = _split_kl_value(ats.mu, ats.b - ats.mu, ats.mu - ats.a, q_plus, q_minus,
                           _tandem_eps(kl, ats.m, delta))
-    return val / ats.scale
+    return val / np.square(0.5 - ats.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +678,10 @@ def ccpbb_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
     through the ln(2 k_lambda k_gamma / delta) union factor.
     """
     _check_delta(delta)
-    lam_grid, gam_grid = _ccpbb_grids(int(plm.pair_counts[0].min()))
+    m = int(plm.pair_counts[0].min())
+    if m < 2:  # lambda ranges over (0, 2(m-1)/m), empty at m = 1
+        raise DomainError(f"CCPBB needs m >= 2 OOB examples shared by every pair, got m = {m}")
+    lam_grid, gam_grid = _ccpbb_grids(m)
 
     def objective(s, p, q_mean, q_var, kl):
         return _ccpbb_value(s, q_mean, q_var, kl, p["lam"], p["gam"], delta,
@@ -737,7 +737,7 @@ def ccpbskl_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
         finite = np.isfinite(p["gam"])
         lower = _lambda_lower_value(q_minus, (s.mu - s.a) * comp, s.m,
                                     np.where(finite, p["gam"], 1.0))
-        return np.where(finite, val - lower, val) / s.scale
+        return np.where(finite, val - lower, val) / np.square(0.5 - s.alpha)
 
     def step(s, p, q_plus, q_minus, kl):
         comp = 2.0 * kl + comp_const

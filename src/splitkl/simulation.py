@@ -373,26 +373,6 @@ def sweep_beta(mode, n, delta, repeats=DEFAULT_REPEATS, seed=0):
     return _sweep(specs, params, n, delta, repeats, seed)
 
 
-def sweep_rows_to_records(rows):
-    """Flatten sweep rows to (param, bound, gap_mean, gap_std, ...) records."""
-    records = []
-    for row in rows:
-        for name in BOUND_NAMES:
-            records.append(
-                {
-                    "param": row.param,
-                    "bound": name,
-                    "gap_mean": row.gap_mean(name),
-                    "gap_std": row.gap_std(name),
-                    "repeats": row.repeats,
-                    "n": row.n,
-                    "delta": row.delta,
-                    "seed": row.seed,
-                }
-            )
-    return records
-
-
 _COVERAGE_BLOCK = 500
 
 

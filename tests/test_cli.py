@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +373,20 @@ def test_mv_empty_pair_exit_3(tmp_path, capsys):
     assert "(0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mv_ccpbb_on_a_pair_sharing_one_example_exit_3(tmp_path, capsys):
+    # CCPBB's lambda range (0, 2(m-1)/m) is empty at m = 1: this printed a
+    # RuntimeWarning and exited 3 with "non-finite gradient"
+    lines = ["hypothesis_id,example_id,loss,oob"]
+    for e in range(5):
+        lines += [f"0,{e},{e % 2},{int(e <= 2)}", f"1,{e},{(e + 1) % 2},{int(e >= 2)}"]
+    path = tmp_path / "loss.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["mv", "--losses", str(path), "--bounds", "ccpbb"]) == 3
+    assert "got m = 1" in capsys.readouterr().err
+    assert run(["mv", "--losses", str(path), "--bounds", "tnd,cctnd,ccpbub,ccpbskl"]) == 0
+
+
 def test_mv_malformed_csv_exit_2(tmp_path):
     path = tmp_path / "loss.csv"
     path.write_text("hypothesis,example\n0,0\n")
@@ -468,6 +485,30 @@ def test_mv_dump_losses_and_json_both_on_stdout_exit_2(capsys, out):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--dump-losses - needs --out FILE" in captured.err
+
+
+@pytest.mark.parametrize("dump, out, code", [
+    ("x.csv", "x.csv", 2), ("./x.csv", "x.csv", 2), ("x.csv", "y.json", 0)])
+def test_mv_dump_losses_and_out_naming_one_file(tmp_path, monkeypatch, dump, out, code):
+    # the JSON overwrote the dump, and the command exited 0
+    monkeypatch.chdir(tmp_path)
+    assert run(["mv", "--synthetic", "independent", "--h-count", "2", "--n-examples", "4",
+                "--bounds", "tnd", "--dump-losses", dump, "--out", out]) == code
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if code else ["x.csv", "y.json"])
+
+
+@pytest.mark.parametrize("dump", ["/dev/stdout", "/dev/fd/1"])
+def test_mv_dump_losses_to_dev_stdout_with_json_on_stdout_exit_2(dump):
+    # the CSV came out ahead of the JSON; a subprocess, as pytest replaces stdout
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "splitkl.cli", "mv", "--synthetic", "independent", "--h-count",
+         "2", "--n-examples", "4", "--bounds", "tnd", "--dump-losses", dump],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=False,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"--dump-losses {dump} needs --out FILE" in proc.stderr
 
 
 def test_mv_dump_losses_to_stdout_with_json_to_a_file(tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitkl.concentration import (
     BoundReport,
@@ -44,13 +46,20 @@ def test_split_decompose_definition():
     assert s.minus_mean == pytest.approx(0.15)
 
 
-def test_split_decompose_mean_identity():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        z = rng.uniform(-2, 3, size=rng.integers(1, 40))
-        mu = rng.uniform(-2, 3)
-        s = split_decompose(z, mu, -2.0, 3.0)
-        assert z.mean() == pytest.approx(s.mu + s.plus_mean - s.minus_mean, abs=1e-12)
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_split_decompose_mean_identity(data):
+    # mean(z) = mu + mean((z - mu)_+) - mean((mu - z)_+) for every mu in [lo, hi]
+    lo = data.draw(st.floats(-1e6, 1e6), label="lo")
+    hi = lo + data.draw(st.floats(1e-6, 1e6), label="width")
+    point = st.floats(lo, hi)
+    n = data.draw(st.integers(1, 40), label="n")
+    z = data.draw(st.one_of(point.map(lambda v: [v] * n),
+                            st.lists(point, min_size=n, max_size=n)), label="z")
+    mu = data.draw(st.one_of(st.sampled_from([lo, hi]), point), label="mu")
+    s = split_decompose(z, mu, lo, hi)
+    scale = max(1.0, abs(lo), abs(hi))
+    assert np.mean(z) == pytest.approx(s.mu + s.plus_mean - s.minus_mean, abs=1e-12 * scale)
 
 
 def test_split_decompose_errors():

@@ -98,6 +98,16 @@ def test_tandem_stats_partial_masks():
     assert ts.single_loss[1] == pytest.approx(0.4)
 
 
+def test_ccpbb_optimize_needs_two_shared_examples():
+    # lambda ranges over (0, 2(m-1)/m), empty at m = 1: a RuntimeWarning, then
+    # a "non-finite gradient" error
+    mask = np.array([[True, True, True, False, False], [False, False, True, True, True]])
+    plm = PredictionLossMatrix(losses=np.array([[0.0, 1, 0, 1, 0], [1, 0, 1, 0, 1]]), mask=mask)
+    assert compute_tandem_stats(plm).m == 1
+    with pytest.raises(DomainError, match="got m = 1"):
+        ccpbb_optimize(plm, np.full(2, 0.5), 0.05)
+
+
 def test_empty_intersection_rejected():
     losses = np.zeros((2, 4))
     mask = np.array([[True, True, False, False], [False, False, True, True]])
@@ -195,7 +205,7 @@ def test_alpha_stats_stacked_rows_equal_single_calls():
         one = alpha_stats(plm, alpha)
         for name in ("mean", "second_moment", "variance", "plus", "minus"):
             assert np.array_equal(getattr(stacked, name)[i], getattr(one, name))
-        for name in ("alpha", "a", "mu", "b", "k_range", "scale"):
+        for name in ("alpha", "a", "mu", "b", "k_range"):
             assert getattr(stacked, name)[i, 0] == getattr(one, name)
     with pytest.raises(DomainError):
         alpha_stats(plm, (0.1, 0.5))

@@ -33,7 +33,6 @@ from splitkl.simulation import (
     sample_beta,
     sample_ternary,
     sweep_beta,
-    sweep_rows_to_records,
     sweep_ternary,
     synth_ensemble,
 )
@@ -383,16 +382,6 @@ def test_sweep_beta_modes():
     assert all(a <= b + 1e-12 for a, b in zip(params, params[1:]))
     with pytest.raises(DomainError):
         sweep_beta("nope", n=50, delta=0.05, repeats=5, seed=8)
-
-
-def test_sweep_records_schema():
-    rows = sweep_ternary("symmetric", n=30, delta=0.05, repeats=5, seed=9)
-    records = sweep_rows_to_records(rows)
-    assert len(records) == 51 * 4
-    assert set(records[0]) == {
-        "param", "bound", "gap_mean", "gap_std", "repeats", "n", "delta", "seed",
-    }
-    assert all(np.isfinite(r["gap_mean"]) for r in records)
 
 
 # ---------------------------------------------------------------------------
