@@ -47,7 +47,7 @@ def sweep_demo(mode):
     print(f"{mode} sweep (median gap = bound - empirical mean, clipped to 1):")
     print("  p0     kl      eb      ub      skl    tightest")
     for row in rows[::10]:
-        med = {name: row.gap_median(name) for name in ("kl", "eb", "ub", "skl")}
+        med = {name: float(np.median(row.gaps[name])) for name in ("kl", "eb", "ub", "skl")}
         best = min(med, key=med.get)
         print(f"  {row.param:.2f} " + " ".join(f"{med[n]:7.4f}" for n in med)
               + f"  {best}")

@@ -14,6 +14,7 @@ Every command runs in one thread, so ``--threads`` is accepted and ignored.
 """
 
 import argparse
+import io
 import json
 import math
 import os
@@ -81,13 +82,13 @@ def _round12(obj):
     return obj
 
 
-def _emit(text, out_path):
+def _emit(chunks, out_path):
     if out_path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise InputFormatError(f"cannot write {out_path}: {exc}") from exc
 
@@ -98,7 +99,7 @@ def _target(out_path):
 
 
 def _emit_json(obj, out_path):
-    _emit(json.dumps(_round12(obj), indent=2, sort_keys=True, allow_nan=False) + "\n", out_path)
+    _emit([json.dumps(_round12(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"], out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +187,12 @@ BETA_MODES = ("constant_mean", "spectrum")
 
 
 def _sweep_csv(rows):
-    lines = ["param,bound,gap_mean,gap_std,repeats,n,delta,seed"]
+    yield "param,bound,gap_mean,gap_std,repeats,n,delta,seed\n"
     for row in rows:
         meta = f"{row.repeats},{row.n},{_fmt(row.delta)},{row.seed}"
         for name in simulation.BOUND_NAMES:
             gaps = f"{_fmt(row.gap_mean(name))},{_fmt(row.gap_std(name))}"
-            lines.append(f"{_fmt(row.param)},{name},{gaps},{meta}")
-    return "\n".join(lines) + "\n"
+            yield f"{_fmt(row.param)},{name},{gaps},{meta}\n"
 
 
 def cmd_simulate(args):
@@ -261,34 +261,37 @@ _INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def _loadtxt_int4(lines):
-    """``lines`` as a ``(rows, 4)`` int64 array, or None if they are not one."""
+    """``lines`` (a text file or a list) as a ``(rows, 4)`` int64 array, or
+    None if not one.  A warning fails too: numpy < 2 parses "1.0" with one."""
     with warnings.catch_warnings():
-        # numpy < 2 parses "1.0" as the integer 1, with this warning
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
+        warnings.simplefilter("error")  # numpy also warns on input with no rows
+        try:  # ValueError covers the UnicodeDecodeError of a streamed file
             rows = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-        except (ValueError, DeprecationWarning):
+        except (ValueError, Warning):
             return None
     return rows if rows.shape[1] == 4 else None
 
 
 def _read_csv_rows(path, expected_header):
     """Parse a CSV of four integer columns under ``expected_header`` into a
-    ``(rows, 4)`` int64 array; blank and whitespace-only lines are skipped.
-    The file is opened once, so a pipe or ``/dev/stdin`` reads whole."""
+    ``(rows, 4)`` int64 array, skipping blank and whitespace-only lines.  A file is
+    streamed to ``np.loadtxt`` and read again whole if that pass fails; a pipe is
+    read whole first, by the same calls, so a decode error names the same byte."""
     try:
         with open(path) as fh:
-            header, body = fh.readline(), fh.read()
+            src = fh if fh.seekable() else io.StringIO(fh.readline() + fh.read())
+            rows = _loadtxt_int4(src) if src.readline().strip() == expected_header else None
+            if rows is not None:
+                return rows
+            src.seek(0)
+            header, body = src.readline(), src.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     if header.strip() != expected_header:
         raise InputFormatError(f"{path}: expected header {expected_header!r}")
-    if not body.strip():
-        raise InputFormatError(f"{path}: no data rows")
     lines = body.split("\n")
-    rows = _loadtxt_int4(lines)
-    if rows is None:  # loadtxt skips only empty lines, so drop whitespace-only ones
-        rows = _loadtxt_int4([line for line in lines if line.strip()])
+    # loadtxt skips only empty lines, so drop whitespace-only ones
+    rows = _loadtxt_int4([line for line in lines if line.strip()])
     if rows is not None:
         return rows
     for lineno, line in enumerate(lines, start=2):  # name the bad line
@@ -299,7 +302,8 @@ def _read_csv_rows(path, expected_header):
             raise InputFormatError(f"{path} line {lineno}: non-integer field")
         if line.strip() and not all(-(2**63) <= int(f) < 2**63 for f in fields):
             raise InputFormatError(f"{path} line {lineno}: field outside the int64 range")
-    raise InputFormatError(f"{path}: not a CSV of four integer columns")
+    raise InputFormatError(f"{path}: no data rows" if not body.strip()
+                           else f"{path}: not a CSV of four integer columns")
 
 
 def _id_index(col):
@@ -344,12 +348,16 @@ def read_loss_csv(path):
 
 
 def write_loss_csv(plm: PredictionLossMatrix, path):
-    """Emit every cell of a loss matrix in the ingestion schema."""
-    h, e = np.indices(plm.losses.shape).reshape(2, -1)
-    table = np.column_stack([h, e, plm.losses.ravel(), plm.mask.ravel()]).astype(np.int64)
-    # one %-format over all cells, so no Python loop per row
-    body = "%d,%d,%d,%d\n" * len(table) % tuple(table.ravel().tolist())
-    _emit(LOSS_CSV_HEADER + "\n" + body, path)
+    """Emit every cell of a loss matrix in the ingestion schema, 4096 cells per %-format."""
+    def blocks():
+        yield LOSS_CSV_HEADER + "\n"
+        for start in range(0, plm.losses.size, 4096):
+            cells = np.arange(start, min(start + 4096, plm.losses.size))
+            table = np.column_stack([*np.divmod(cells, plm.losses.shape[1]),
+                                     plm.losses.flat[cells], plm.mask.flat[cells]])
+            yield "%d,%d,%d,%d\n" * len(cells) % tuple(table.astype(np.int64).ravel().tolist())
+
+    _emit(blocks(), path)
 
 
 def read_eval_csv(path):

@@ -115,9 +115,6 @@ class SweepRow:
     def gap_std(self, name):
         return float(np.std(self.gaps[name]))
 
-    def gap_median(self, name):
-        return float(np.median(self.gaps[name]))
-
 
 def _rng(seed, *path):
     entropy = [int(seed) % _SEED_MOD] + [int(p) for p in path]

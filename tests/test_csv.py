@@ -4,6 +4,7 @@ which message, what is accepted, and that a read reproduces the matrices."""
 import json
 import os
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -32,8 +33,38 @@ EVAL_ROWS = "0,0,1,1\n0,1,0,0\n1,0,1,1\n1,1,1,0\n"
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_bytes(text.encode())
+    path.write_bytes(text.encode(errors="surrogateescape"))
     return str(path)
+
+
+def _pipe_read(reader, text):
+    """``reader`` on ``/dev/fd/<r>`` of a pipe that a thread fills with ``text``."""
+    r, w = os.pipe()
+
+    def feed():
+        try:
+            with os.fdopen(w, "wb") as fh:
+                fh.write(text.encode(errors="surrogateescape"))
+        except BrokenPipeError:  # the reader closed the pipe early
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return reader(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        writer.join()
+
+
+def _file_and_pipe(tmp_path, reader, text):
+    """``(reader(path), path)`` for ``text`` in a regular file, which the CSV
+    readers stream, and in a pipe, which they read whole first."""
+    path = _write(tmp_path, "input.csv", text)
+    results = [(reader(path), path)]
+    if os.path.isdir("/dev/fd"):
+        results.append(_pipe_read(lambda fd_path: (reader(fd_path), fd_path), text))
+    return results
 
 
 def _mv(losses, evals=None):
@@ -46,7 +77,9 @@ def _mv(losses, evals=None):
 # ---------------------------------------------------------------------------
 
 # (file, text, message, line): ``file`` is the schema the bad text is put
-# in, ``line`` the 1-based line the message names, or None if it names none
+# in, ``message`` a part of the error with PATH for the file's path, and
+# ``line`` the 1-based line the message names, or None if it names none
+_PAST_8K = LOSS_CSV_HEADER + "\n" + "0,0,0,1\n" * 1200  # 9634 bytes
 REJECTIONS = {
     "bad header": ("loss", "hypothesis,example,loss,oob\n" + LOSS_ROWS,
                    "expected header", None),
@@ -72,6 +105,12 @@ REJECTIONS = {
                               "duplicate cell (0, 0)", None),
     "id beyond int64": ("loss", LOSS_CSV_HEADER + "\n" + LOSS_ROWS
                         + "99999999999999999999999,0,0,1\n", "int64", 6),
+    # "\udcff" is written as the byte 0xff; the reader decodes what follows
+    # the header's 8 KB chunk in one piece, and the position counts from there
+    "undecodable byte past 8 KB": ("loss", _PAST_8K + "\udcff0,1,1,1\n",
+                                   f"cannot read PATH: 'utf-8' codec can't decode byte 0xff "
+                                   f"in position {len(_PAST_8K) - 8192}: invalid start byte",
+                                   None),
     "digit separator": ("loss", LOSS_CSV_HEADER + "\n1_0,0,0,1\n" + LOSS_ROWS,
                         "non-integer field", 2),
     "eval bad header": ("eval", "hypothesis_id,example_id,loss,oob\n" + EVAL_ROWS,
@@ -95,16 +134,21 @@ REJECTIONS = {
 
 @pytest.mark.parametrize("case", sorted(REJECTIONS))
 def test_csv_rejection_exits_2_naming_the_file(tmp_path, capsys, case):
+    # the same message through a file and through a pipe, its path aside
     schema, text, message, line = REJECTIONS[case]
-    bad = _write(tmp_path, f"{schema}.csv", text)
-    if schema == "loss":
-        code = _mv(bad)
-    else:
-        code = _mv(_write(tmp_path, "loss.csv", LOSS_CSV_HEADER + "\n" + LOSS_ROWS), bad)
-    err = capsys.readouterr().err
-    assert code == 2
-    assert message in err
-    assert (f"{bad} line {line}: " if line else f"{bad}: ") in err
+    losses = _write(tmp_path, "loss.csv", LOSS_CSV_HEADER + "\n" + LOSS_ROWS)
+
+    def run(path):
+        code = _mv(path) if schema == "loss" else _mv(losses, path)
+        return code, capsys.readouterr().err
+
+    errs = set()
+    for (code, err), bad in _file_and_pipe(tmp_path, run, text):
+        assert code == 2
+        assert message.replace("PATH", bad) in err
+        assert (f"{bad} line {line}: " if line else f"{bad}: ") in err
+        errs.add(err.replace(bad, "PATH"))
+    assert len(errs) == 1
 
 
 def test_header_only_prints_only_its_error(tmp_path, capsys):
@@ -125,23 +169,26 @@ def test_header_only_prints_only_its_error(tmp_path, capsys):
     "\n" + LOSS_ROWS.replace("\n", "\n \n\t\n", 2) + "\n\n",
     # CRLF line endings, the header's too
     LOSS_ROWS.replace("\n", "\r\n"),
+    # and with no final newline
+    LOSS_ROWS.replace("\n", "\r\n").rstrip("\r\n"),
     # fields padded with spaces and tabs, and signed zeros
     " +0 ,\t0\t, 0,1 \n 0,  1, 1 ,1\n1, -0,1,1\n\t1,1,0,1\n",
 ])
 def test_loss_csv_accepted_variants(tmp_path, variant):
     plain, _ = read_loss_csv(_write(tmp_path, "plain.csv", LOSS_CSV_HEADER + "\n" + LOSS_ROWS))
     header = LOSS_CSV_HEADER + ("\r\n" if "\r" in variant else "\n")
-    again, _ = read_loss_csv(_write(tmp_path, "variant.csv", header + variant))
-    assert np.array_equal(again.losses, plain.losses)
-    assert np.array_equal(again.mask, plain.mask)
+    for (again, _), _ in _file_and_pipe(tmp_path, read_loss_csv, header + variant):
+        assert np.array_equal(again.losses, plain.losses)
+        assert np.array_equal(again.mask, plain.mask)
 
 
 def test_eval_csv_accepts_blank_lines_and_padding(tmp_path):
     plain, _ = read_eval_csv(_write(tmp_path, "plain.csv", EVAL_CSV_HEADER + "\n" + EVAL_ROWS))
     padded = EVAL_ROWS.replace(",", " , ").replace("\n", "\r\n  \r\n")
-    again, _ = read_eval_csv(_write(tmp_path, "padded.csv", EVAL_CSV_HEADER + "\r\n\r\n" + padded))
-    assert np.array_equal(again.predictions, plain.predictions)
-    assert np.array_equal(again.labels, plain.labels)
+    for (again, _), _ in _file_and_pipe(tmp_path, read_eval_csv,
+                                         EVAL_CSV_HEADER + "\r\n\r\n" + padded):
+        assert np.array_equal(again.predictions, plain.predictions)
+        assert np.array_equal(again.labels, plain.labels)
 
 
 def test_eval_hypothesis_ids_must_match_loss_ids(tmp_path, capsys):
@@ -169,26 +216,6 @@ def test_readers_return_sorted_hypothesis_ids(tmp_path):
     assert ids.tolist() == [0, 1] and em.predictions.shape == (2, 2)
 
 
-def _pipe_read(reader, text):
-    """``reader`` on ``/dev/fd/<r>`` of a pipe that a thread fills with ``text``."""
-    r, w = os.pipe()
-
-    def feed():
-        try:
-            with os.fdopen(w, "wb") as fh:
-                fh.write(text.encode())
-        except BrokenPipeError:  # the reader closed the pipe early
-            pass
-
-    writer = threading.Thread(target=feed)
-    writer.start()
-    try:
-        return reader(f"/dev/fd/{r}")
-    finally:
-        os.close(r)
-        writer.join()
-
-
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
 def test_readers_read_a_pipe_whole(tmp_path):
     # 2400 rows, well past the 8 KB chunk the header's readline buffers, so
@@ -206,6 +233,42 @@ def test_readers_read_a_pipe_whole(tmp_path):
         for field in fields:
             got, want = getattr(piped, field), getattr(plain, field)
             assert got.dtype == want.dtype and np.array_equal(got, want), field
+
+
+def _traced_peak(call):
+    """The most memory ``call()`` held at once, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loss_csv_read_holds_less_than_the_file(tmp_path):
+    # 12 000 rows padded to 188 bytes a line: a reader that held the text, or
+    # a string per line, would peak above the file's size
+    rows = "".join(f"{i:>46},{j:>46},{(i * j) % 2:>46},{1:>46}\n"
+                   for i in range(4) for j in range(3000))
+    path = _write(tmp_path, "loss.csv", LOSS_CSV_HEADER + "\n" + rows)
+    assert _traced_peak(lambda: read_loss_csv(path)) < os.path.getsize(path)
+
+
+def test_write_loss_csv_holds_less_than_the_file(tmp_path):
+    plm, _ = synth_ensemble(20, 5000, "independent", seed=0)  # 100 000 cells
+    path = tmp_path / "loss.csv"
+    assert _traced_peak(lambda: write_loss_csv(plm, str(path))) < path.stat().st_size
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_dump_losses_write_error_exit_2(tmp_path, capsys):
+    # /dev/full fails a write partway through the dump's five blocks
+    out = tmp_path / "out.json"
+    assert main(["mv", "--synthetic", "independent", "--h-count", "10", "--n-examples", "2000",
+                 "--bounds", "tnd", "--alpha", "0", "--dump-losses", "/dev/full",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write /dev/full: ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
