@@ -52,7 +52,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 
-BOUND_CHOICES = ("kl", "eb", "ub", "skl")
+BOUND_CHOICES = simulation.BOUND_NAMES
 # the params mv prints for each bound, as null where the reported record lacks one
 MV_PARAMS = {"tnd": ("lam",), "cctnd": ("alpha", "lam", "gam"), "ccpbb": ("alpha", "lam", "gam"),
              "ccpbub": ("alpha", "gam"), "ccpbskl": ("alpha", "lam", "gam")}

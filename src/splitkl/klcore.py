@@ -8,13 +8,12 @@ All functions accept scalars or numpy arrays (broadcasting elementwise) and
 return a python float for scalar input.  They are pure and thread-safe.
 Every kl and binomial inverse halves each value's own bracket until it is at
 most ``BISECT_WIDTH`` wide and returns its outward end: at or beyond the exact
-inverse, within ``BISECT_WIDTH``.  Scalar kl inverses take a float-only path
-(``math``, no numpy), and each element of an array call equals the scalar call
+inverse, within ``BISECT_WIDTH``.  Scalar kl inverses loop over Python floats,
+with no arrays, and each element of an array call equals the scalar call
 on it, bit for bit; the array path bisects each distinct (p_hat, eps) once.
 The binomial tail inverse forms ln C(n, i) once per call and re-weights it per
-step.  Only the array paths, ``bernoulli_kl`` and ``discrete_kl`` import
-``scipy.special``, on first use, for ``xlogy`` (it matches ``math.log`` where
-``np.log`` may not).
+step.  Every log in a kl is numpy's ``np.log``: it gives a float the same bits
+as that float inside an array, so both paths do the same float operations.
 """
 
 import math
@@ -51,11 +50,10 @@ def bernoulli_kl(p_hat, p):
     Returns +inf when p_hat > 0, p = 0 or p_hat < 1, p = 1; kl(0||0) and
     kl(1||1) are 0 by the limit convention.
     """
-    from scipy.special import xlogy
     ph = _as_array(p_hat, "p_hat", 0.0, 1.0)
     q = _as_array(p, "p", 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = (xlogy(ph, ph) - xlogy(ph, q)) + (xlogy(1.0 - ph, 1.0 - ph) - xlogy(1.0 - ph, 1.0 - q))
+        val = (_xlogy(ph, ph) - _xlogy(ph, q)) + (_xlogy(1.0 - ph, 1.0 - ph) - _xlogy(1.0 - ph, 1.0 - q))
     return _maybe_scalar(np.maximum(val, 0.0), p_hat, p)
 
 
@@ -83,18 +81,17 @@ def _kl_inv_bisect(p_hat, eps, upper):
         lo, hi = np.zeros_like(ph_u), ph_u.copy()
         lo[pinned] = ph_u[pinned]
         hi[np.isinf(ev_u) | (ph_u <= 0.0)] = 0.0
-    from scipy.special import xlogy
     # bernoulli_kl(ph, mid) term by term, the mid-free terms computed once
     qh_u = 1.0 - ph_u
-    ph_term, qh_term = xlogy(ph_u, ph_u), xlogy(qh_u, qh_u)
     with np.errstate(divide="ignore", invalid="ignore"):
+        ph_term, qh_term = _xlogy(ph_u, ph_u), _xlogy(qh_u, qh_u)
         for _ in range(BISECT_MAX_ITER):
-            # each bracket halves until it is narrow, as in the scalar loop
+            # halve each wide bracket, as the scalar loop does; its mid is in (0, 1)
             wide = hi - lo > BISECT_WIDTH
             if not wide.any():
                 break
             mid = 0.5 * (lo + hi)
-            kl = (ph_term - xlogy(ph_u, mid)) + (qh_term - xlogy(qh_u, 1.0 - mid))
+            kl = (ph_term - ph_u * np.log(mid)) + (qh_term - qh_u * np.log(1.0 - mid))
             up = (kl <= ev_u) == upper
             lo, hi = np.where(wide & up, mid, lo), np.where(wide & ~up, mid, hi)
     return (hi if upper else lo)[pair].reshape(shape)
@@ -117,7 +114,8 @@ def _distinct_pairs(a, b):
 
 
 def _xlogy(x, y):
-    return 0.0 if x == 0.0 else x * math.log(y)
+    """x ln y, 0 where x = 0; the caller silences the warnings of y = 0."""
+    return np.where(x == 0, 0.0, x * np.log(y))
 
 
 def _kl_inv_bisect_scalar(ph, ev, upper):
@@ -127,12 +125,13 @@ def _kl_inv_bisect_scalar(ph, ev, upper):
     else:
         lo, hi = ph if ev == 0.0 else 0.0, 0.0 if math.isinf(ev) or ph <= 0.0 else ph
     # bernoulli_kl(ph, mid) term by term; mid stays inside (0, 1)
-    ph_term, qh_term = _xlogy(ph, ph), _xlogy(1.0 - ph, 1.0 - ph)
+    log, qh = np.log, 1.0 - ph
+    ph_term, qh_term = (ph * float(log(ph)) if ph else 0.0), (qh * float(log(qh)) if qh else 0.0)
     for _ in range(BISECT_MAX_ITER):
         if hi - lo <= BISECT_WIDTH:
             break
         mid = 0.5 * (lo + hi)
-        kl = (ph_term - _xlogy(ph, mid)) + (qh_term - _xlogy(1.0 - ph, 1.0 - mid))
+        kl = (ph_term - ph * float(log(mid))) + (qh_term - qh * float(log(1.0 - mid)))
         lo, hi = (mid, hi) if (kl <= ev) == upper else (lo, mid)
     return hi if upper else lo
 
@@ -173,9 +172,10 @@ def _discrete_kl_unchecked(rho, pi):
     simplex projection against a prior checked once up front.  Keeps a
     trailing axis: shape (1,) for a vector rho, an (A, 1) column of the
     row KLs for an (A, H) rho."""
-    from scipy.special import xlogy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.maximum(np.sum(xlogy(rho, rho) - xlogy(rho, pi), axis=-1, keepdims=True), 0.0)
+    # xlogy term by term, with log 0 read as 0; pi = 0 under rho > 0 is +inf below
+    log_rho = np.log(rho, out=np.zeros_like(rho), where=rho > 0)
+    log_pi = np.log(pi, out=np.zeros_like(pi), where=pi > 0)
+    val = np.maximum(np.sum(rho * log_rho - rho * log_pi, axis=-1, keepdims=True), 0.0)
     return np.where(np.any((pi == 0) & (rho > 0), axis=-1, keepdims=True), math.inf, val)
 
 

@@ -16,6 +16,7 @@ from splitkl.errors import DomainError
 from splitkl.klcore import (
     BISECT_MAX_ITER,
     BISECT_WIDTH,
+    _discrete_kl_unchecked,
     bernoulli_kl,
     binomial_tail,
     binomial_tail_inverse,
@@ -79,6 +80,45 @@ def test_bernoulli_kl_infinite_cases():
     assert bernoulli_kl(0.5, 1.0) == math.inf
     assert bernoulli_kl(1.0, 1.0) == 0.0
     assert bernoulli_kl(0.0, 0.0) == 0.0
+
+
+def test_bernoulli_kl_matches_scipy_xlogy():
+    # scipy.special.xlogy as the oracle; kl cancels its terms, so each finite
+    # value is held to 1e-15 of the size of its terms.  The ends of [0, 1]
+    # take 0 ln 0 = 0, or give +inf under a bias at the other end.
+    rng = np.random.default_rng(5)
+    ends = np.array([0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53])
+    p = np.concatenate([rng.uniform(size=2000), np.repeat(ends, len(ends))])
+    q = np.concatenate([rng.uniform(size=2000), np.tile(ends, len(ends))])
+    xlogy = scipy.special.xlogy
+    terms = [xlogy(p, p), -xlogy(p, q), xlogy(1.0 - p, 1.0 - p), -xlogy(1.0 - p, 1.0 - q)]
+    expected = np.maximum((terms[0] + terms[1]) + (terms[2] + terms[3]), 0.0)
+    got = bernoulli_kl(p, q)
+    inf = np.isinf(expected)
+    assert 0 < inf.sum() and (got[inf] == math.inf).all()
+    assert (got[(p == q) & np.isin(p, [0.0, 1.0])] == 0.0).all()
+    scale = sum(np.abs(t[~inf]) for t in terms)
+    assert np.all(np.abs(got[~inf] - expected[~inf]) <= 1e-15 * scale)
+    assert [bernoulli_kl(a, b) for a, b in zip(p, q)] == got.tolist()
+
+
+def test_np_log_of_a_float_equals_its_array_element():
+    # the premise of the scalar kl inverse equalling the array one bit for
+    # bit: numpy's log returns the same bits for a float as for that float
+    # inside a contiguous or a strided array
+    rng = np.random.default_rng(2)
+    x = np.concatenate([
+        rng.uniform(size=50000),
+        10.0 ** rng.uniform(-20.0, 0.0, 10000),
+        10.0 ** rng.uniform(-323.3, -307.7, 5000),  # subnormals
+        1.0 - rng.uniform(size=5000) * 1e-6,
+        1.0 - np.arange(1, 5001) * 2.0**-53,  # the floats just below 1
+        1.0 + np.arange(0, 5000) * 2.0**-52,  # 1 and the floats just above it
+        [5e-324, np.finfo(float).tiny, 0.5],
+    ])
+    scalar = [float(np.log(v)) for v in x.tolist()]
+    assert _same_bits(np.log(x), scalar)
+    assert _same_bits(np.log(np.repeat(x, 2)[::2]), scalar)
 
 
 def test_bernoulli_kl_domain():
@@ -204,6 +244,12 @@ def test_kl_inv_rows_match_one_dimensional_calls():
         assert pair[0] == fn(narrow, 0.05) and pair[1] == fn(wide, 0.05), fn.__name__
 
 
+def np_xlogy(x, y):
+    """x ln y with 0 ln y = 0, elementwise by numpy's log."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(y))
+
+
 def rowwise_kl_inv(p_hat, eps, upper):
     """Oracle for the array kl inverses: every element of the array is
     bisected in place, rows of the last axis side by side with no sharing of
@@ -222,15 +268,14 @@ def rowwise_kl_inv(p_hat, eps, upper):
         lo[pinned] = ph_f[pinned]
         hi[np.isinf(ev_f) | (ph_f <= 0.0)] = 0.0
     qh_f = 1.0 - ph_f
-    ph_term, qh_term = scipy.special.xlogy(ph_f, ph_f), scipy.special.xlogy(qh_f, qh_f)
+    ph_term, qh_term = np_xlogy(ph_f, ph_f), np_xlogy(qh_f, qh_f)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(BISECT_MAX_ITER):
             active = hi - lo > BISECT_WIDTH
             if not active.any():
                 break
             mid = 0.5 * (lo + hi)
-            kl = (ph_term - scipy.special.xlogy(ph_f, mid)) + (
-                qh_term - scipy.special.xlogy(qh_f, 1.0 - mid))
+            kl = (ph_term - np_xlogy(ph_f, mid)) + (qh_term - np_xlogy(qh_f, 1.0 - mid))
             up = (kl <= ev_f) == upper
             lo = np.where(active & up, mid, lo)
             hi = np.where(active & ~up, mid, hi)
@@ -377,6 +422,30 @@ def test_discrete_kl_values():
 def test_discrete_kl_absolute_continuity():
     assert discrete_kl([0.5, 0.5], [1.0, 0.0]) == math.inf
     assert discrete_kl([1.0, 0.0], [0.0, 1.0]) == math.inf
+
+
+def test_discrete_kl_matches_scipy_xlogy_on_stacked_rows():
+    # (A, H) rows of rho with exact zeros (0 ln 0 = 0) against a prior with a
+    # zero, so the rows with mass there are +inf
+    rng = np.random.default_rng(11)
+    rho = rng.dirichlet(np.ones(9), size=60)
+    rho[rng.uniform(size=rho.shape) < 0.3] = 0.0
+    rho[:, 0] += 0.1
+    rho /= rho.sum(axis=1, keepdims=True)
+    pi = rng.dirichlet(np.ones(9))
+    pi[4] = 0.0
+    pi /= pi.sum()
+    xlogy = scipy.special.xlogy
+    expected = np.sum(xlogy(rho, rho) - xlogy(rho, pi), axis=-1, keepdims=True)
+    stacked = _discrete_kl_unchecked(rho, pi)
+    assert stacked.shape == (60, 1)
+    inf = np.isinf(expected[:, 0])
+    assert 0 < inf.sum() < 60 and (stacked[inf] == math.inf).all()
+    np.testing.assert_allclose(stacked[~inf], expected[~inf], rtol=1e-15, atol=0.0)
+    # every stacked row equals the per-row call on it, bit for bit
+    rows = np.stack([_discrete_kl_unchecked(r, pi) for r in rho])
+    assert _same_bits(stacked, rows)
+    assert _same_bits(stacked[:, 0], [discrete_kl(r, pi) for r in rho])
 
 
 def test_discrete_kl_length_mismatch():
@@ -527,11 +596,13 @@ def test_binomial_tail_inverse_matches_recorded_values(n, k, delta, expected):
 
 
 # ---------------------------------------------------------------------------
-# scipy.special stays off the scalar path
+# the runtime needs no scipy
 # ---------------------------------------------------------------------------
 
-SCALAR_CALLS_WITHOUT_SCIPY_SPECIAL = """
+CALLS_WITH_SCIPY_BLOCKED = """
 import sys
+
+sys.modules["scipy"] = None  # any import of scipy or a submodule now raises
 
 import numpy as np
 
@@ -539,6 +610,7 @@ import splitkl
 import splitkl.cli
 from splitkl import concentration as c, klcore, pacbayes as pb
 
+sample, tmp = sys.argv[1], sys.argv[2]
 z = np.array([-1.0, 0.0, 1.0, 1.0, 0.0, -1.0, 1.0, 0.0, 0.0, 1.0] * 10)
 s = c.EmpiricalSummary.from_samples(z, -1.0, 1.0)
 pbi = pb.PacBayesInput(gibbs_mean=0.3, gibbs_second_moment=0.2, gibbs_plus_mean=0.1,
@@ -562,29 +634,42 @@ values = [
     klcore.kl_inv_upper(0.3, 0.1),
     klcore.kl_inv_lower(0.3, 0.1),
     klcore.binomial_tail(100, 7, 0.1),
+    klcore.bernoulli_kl(np.array([0.0, 0.3, 1.0]), np.array([0.2, 0.0, 1.0]))[0],
+    klcore.discrete_kl([0.5, 0.5, 0.0], [0.25, 0.25, 0.5]),
 ]
-assert all(np.isfinite(values)), values
-code = splitkl.cli.main(["bound", sys.argv[1], "--bound", "all", "--out", sys.argv[2]])
-assert code == 0, code
-assert "scipy.special" not in sys.modules
+assert np.all(np.isfinite(values)), values
+seeded = ["--seed", "3", "--out", tmp + "/out"]
+commands = [
+    ["bound", sample, "--bound", "all", "--out", tmp + "/out"],
+    ["simulate", "--mode", "symmetric", "--n", "30", "--repeats", "2", *seeded],
+    ["simulate", "--mode", "constant_mean", "--n", "30", "--repeats", "2", *seeded],
+    ["coverage", "--n", "20", "--trials", "100", *seeded],
+    ["coverage", "--dist", "beta", "--n", "20", "--trials", "100", *seeded],
+    ["mv", "--synthetic", "correlated", "--h-count", "4", "--n-examples", "300",
+     "--alpha-points", "3", "--dump-losses", tmp + "/losses.csv", *seeded],
+    ["mv", "--losses", tmp + "/losses.csv", "--alpha-points", "3", *seeded],
+]
+for argv in commands:
+    code = splitkl.cli.main(argv)
+    assert code == 0, (argv, code)
+assert [m for m in sys.modules if m.partition(".")[0] == "scipy"] == ["scipy"], "scipy imported"
+assert sys.modules["scipy"] is None
 r = klcore.kl_inv_upper(np.array([0.1, 0.7]), 0.05)
-assert "scipy.special" in sys.modules
 print(*(float(v).hex() for v in r))
 """
 
 
-def test_scalar_api_and_bound_command_do_not_import_scipy_special(tmp_path):
+def test_api_and_every_command_run_with_scipy_blocked(tmp_path):
     sample = tmp_path / "sample.txt"
     sample.write_text("# lo=-1 hi=1 mu=0\n" + "-1\n0\n1\n1\n0\n" * 20)
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCALAR_CALLS_WITHOUT_SCIPY_SPECIAL, str(sample),
-         str(tmp_path / "out.json")],
+        [sys.executable, "-c", CALLS_WITH_SCIPY_BLOCKED, str(sample), str(tmp_path)],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    # the array path's bits, unchanged by the deferred import
+    # the array path's bits, as recorded before scipy left the runtime
     assert proc.stdout.split() == ["0x1.c2b891d29999bp-3", "0x1.a8506165e0001p-1"]
 
 
