@@ -10,10 +10,13 @@ Exit codes: 0 success, 1 acceptance-check failure, 2 input/usage error,
 outputs are byte-deterministic given (args, seed).  Every command takes
 ``--delta`` and ``--out``; ``simulate``, ``coverage`` and ``mv`` also take
 ``--seed`` and ``--threads``.  Each is declared once, on a parent parser.
-Every command runs in one thread, so ``--threads`` is accepted and ignored.
+Every command runs in one Python thread, so ``--threads`` is accepted and ignored.
+``mv``'s pair counts use numpy's BLAS, which may start threads (``OPENBLAS_NUM_THREADS=1``
+pins it to one); they are exact integer sums, so the output is the same at any thread count.
 """
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -67,14 +70,12 @@ def _fmt(x):
 
 
 def _round12(obj):
-    if isinstance(obj, float):
-        return float(_fmt(obj))
+    if isinstance(obj, (float, np.floating)):
+        return float(_fmt(float(obj)))
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(_fmt(float(obj)))
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -260,13 +261,13 @@ def cmd_coverage(args):
 _INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
-def _loadtxt_int4(lines):
-    """``lines`` (a text file or a list) as a ``(rows, 4)`` int64 array, or
-    None if not one.  A warning fails too: numpy < 2 parses "1.0" with one."""
+def _loadtxt_int4(lines, dtype=np.int32):
+    """``lines`` (a text file or a list) as a ``(rows, 4)`` array of ``dtype``, or
+    None if not one or a field overflows.  A warning fails: numpy < 2 parses "1.0" with one."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy also warns on input with no rows
         try:  # ValueError covers the UnicodeDecodeError of a streamed file
-            rows = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+            rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=2)
         except (ValueError, Warning):
             return None
     return rows if rows.shape[1] == 4 else None
@@ -274,9 +275,10 @@ def _loadtxt_int4(lines):
 
 def _read_csv_rows(path, expected_header):
     """Parse a CSV of four integer columns under ``expected_header`` into a
-    ``(rows, 4)`` int64 array, skipping blank and whitespace-only lines.  A file is
-    streamed to ``np.loadtxt`` and read again whole if that pass fails; a pipe is
-    read whole first, by the same calls, so a decode error names the same byte."""
+    ``(rows, 4)`` integer array, skipping blank and whitespace-only lines.  A file
+    is streamed to ``np.loadtxt`` as int32 and read again whole as int64 if that
+    pass fails; a pipe is read whole first, by the same calls, so a decode error
+    names the same byte."""
     try:
         with open(path) as fh:
             src = fh if fh.seekable() else io.StringIO(fh.readline() + fh.read())
@@ -291,7 +293,7 @@ def _read_csv_rows(path, expected_header):
         raise InputFormatError(f"{path}: expected header {expected_header!r}")
     lines = body.split("\n")
     # loadtxt skips only empty lines, so drop whitespace-only ones
-    rows = _loadtxt_int4([line for line in lines if line.strip()])
+    rows = _loadtxt_int4([line for line in lines if line.strip()], np.int64)
     if rows is not None:
         return rows
     for lineno, line in enumerate(lines, start=2):  # name the bad line
@@ -307,27 +309,35 @@ def _read_csv_rows(path, expected_header):
 
 
 def _id_index(col):
-    """``np.unique(col, return_inverse=True)``.  Ids spanning fewer values
-    than there are rows are ranked through a presence table, with no sort."""
+    """``np.unique(col, return_inverse=True)``, with the ids as int64 and the
+    inverse as int32 below 2**31 rows.  Ids spanning fewer values than there
+    are rows are ranked through a presence table, with no sort."""
+    rank = np.int32 if len(col) < 2**31 else np.int64
     lo = int(col.min())
     span = int(col.max()) - lo
     if span >= len(col):
-        return np.unique(col, return_inverse=True)
+        ids, inverse = np.unique(col, return_inverse=True)
+        return ids.astype(np.int64, copy=False), inverse.astype(rank)
     offset = col - lo
     present = np.zeros(span + 1, dtype=bool)
     present[offset] = True
-    return np.flatnonzero(present) + lo, (np.cumsum(present) - 1)[offset]
+    return np.flatnonzero(present) + lo, (np.cumsum(present, dtype=rank) - 1)[offset]
 
 
 def _cell_index(path, rows):
     """Each row's flat position in the matrix of sorted hypothesis ids by
     sorted example ids, its example's position, that matrix's shape, and
-    the sorted hypothesis ids; a repeated cell is rejected."""
+    the sorted hypothesis ids; a repeated cell is rejected.  The positions
+    are int32 while the matrix has fewer than 2**31 cells."""
     h_ids, h = _id_index(rows[:, 0])
     e_ids, e = _id_index(rows[:, 1])
     shape = (len(h_ids), len(e_ids))
-    flat = h * shape[1] + e
-    if np.bincount(flat).max() > 1:
+    flat = h.astype(np.int32 if shape[0] * shape[1] < 2**31 else np.int64, copy=False)
+    flat *= shape[1]
+    flat += e
+    seen = np.zeros(shape[0] * shape[1], dtype=bool)
+    seen[flat] = True
+    if np.count_nonzero(seen) < len(flat):
         _, first = np.unique(flat, return_index=True)
         i = np.setdiff1d(np.arange(len(rows)), first)[0]  # the first repeat
         raise InputFormatError(f"{path}: duplicate cell {tuple(rows[i, :2].tolist())}")
@@ -341,9 +351,10 @@ def read_loss_csv(path):
     rows = _read_csv_rows(path, LOSS_CSV_HEADER)
     if rows[:, 2:].min() < 0 or rows[:, 2:].max() > 1:
         raise InputFormatError(f"{path}: loss/oob must be 0 or 1")
-    flat, _, shape, h_ids = _cell_index(path, rows)
+    flat, e, shape, h_ids = _cell_index(path, rows)
     losses, mask = np.zeros(shape), np.zeros(shape, dtype=bool)
     losses.reshape(-1)[flat], mask.reshape(-1)[flat] = rows[:, 2], rows[:, 3]
+    del rows, flat, e  # free the row-length arrays before the pair counts
     return PredictionLossMatrix(losses=losses, mask=mask), h_ids
 
 
@@ -460,6 +471,7 @@ def cmd_mv(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process: add_argument sizes the terminal each call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="splitkl",

@@ -86,10 +86,11 @@ class PredictionLossMatrix:
                 f"hypothesis pair ({int(i)}, {int(j)}) has an empty OOB intersection"
             )
         u = losses * b  # valid errors
-        w = (1.0 - losses) * b  # valid non-errors
+        row_valid = b.sum(axis=1)
+        w = np.subtract(b, u, out=b)  # valid non-errors, in b's buffer: exact on 0/1
         both = u @ u.T
         none = w @ w.T
-        counts = (valid, both, valid - both - none, none, b.sum(axis=1))
+        counts = (valid, both, valid - both - none, none, row_valid)
         object.__setattr__(self, "pair_counts", counts)
 
     @property
@@ -214,13 +215,8 @@ def compute_tandem_stats(plm: PredictionLossMatrix) -> TandemStats:
     """Average single and pairwise losses over the OOB (intersection) masks."""
     valid, both, _, _, row_counts = plm.pair_counts
     tandem = both / valid
-    single = np.diag(tandem).copy()
-    return TandemStats(
-        single_loss=single,
-        tandem_loss=tandem,
-        n=int(row_counts.min()),
-        m=int(valid.min()),
-    )
+    return TandemStats(single_loss=np.diag(tandem).copy(), tandem_loss=tandem,
+                       n=int(row_counts.min()), m=int(valid.min()))
 
 
 def _offset_values(alpha):
@@ -280,11 +276,6 @@ def _row_fields(stats):
     """(name, value) of each per-alpha field of a stacked AlphaTandemStats."""
     return [(f.name, getattr(stats, f.name)) for f in fields(stats)
             if np.ndim(getattr(stats, f.name)) > 0]
-
-
-def _take_rows(stats, rows):
-    """The stacked statistics of the selected alphas."""
-    return replace(stats, **{name: value[rows] for name, value in _row_fields(stats)})
 
 
 def mv_risk(em: EvaluationMatrix, w: PosteriorWeights) -> float:
@@ -864,7 +855,7 @@ def _outer_rounds(family, stats, pi, irprop_config, start=None):
         prev_val = val
         if not moving.all():
             live, rho, prev_val, q = live[moving], rho[moving], val[moving], [f[moving] for f in q]
-            stats = _take_rows(stats, moving)
+            stats = replace(stats, **{name: v[moving] for name, v in _row_fields(stats)})
             params = {k: v[moving] for k, v in params.items()}
     return log, iterations
 

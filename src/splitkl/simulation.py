@@ -271,10 +271,6 @@ def _beta_draw(spec, rng, out):
     out[...] = sample_beta(spec, out.size, rng).reshape(out.shape)
 
 
-def _beta_stats(spec, x):
-    return _row_stats(x, 0.5)
-
-
 def _distribution(spec):
     """(lo, hi, mu, draw, reduce) of a spec's family: its range and the
     split point, ``draw(spec, rng, out)``, which fills a (rows, n) block
@@ -284,7 +280,7 @@ def _distribution(spec):
     if isinstance(spec, TernarySpec):
         return -1.0, 1.0, 0.0, _ternary_draw, _ternary_stats
     if isinstance(spec, BetaSpec):
-        return 0.0, 1.0, 0.5, _beta_draw, _beta_stats
+        return 0.0, 1.0, 0.5, _beta_draw, lambda _, x: _row_stats(x, 0.5)
     raise DomainError("dist must be a TernarySpec or BetaSpec")
 
 
