@@ -12,7 +12,9 @@ Each family has a compute form and an optimizer.  All five optimizers share
 one outer-round driver, which alternates closed-form or grid parameter steps
 with iRProp+ steps on the posterior, projected onto the simplex: the alpha
 families optimize every alpha of the grid as the rows of one batch, and TND
-and CCTND are one-row families.  Each family states its iRProp+ objective
+and CCTND are one-row families.  The driver calls :func:`irprop_plus`, which
+takes one point or the rows of a matrix, at its default settings; the
+optimizers take no solver settings.  Each family states its iRProp+ objective
 once; the driver reads the gradient's coefficients off it, and logs each
 compute-form value with its rho and parameters.  One rule picks the record
 an optimizer reports, so the reported bound never exceeds the value at rho = pi.
@@ -273,7 +275,8 @@ def alpha_stats(plm: PredictionLossMatrix, alpha) -> AlphaTandemStats:
 
 
 def _row_fields(stats):
-    """(name, value) of each per-alpha field of a stacked AlphaTandemStats."""
+    """(name, value) of each array field of the statistics: for a stacked
+    AlphaTandemStats, each per-alpha field."""
     return [(f.name, getattr(stats, f.name)) for f in fields(stats)
             if np.ndim(getattr(stats, f.name)) > 0]
 
@@ -336,32 +339,29 @@ class IRPropConfig:
 
 
 def irprop_plus(gradient, objective, init, config: IRPropConfig = IRPropConfig()):
-    """Minimize over the simplex with sign-based step adaptation.
+    """Minimize over the simplex with sign-based step adaptation, from one
+    point (1-d ``init``) or from each row of an (A, H) matrix independently.
 
     Per-coordinate steps grow by ``step_grow`` while the gradient sign holds
     and shrink by ``step_shrink`` on a sign flip; a flip after a worsening
     step reverts that coordinate's move.  Iterates are projected onto the
-    simplex; stops after ``patience`` consecutive iterations improving the
-    best objective by less than ``tol``.  Never returns a point worse than
-    ``init``.  This is the one-row case of :func:`_irprop_rows`.
+    simplex; a run stops after ``patience`` consecutive iterations improving
+    its best objective by less than ``tol``.  Never returns a point worse
+    than ``init``.  On rows, ``objective`` maps the (A, H) iterates to A
+    values and ``gradient`` to (A, H) gradients; each row has its own steps,
+    backtracking, best point and patience counter, the batch iterates until
+    every row has stopped or ``max_iter`` is reached, and a stopped row
+    keeps its best point, so each result row equals a run on that row alone.
     """
-    return _irprop_rows(
-        lambda x: np.asarray(gradient(x[0]), dtype=float)[None, :],
-        lambda x: np.asarray(objective(x[0]), dtype=float).reshape(1),
-        _vector(init)[None, :], config,
-    )[0]
-
-
-def _irprop_rows(gradient, objective, init, config: IRPropConfig):
-    """iRProp+ on each row of an (A, H) matrix independently.
-
-    ``objective`` maps the (A, H) iterates to A values and ``gradient`` to
-    (A, H) gradients, row by row.  Each row has its own steps, backtracking,
-    best point and patience counter.  The batch iterates until every row
-    has stopped or ``max_iter`` is reached; a row that has stopped keeps
-    its best point, so each result row equals a separate run on that row.
-    """
-    x = _project_rows(init)
+    x = np.asarray(init, dtype=float)
+    one = x.ndim < 2
+    if one:  # the one-row case
+        gradient, objective = (lambda r, g=gradient: np.asarray(g(r[0]), dtype=float)[None, :],
+                               lambda r, f=objective: np.asarray(f(r[0]), dtype=float).reshape(1))
+        x = _vector(x)[None, :]
+    elif x.ndim > 2 or x.size == 0 or not np.all(np.isfinite(x)):
+        raise DomainError("init must be one point or a non-empty finite (A, H) matrix")
+    x = _project_rows(x)
     running = np.ones(len(x), dtype=bool)
     f, g = objective(x), _finite_rows(gradient(x), running)
     steps = np.full_like(x, config.step_init)
@@ -390,7 +390,7 @@ def _irprop_rows(gradient, objective, init, config: IRPropConfig):
         running &= stall < config.patience
         if not running.any():
             break
-    return best_x
+    return best_x[0] if one else best_x
 
 
 def _finite_rows(g, rows):
@@ -550,7 +550,7 @@ def _affine_gradient(pi, c_kl, *terms):
     return gradient
 
 
-def tnd_optimize(ts: TandemStats, pi, delta, irprop_config=IRPropConfig()):
+def tnd_optimize(ts: TandemStats, pi, delta):
     """Alternate the closed-form lambda step with iRProp+ steps on rho."""
     _check_delta(delta)
     pi = np.asarray(pi, dtype=float)
@@ -565,7 +565,7 @@ def tnd_optimize(ts: TandemStats, pi, delta, irprop_config=IRPropConfig()):
 
     family = ("tnd", ("tandem_loss",), step, objective,
               lambda s, p, t, kl: np.array([[_tnd_value(t.item(), kl.item(), m, delta)]]))
-    log, iterations = _outer_rounds(family, ts, pi, irprop_config, {"lam": None})
+    log, iterations = _outer_rounds(family, ts, pi, {"lam": None})
     value, rho, params, trace = _best(log)
     return PosteriorWeights(rho, pi), BoundReport(
         "tnd", value, delta, dict(params, iterations=iterations, trace=trace))
@@ -590,8 +590,7 @@ def _alpha_surrogate_min(big_t, u, lo, hi, extra):
     return cands[best], vals[best]
 
 
-def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None,
-                   irprop_config=IRPropConfig(), tnd=None):
+def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None, tnd=None):
     """Alternating minimization over (rho, lambda, gamma, alpha).
 
     Each round takes the closed-form lambda and gamma for the current rho
@@ -610,7 +609,7 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None,
     pi = np.asarray(pi, dtype=float)
     a_lo, a_hi = min(grid), max(grid)
     if a_lo <= 0.0 <= a_hi:
-        tnd_w, tnd_rep = tnd if tnd is not None else tnd_optimize(ts, pi, delta, irprop_config)
+        tnd_w, tnd_rep = tnd if tnd is not None else tnd_optimize(ts, pi, delta)
         if grid == (0.0,):
             return tnd_w, BoundReport("cctnd", tnd_rep.value, delta,
                                       dict(tnd_rep.params, alpha=0.0))
@@ -644,7 +643,7 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None,
     family = ("cctnd", ("tandem_loss", "single_loss"), step, objective, lambda s, p, t, g, kl:
               np.array([[_cctnd_value(t.item(), g.item(), kl.item(), n, m, p["alpha"], delta)]]))
     alpha0 = min(max(0.0, a_lo), a_hi)
-    log, iterations = _outer_rounds(family, ts, pi, irprop_config, {"alpha": alpha0})
+    log, iterations = _outer_rounds(family, ts, pi, {"alpha": alpha0})
     if a_lo <= 0.0 <= a_hi and tnd_rep.value < _best(log)[0]:
         log.append(([0], [tnd_rep.value], tnd_w.rho[None],
                     {"alpha": 0.0, "lam": tnd_rep.params.get("lam")}))
@@ -660,8 +659,7 @@ def _ccpbb_grids(m):
     return lam_grid, gam_grid
 
 
-def ccpbb_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
-                   irprop_config=IRPropConfig()):
+def ccpbb_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None):
     """Outer alpha grid; per alpha, grid steps on (lambda, gamma) + iRProp+.
 
     lambda is selected first at the current gamma (at first the grid's
@@ -685,11 +683,10 @@ def ccpbb_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
         return {"lam": lam, "gam": gam}, val0
 
     family = ("ccpbb", ("mean", "variance"), step, objective, objective)
-    return _optimize_alphas(family, plm, pi, delta, alpha_grid, irprop_config)
+    return _optimize_alphas(family, plm, pi, delta, alpha_grid)
 
 
-def ccpbub_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
-                    irprop_config=IRPropConfig()):
+def ccpbub_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None):
     """Outer alpha grid; per alpha, alternate grid-gamma selection and iRProp+."""
     _check_delta(delta)
     k_gam = make_gamma_grid(int(plm.pair_counts[0].min()), delta, 1.0).count  # set by (m, delta)
@@ -704,11 +701,10 @@ def ccpbub_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
         return {"gam": gam}, val0
 
     family = ("ccpbub", ("mean", "second_moment"), step, objective, objective)
-    return _optimize_alphas(family, plm, pi, delta, alpha_grid, irprop_config)
+    return _optimize_alphas(family, plm, pi, delta, alpha_grid)
 
 
-def ccpbskl_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
-                     irprop_config=IRPropConfig(), tnd=None):
+def ccpbskl_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None, tnd=None):
     """Outer alpha grid; per alpha, closed-form (lambda, gamma) + iRProp+.
 
     The relaxed objective applies the lambda upper form to the plus split
@@ -736,11 +732,11 @@ def ccpbskl_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None,
                 "gam": gamma_star(q_minus / (s.mu - s.a), comp, s.m)}, None
 
     def at_zero():
-        return tnd or tnd_optimize(compute_tandem_stats(plm), pi, delta, irprop_config)
+        return tnd or tnd_optimize(compute_tandem_stats(plm), pi, delta)
 
     family = ("ccpbskl", ("plus", "minus"), step, objective,
               lambda s, p, *forms: _ccpbskl_value(s, *forms, delta))
-    return _optimize_alphas(family, plm, pi, delta, alpha_grid, irprop_config, at_zero)
+    return _optimize_alphas(family, plm, pi, delta, alpha_grid, at_zero)
 
 
 def _alpha_iteration(alpha_grid):
@@ -756,7 +752,7 @@ def _alpha_iteration(alpha_grid):
     return grid
 
 
-def _optimize_alphas(family, plm, pi, delta, alpha_grid, irprop_config, at_zero=None):
+def _optimize_alphas(family, plm, pi, delta, alpha_grid, at_zero=None):
     """The alpha families' optimizer: :func:`_outer_rounds` on the stacked
     statistics of every alpha of the grid (see :func:`_alpha_iteration`),
     in chunks of at most ``_STACK_ENTRIES`` stacked entries.  ``at_zero``
@@ -773,8 +769,7 @@ def _optimize_alphas(family, plm, pi, delta, alpha_grid, irprop_config, at_zero=
     log, iterations = [], 0
     for start in range(0, len(runs), chunk):
         part = runs[start:start + chunk]
-        part_log, outer = _outer_rounds(family, alpha_stats(plm, alphas[part, 0]), pi,
-                                        irprop_config)
+        part_log, outer = _outer_rounds(family, alpha_stats(plm, alphas[part, 0]), pi)
         log += [(part[rows], values, rho, {"alpha": alphas[part[rows]], **params})
                 for rows, values, rho, params in part_log]
         iterations += outer
@@ -788,7 +783,7 @@ def _optimize_alphas(family, plm, pi, delta, alpha_grid, irprop_config, at_zero=
         family[0], value, delta, dict(params, iterations=iterations, trace=trace))
 
 
-def _outer_rounds(family, stats, pi, irprop_config, start=None):
+def _outer_rounds(family, stats, pi, start=None):
     """Every optimizer's outer rounds: from rho = pi on each row, alternate
     the family's parameter step with iRProp+ on the rows of rho.
 
@@ -811,8 +806,7 @@ def _outer_rounds(family, stats, pi, irprop_config, start=None):
     _check_simplex("pi", pi)
     keep = pi > 0
     if not keep.all():
-        log, iterations = _outer_rounds(family, _on_support(stats, keep), pi[keep],
-                                        irprop_config, start)
+        log, iterations = _outer_rounds(family, _on_support(stats, keep), pi[keep], start)
         for k, (rows, values, rho, params) in enumerate(log):
             full = np.zeros((len(rho), len(pi)))
             full[:, keep] = rho
@@ -843,9 +837,8 @@ def _outer_rounds(family, stats, pi, irprop_config, start=None):
         *cs, c_kl = (values[:, 1:] - values[:, :1]).T[..., None]
         gradient = _affine_gradient(pi, c_kl, *zip(cs, (getattr(stats, n) for n in names)))
         # the objective binds this round's stats and params, which are rebound below
-        rho = _irprop_rows(
-            gradient, lambda x, s=stats, p=params: objective(s, p, *forms(s, x))[:, 0], rho,
-            irprop_config)
+        rho = irprop_plus(
+            gradient, lambda x, s=stats, p=params: objective(s, p, *forms(s, x))[:, 0], rho)
         q = forms(stats, rho)
         val = bound(stats, params, *q)
         log.append((live, val[:, 0], rho, params))
@@ -885,17 +878,17 @@ def _best(log):
 
 
 def _on_support(stats, keep):
-    """The statistics of the hypotheses that the mask ``keep`` selects, in
-    C order, as matmul takes the same path on them as on fresh statistics."""
+    """The statistics of the hypotheses that the mask ``keep`` selects: each
+    array field whose last axis is the H hypotheses ((H,), (H, H) or
+    (A, H, H); an (A, 1) column is not, as H >= 2 when a prior has a zero
+    entry) is restricted, in C order, as matmul takes the same path on
+    them as on fresh statistics."""
     def restrict(value):
-        return np.ascontiguousarray(value[..., keep][..., keep, :] if value.ndim > 1
-                                    else value[keep])
+        value = value[..., keep]
+        return np.ascontiguousarray(value[..., keep, :] if value.ndim > 1 else value)
 
-    if isinstance(stats, TandemStats):
-        return replace(stats, single_loss=restrict(stats.single_loss),
-                       tandem_loss=restrict(stats.tandem_loss))
     return replace(stats, **{name: restrict(value) for name, value in _row_fields(stats)
-                             if value.ndim == 3})
+                             if value.shape[-1] == len(keep)})
 
 
 def _grid_min(values, grid):

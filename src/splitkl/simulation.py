@@ -408,9 +408,10 @@ def coverage_passes(frequencies, delta, trials):
 # ---------------------------------------------------------------------------
 
 NOISE_PROFILES = ("identical", "independent", "correlated")
+_COPY_SHARED = 0.5  # the correlated profile's chance that a hypothesis copies the shared error
 
 
-def _error_matrix(rng, profile, h_count, size, error_rate, correlation):
+def _error_matrix(rng, profile, h_count, size, error_rate):
     if profile == "identical":
         return np.tile(rng.uniform(size=size) < error_rate, (h_count, 1))
     if profile == "independent":
@@ -418,14 +419,13 @@ def _error_matrix(rng, profile, h_count, size, error_rate, correlation):
     if profile == "correlated":
         shared = rng.uniform(size=size) < error_rate
         own = rng.uniform(size=(h_count, size)) < error_rate
-        copy_shared = rng.uniform(size=(h_count, size)) < correlation
+        copy_shared = rng.uniform(size=(h_count, size)) < _COPY_SHARED
         return np.where(copy_shared, shared[None, :], own)
     raise DomainError(f"unknown noise profile: {profile}")
 
 
 def synth_ensemble(h_count, n_examples, noise_profile="independent",
-                   bagging_rate=0.8, seed=0, error_rate=0.3, correlation=0.5,
-                   eval_size=10000):
+                   bagging_rate=0.8, seed=0, error_rate=0.3, eval_size=10000):
     """Bagged binary ensemble with a known error process.
 
     Each hypothesis errs according to the noise profile; its training-side
@@ -446,14 +446,11 @@ def synth_ensemble(h_count, n_examples, noise_profile="independent",
     if overlap < 1e-3:
         raise DomainError(f"bagging_rate {bagging_rate} leaves an expected pairwise OOB "
                           f"overlap of {overlap:.3g} examples, below 1e-3")
-    for name, rate in (("error_rate", error_rate), ("correlation", correlation)):
-        if not 0.0 <= rate <= 1.0:
-            raise DomainError(f"need {name} in [0, 1], got {rate}")
+    if not 0.0 <= error_rate <= 1.0:
+        raise DomainError(f"need error_rate in [0, 1], got {error_rate}")
     for attempt in range(10):
         rng = _rng(seed, attempt)
-        errors = _error_matrix(
-            rng, noise_profile, h_count, n_examples, error_rate, correlation
-        )
+        errors = _error_matrix(rng, noise_profile, h_count, n_examples, error_rate)
         draw_size = int(round(bagging_rate * n_examples))
         mask = np.ones((h_count, n_examples), dtype=bool)
         for h in range(h_count):
@@ -463,9 +460,7 @@ def synth_ensemble(h_count, n_examples, noise_profile="independent",
             continue
         plm = PredictionLossMatrix(losses=errors.astype(float), mask=mask)
         eval_labels = rng.integers(0, 2, size=eval_size)
-        eval_errors = _error_matrix(
-            rng, noise_profile, h_count, eval_size, error_rate, correlation
-        )
+        eval_errors = _error_matrix(rng, noise_profile, h_count, eval_size, error_rate)
         eval_preds = np.where(eval_errors, 1 - eval_labels[None, :], eval_labels[None, :])
         em = EvaluationMatrix(predictions=eval_preds, labels=eval_labels)
         return plm, em

@@ -486,8 +486,7 @@ def test_synth_determinism_and_guards():
     with pytest.raises(DomainError):
         synth_ensemble(4, 300, "martian", seed=19)
     for bad in ({"bagging_rate": 0.0}, {"bagging_rate": math.nan}, {"bagging_rate": math.inf},
-                {"error_rate": 1.5}, {"error_rate": math.nan},
-                {"correlation": -0.1}, {"correlation": math.nan}):
+                {"error_rate": 1.5}, {"error_rate": math.nan}):
         with pytest.raises(DomainError):
             synth_ensemble(4, 300, "correlated", seed=19, **bad)
     # an expected pairwise OOB overlap 300 e^(-2 rate) below 1e-3 is rejected
