@@ -44,8 +44,10 @@ class EmpiricalSummary:
             raise DomainError("need n >= 1")
         if not self.lo - _SLACK <= self.mean <= self.hi + _SLACK:
             raise DomainError(f"mean {self.mean} outside [{self.lo}, {self.hi}]")
-        if self.second_moment_mean < -_SLACK or self.unbiased_variance < -_SLACK:
-            raise DomainError("moments must be non-negative")
+        # negated comparisons, so that NaN fails them too
+        if not (-_SLACK <= self.second_moment_mean < math.inf
+                and -_SLACK <= self.unbiased_variance < math.inf):
+            raise DomainError("moments must be finite and non-negative")
 
     @classmethod
     def from_samples(cls, samples, lo, hi):
@@ -228,7 +230,7 @@ def _unexpected_bernstein_grid_report(name, mean, second_moment, kl, n, delta, b
     report named ``name`` that carries its gamma and the grid size."""
     vals, grid = _unexpected_bernstein_grid(mean, second_moment, kl, n, delta, b)
     best = vals.index(min(vals))
-    return BoundReport(name=name, value=vals[best], delta=delta,
+    return BoundReport(name=name, value=float(vals[best]), delta=delta,
                        params={"gamma": grid.values[best], "grid_size": grid.count})
 
 

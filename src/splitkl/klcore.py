@@ -8,12 +8,14 @@ All functions accept scalars or numpy arrays (broadcasting elementwise) and
 return a python float for scalar input.  They are pure and thread-safe.
 Every kl and binomial inverse halves each value's own bracket until it is at
 most ``BISECT_WIDTH`` wide and returns its outward end: at or beyond the exact
-inverse, within ``BISECT_WIDTH``.  Scalar kl inverses loop over Python floats,
-with no arrays, and each element of an array call equals the scalar call
-on it, bit for bit; the array path bisects each distinct (p_hat, eps) once.
-The binomial tail inverse forms ln C(n, i) once per call and re-weights it per
-step.  Every log in a kl is numpy's ``np.log``: it gives a float the same bits
-as that float inside an array, so both paths do the same float operations.
+inverse, within ``BISECT_WIDTH``.  A kl, psi or phi call on floats (or
+``np.float64``) in the domain forms no array; any other input takes the array
+path, which validates it.  Each element of an array call equals the scalar
+call on it, bit for bit; the array path bisects each distinct (p_hat, eps)
+once.  The binomial tail inverse forms ln C(n, i) once per call and re-weights
+it per step.  The logs are numpy's ``np.log`` and ``np.log1p``, and ``phi``
+takes ``np.expm1``: each gives a float the same bits as that float inside an
+array, so both paths do the same float operations.
 """
 
 import math
@@ -50,14 +52,18 @@ def bernoulli_kl(p_hat, p):
     Returns +inf when p_hat > 0, p = 0 or p_hat < 1, p = 1; kl(0||0) and
     kl(1||1) are 0 by the limit convention.
     """
-    ph = _as_array(p_hat, "p_hat", 0.0, 1.0)
-    q = _as_array(p, "p", 0.0, 1.0)
+    floats = isinstance(p_hat, float) and isinstance(p, float) and 0.0 <= p_hat <= 1.0 and 0.0 <= p <= 1.0
+    ph = float(p_hat) if floats else _as_array(p_hat, "p_hat", 0.0, 1.0)
+    q = float(p) if floats else _as_array(p, "p", 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = (_xlogy(ph, ph) - _xlogy(ph, q)) + (_xlogy(1.0 - ph, 1.0 - ph) - _xlogy(1.0 - ph, 1.0 - q))
-    return _maybe_scalar(np.maximum(val, 0.0), p_hat, p)
+    return max(val, 0.0) if floats else _maybe_scalar(np.maximum(val, 0.0), p_hat, p)
 
 
 def _kl_inv_bisect(p_hat, eps, upper):
+    # floats in the domain skip the 0-d arrays; NaN fails these comparisons
+    if isinstance(p_hat, float) and isinstance(eps, float) and 0.0 <= p_hat <= 1.0 and eps >= 0.0:
+        return _kl_inv_bisect_scalar(float(p_hat), float(eps), upper)
     ph = _as_array(p_hat, "p_hat", 0.0, 1.0)
     ev = _as_array(eps, "eps", 0.0)
     if ph.ndim == 0 and ev.ndim == 0:
@@ -115,6 +121,8 @@ def _distinct_pairs(a, b):
 
 def _xlogy(x, y):
     """x ln y, 0 where x = 0; the caller silences the warnings of y = 0."""
+    if isinstance(x, float) and isinstance(y, float):
+        return x * float(np.log(y)) if x else 0.0
     return np.where(x == 0, 0.0, x * np.log(y))
 
 
@@ -179,10 +187,15 @@ def _discrete_kl_unchecked(rho, pi):
     return np.where(np.any((pi == 0) & (rho > 0), axis=-1, keepdims=True), math.inf, val)
 
 
+def _is_count(v):
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _binomial_tail_fn(n, k):
     """p -> P[Binomial(n, p) <= k] for 0 < p < 1 and integers 0 <= k <= n; forms
     ln C(n, i), i = 0..k, once, and each call takes a max-shifted log-sum-exp."""
-    if not all(isinstance(v, (int, np.integer)) for v in (n, k)):
+    if not (_is_count(n) and _is_count(k)):
         raise DomainError(f"n and k must be integers, got n={n!r}, k={k!r}")
     if not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -237,14 +250,20 @@ def binomial_tail_inverse(n, k, delta):
 
 
 def psi(u):
-    """psi(u) = u - ln(1+u) for u > -1; non-negative everywhere."""
+    """psi(u) = u - ln(1+u) for finite u > -1; non-negative everywhere."""
+    if isinstance(u, float) and -1.0 < u < math.inf:
+        return float(u) - float(np.log1p(u))
     a = np.asarray(u, dtype=float)
-    if np.any(a <= -1.0):
-        raise DomainError("psi requires u > -1")
+    if not np.all((a > -1.0) & (a < math.inf)):
+        raise DomainError("psi requires a finite u > -1")
     return _maybe_scalar(a - np.log1p(a), u)
 
 
 def phi(x):
-    """phi(x) = e^x - x - 1; non-negative everywhere."""
+    """phi(x) = e^x - x - 1 for finite x; non-negative everywhere."""
+    if isinstance(x, float) and -math.inf < x < math.inf:
+        return float(np.expm1(x)) - float(x)
     a = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise DomainError("phi requires a finite x")
     return _maybe_scalar(np.expm1(a) - a, x)

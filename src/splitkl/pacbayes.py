@@ -22,7 +22,7 @@ from .concentration import (
     _unexpected_bernstein_value,
 )
 from .errors import DomainError
-from .klcore import binomial_tail_inverse, kl_inv_upper
+from .klcore import _is_count, binomial_tail_inverse, kl_inv_upper
 
 _SLACK = 1e-9
 
@@ -49,10 +49,15 @@ class PacBayesInput:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("need n >= 1")
-        if self.kl_complexity < 0:
+        # negated comparisons, so that NaN fails them too
+        if not self.kl_complexity >= 0:
             raise DomainError("kl_complexity must be non-negative")
         if not self.lo - _SLACK <= self.mu <= self.hi + _SLACK:
             raise DomainError("mu outside [lo, hi]")
+        if not self.lo - _SLACK <= self.gibbs_mean <= self.hi + _SLACK:
+            raise DomainError("gibbs_mean outside [lo, hi]")
+        if not -_SLACK <= self.gibbs_second_moment < math.inf:
+            raise DomainError("gibbs_second_moment must be finite and non-negative")
         if not -_SLACK <= self.gibbs_plus_mean <= self.hi - self.mu + _SLACK:
             raise DomainError("gibbs_plus_mean outside [0, hi - mu]")
         if not -_SLACK <= self.gibbs_minus_mean <= self.mu - self.lo + _SLACK:
@@ -80,13 +85,13 @@ class ExcessLossInput:
     mu: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)):
+        if not _is_count(self.n):
             raise DomainError(f"n must be an integer, got {self.n!r}")
-        if not all(isinstance(c, (int, np.integer)) for c in self.ref_loss_counts):
+        if not all(_is_count(c) for c in self.ref_loss_counts):
             raise DomainError(f"ref_loss_counts must be integers, got {self.ref_loss_counts!r}")
         if self.n < 2 or self.n % 2 != 0:
             raise DomainError("need an even n >= 2")
-        if self.kl_complexity < 0:
+        if not self.kl_complexity >= 0:  # NaN fails too
             raise DomainError("kl_complexity must be non-negative")
         if not -1.0 <= self.mu <= 1.0:
             raise DomainError("mu outside [-1, 1]")
@@ -231,8 +236,11 @@ def lambda_star(emp, complexity, n):
 def gamma_star(emp, complexity, n):
     """sqrt(complexity / (n emp)), +inf where emp <= 0, elementwise in
     arrays; unvalidated."""
+    if isinstance(emp, float) and isinstance(complexity, float):
+        # on Python floats, which overflow to inf without a warning
+        return math.inf if emp <= 0.0 else float(np.sqrt(float(complexity) / (float(n) * float(emp))))
     emp = np.asarray(emp, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(emp <= 0.0, np.inf, np.sqrt(complexity / (n * emp)))
 
 

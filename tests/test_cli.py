@@ -99,13 +99,24 @@ def test_bound_domain_violation_exit_3(tmp_path, capsys):
 ])
 @pytest.mark.parametrize("clip", [[], ["--clip"]])
 def test_bound_non_finite_result_exit_3(tmp_path, capsys, bound, message, clip):
-    # the variance and the second moment overflow to inf
-    path = write_sample(tmp_path, ["# lo=0 hi=1e308", "1e308", "0", "5e307"])
-    with np.errstate(over="ignore"):
-        assert run(["bound", path, "--bound", bound] + clip) == 3
+    # the moments are finite; the range term of EB overflows to inf, and the
+    # gamma grid of UB underflows to 0
+    path = write_sample(tmp_path, ["# lo=0 hi=1e308", "0", "1", "0.5"])
+    assert run(["bound", path, "--bound", bound] + clip) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("bound", ["eb", "ub", "all"])
+def test_bound_overflowing_moments_exit_3(tmp_path, capsys, bound):
+    # the variance and the second moment overflow to inf
+    path = write_sample(tmp_path, ["# lo=0 hi=1e308", "1e308", "0", "5e307"])
+    with np.errstate(over="ignore"):
+        assert run(["bound", path, "--bound", bound]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "moments must be finite and non-negative" in captured.err
 
 
 @pytest.mark.parametrize("bound", ["kl", "all"])

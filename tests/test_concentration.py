@@ -164,6 +164,15 @@ def test_empirical_bernstein_values():
     assert empirical_bernstein_bound(s, 0.05) == pytest.approx(expect, abs=1e-12)
 
 
+@pytest.mark.parametrize("field", ["second_moment_mean", "unbiased_variance"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+def test_empirical_summary_rejects_non_finite_or_negative_moments(field, bad):
+    # a NaN variance made the EB bound NaN, and a NaN second moment a NaN UB report
+    moments = {"second_moment_mean": 0.25, "unbiased_variance": 0.2, field: bad}
+    with pytest.raises(DomainError, match="moments must be finite and non-negative"):
+        EmpiricalSummary(100, 0.5, lo=0.0, hi=1.0, **moments)
+
+
 def test_empirical_bernstein_needs_two_samples():
     with pytest.raises(DomainError):
         empirical_bernstein_bound(EmpiricalSummary(1, 0.5, 0.25, 0.0, 0.0, 1.0), 0.05)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from splitkl import concentration as cn, pacbayes as pb
 from splitkl.errors import DomainError
 from splitkl.klcore import (
     BISECT_MAX_ITER,
@@ -103,9 +104,9 @@ def test_bernoulli_kl_matches_scipy_xlogy():
 
 
 def test_np_log_of_a_float_equals_its_array_element():
-    # the premise of the scalar kl inverse equalling the array one bit for
-    # bit: numpy's log returns the same bits for a float as for that float
-    # inside a contiguous or a strided array
+    # the premise of the scalar kl inverse, psi and phi equalling the array
+    # ones bit for bit: numpy's log, log1p and expm1 return the same bits for
+    # a float as for that float inside a contiguous or a strided array
     rng = np.random.default_rng(2)
     x = np.concatenate([
         rng.uniform(size=50000),
@@ -116,9 +117,13 @@ def test_np_log_of_a_float_equals_its_array_element():
         1.0 + np.arange(0, 5000) * 2.0**-52,  # 1 and the floats just above it
         [5e-324, np.finfo(float).tiny, 0.5],
     ])
-    scalar = [float(np.log(v)) for v in x.tolist()]
-    assert _same_bits(np.log(x), scalar)
-    assert _same_bits(np.log(np.repeat(x, 2)[::2]), scalar)
+    # psi takes log1p on (-1, inf), phi expm1 on the reals short of overflow
+    signed = np.concatenate([x, x - 1.0, -x, 10.0 ** rng.uniform(0.0, 2.8, 5000)])
+    for f, values in ((np.log, x), (np.log1p, signed[signed > -1.0]),
+                      (np.expm1, np.concatenate([signed, -signed]))):
+        scalar = [float(f(v)) for v in values.tolist()]
+        assert _same_bits(f(values), scalar), f.__name__
+        assert _same_bits(f(np.repeat(values, 2)[::2]), scalar), f.__name__
 
 
 def test_bernoulli_kl_domain():
@@ -524,7 +529,8 @@ def test_binomial_tail_inverse_round_trip():
         assert binomial_tail(n, k, p) == pytest.approx(delta, abs=1e-8)
 
 
-@pytest.mark.parametrize("n, k", [(10.5, 3), (10, 2.5), (10, np.float64(3.0)), ("10", 3)])
+@pytest.mark.parametrize("n, k", [(10.5, 3), (10, 2.5), (10, np.float64(3.0)), ("10", 3),
+                                  (True, 0), (10, False)])
 def test_binomial_tail_and_inverse_reject_non_integer_counts(n, k):
     # a float k = 2.5 was bisected as if it were 3
     with pytest.raises(DomainError, match="must be integers"):
@@ -697,3 +703,107 @@ def test_phi_values():
     assert phi(-1.0) == pytest.approx(1.0 / math.e, abs=1e-12)
     x = np.linspace(-5, 5, 500)
     assert np.all(phi(x) >= 0)
+
+
+@pytest.mark.parametrize("fn", [psi, phi])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_psi_and_phi_reject_non_finite_input(fn, bad):
+    # psi(nan) and phi(nan) were nan, and an infinite input was nan with a
+    # RuntimeWarning
+    for form in (bad, np.float64(bad), np.array(bad), np.array([0.5, bad])):
+        with pytest.raises(DomainError, match="requires a finite"):
+            fn(form)
+
+
+# ---------------------------------------------------------------------------
+# Scalar entry points: float in, float out, bit-equal to the array call
+# ---------------------------------------------------------------------------
+
+
+def _split(**kw):
+    return cn.SplitSummary(**{**dict(n=50, mu=0.0, plus_mean=0.3, minus_mean=0.2,
+                                      lo=-1.0, hi=1.0), **kw})
+
+
+def _pb(**kw):
+    return pb.PacBayesInput(**{**dict(gibbs_mean=0.4, gibbs_second_moment=0.3,
+                                      gibbs_plus_mean=0.2, gibbs_minus_mean=0.15,
+                                      kl_complexity=1.5, n=50, lo=0.0, hi=1.0, mu=0.5), **kw})
+
+
+def _emp(second_moment):
+    return cn.EmpiricalSummary(n=50, mean=0.1, second_moment_mean=second_moment,
+                               unbiased_variance=0.3, lo=-1.0, hi=1.0)
+
+
+def _ub_grid_array(xs):
+    # the sweeps' form: the grid values of the one implementation, least per element
+    s = _emp(xs)
+    return np.min(cn._unexpected_bernstein_grid(s.mean, s.second_moment_mean, 0.0, s.n,
+                                                0.05, s.hi)[0], axis=0)
+
+
+UNIT = st.floats(0.0, 1.0)
+UNIT_OUTSIDE = [math.nan, math.inf, -math.inf, -0.5, 1.5, 2.0]
+# name: (scalar call of x, its one-element array call, valid x, invalid x).
+# Every array call goes through the same validation as the scalar one but
+# optimal_gamma's: its array form is gamma_star, which is unvalidated.
+SCALAR_ENTRY_POINTS = {
+    "kl_inv_upper p_hat": (lambda x: kl_inv_upper(x, 0.05), None, UNIT, UNIT_OUTSIDE),
+    "kl_inv_upper eps": (lambda x: kl_inv_upper(0.3, x), None,
+                         st.one_of(st.floats(0.0, 10.0), st.just(math.inf)),
+                         [math.nan, -math.inf, -0.1, -1.0]),
+    "kl_inv_lower p_hat": (lambda x: kl_inv_lower(x, 0.05), None, UNIT, UNIT_OUTSIDE),
+    "kl_inv_lower eps": (lambda x: kl_inv_lower(0.3, x), None,
+                         st.one_of(st.floats(0.0, 10.0), st.just(math.inf)),
+                         [math.nan, -math.inf, -0.1, -1.0]),
+    "bernoulli_kl p_hat": (lambda x: bernoulli_kl(x, 0.4), None, UNIT, UNIT_OUTSIDE),
+    "bernoulli_kl p": (lambda x: bernoulli_kl(0.4, x), None, UNIT, UNIT_OUTSIDE),
+    "psi": (psi, None, st.floats(-1.0, 1e6, exclude_min=True),
+            [math.nan, math.inf, -math.inf, -1.0, -2.0]),
+    "phi": (phi, None, st.floats(-700.0, 700.0), [math.nan, math.inf, -math.inf]),
+    "kl_upper_bound": (lambda x: cn.kl_upper_bound(x, 50, 0.05, -1.0, 1.0), None,
+                       st.floats(-1.0, 1.0), [math.nan, math.inf, -math.inf, -1.5, 2.0]),
+    "pb_kl_bound": (lambda x: pb.pb_kl_bound(x, 1.5, 50, 0.05), None, UNIT, UNIT_OUTSIDE),
+    "split_kl_bound": (lambda x: cn.split_kl_bound(_split(plus_mean=x), 0.05), None,
+                       UNIT, UNIT_OUTSIDE),
+    "pb_split_kl": (lambda x: pb.pb_split_kl(_pb(gibbs_plus_mean=x), 0.05), None,
+                    st.floats(0.0, 0.5), UNIT_OUTSIDE),
+    "unexpected_bernstein_grid_bound": (
+        lambda x: cn.unexpected_bernstein_grid_bound(_emp(x), 0.05).value, _ub_grid_array,
+        UNIT, [math.nan, math.inf, -math.inf, -0.5, -1.0]),
+    "optimal_gamma": (lambda x: pb.optimal_gamma(x, 1.5, 50, 0.05),
+                      lambda xs: pb.gamma_star(xs, pb._pb_complexity(1.5, 50, 0.05), 50),
+                      UNIT, [math.nan, math.inf, -math.inf, -0.5, 1.5]),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(name=st.sampled_from(sorted(SCALAR_ENTRY_POINTS)), data=st.data())
+def test_scalar_entry_points_return_floats_bit_equal_to_array_calls(name, data):
+    scalar, array, valid, invalid = SCALAR_ENTRY_POINTS[name]
+    x = data.draw(st.one_of(valid, st.sampled_from(invalid)), label="x")
+    forms = [x, np.float64(x), np.array(x)]
+    if math.isfinite(x) and x == int(x):
+        forms.append(int(x))
+    calls = [lambda v=v: scalar(v) for v in forms]
+    if array is None:
+        calls.append(lambda: scalar(np.array([x])))
+    try:
+        want = scalar(x)
+    except DomainError as exc:
+        # today's path validates every other form, with the same message
+        if array is not None and name != "optimal_gamma":
+            calls.append(lambda: array(np.array([x])))
+        for call in calls:
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == str(exc)
+        return
+    for v in forms:
+        got = scalar(v)
+        assert type(got) is float, (name, type(v))
+        assert _same_bits(got, want), (name, type(v))
+    got = (array or scalar)(np.array([x]))
+    assert isinstance(got, np.ndarray) and got.shape == (1,), name
+    assert _same_bits(got, [want]), name

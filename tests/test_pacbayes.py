@@ -82,6 +82,28 @@ def test_pb_kl_forms_reject_bad_complexity_n_and_delta(kl, n, delta):
             bound(0.2, kl, n, delta)
 
 
+@pytest.mark.parametrize("field, bad, message", [
+    ("gibbs_mean", math.nan, r"gibbs_mean outside \[lo, hi\]"),
+    ("gibbs_mean", 5.0, r"gibbs_mean outside \[lo, hi\]"),
+    ("gibbs_mean", -0.5, r"gibbs_mean outside \[lo, hi\]"),
+    ("gibbs_second_moment", math.nan, "gibbs_second_moment must be finite and non-negative"),
+    ("gibbs_second_moment", math.inf, "gibbs_second_moment must be finite and non-negative"),
+    ("gibbs_second_moment", -0.1, "gibbs_second_moment must be finite and non-negative"),
+    ("kl_complexity", math.nan, "kl_complexity must be non-negative"),
+])
+def test_pb_input_rejects_bad_gibbs_aggregates(field, bad, message):
+    # a NaN mean or KL gave a NaN pbub report, gibbs_mean = 5 on [0, 1] gave
+    # 3.93, and pb_split_kl failed only later, with "eps is NaN"
+    with pytest.raises(DomainError, match=message):
+        pb_input(**{field: bad})
+
+
+def test_excess_input_rejects_nan_complexity():
+    # excess_informed_bound failed only later, with "eps is NaN"
+    with pytest.raises(DomainError, match="kl_complexity must be non-negative"):
+        x_input(kl_complexity=math.nan)
+
+
 def test_pinsker_values():
     eps = math.log(400.0) / 100.0
     assert pb_kl_pinsker_relaxation(0.0, 0.0, 100, 0.05) == pytest.approx(
@@ -260,7 +282,8 @@ def test_excess_informed_rejects_odd_n():
 
 @pytest.mark.parametrize("field, value", [("n", 100.0), ("n", "100"),
                                           ("ref_loss_counts", (7.5, 12)),
-                                          ("ref_loss_counts", (7, 12.0))])
+                                          ("ref_loss_counts", (7, 12.0)), ("n", True),
+                                          ("ref_loss_counts", (True, 0))])
 def test_excess_input_rejects_non_integer_counts(field, value):
     # n = 100.0 failed only in the bound, naming the derived n = 50.0, and
     # (7.5, 12) was reported there as k = 7.5
