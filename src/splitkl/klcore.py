@@ -8,14 +8,14 @@ All functions accept scalars or numpy arrays (broadcasting elementwise) and
 return a python float for scalar input.  They are pure and thread-safe.
 Every kl and binomial inverse halves each value's own bracket until it is at
 most ``BISECT_WIDTH`` wide and returns its outward end: at or beyond the exact
-inverse, within ``BISECT_WIDTH``.  A kl, psi or phi call on floats (or
+inverse, within ``BISECT_WIDTH``.  A kl inverse or psi call on floats (or
 ``np.float64``) in the domain forms no array; any other input takes the array
 path, which validates it.  Each element of an array call equals the scalar
 call on it, bit for bit; the array path bisects each distinct (p_hat, eps)
 once.  The binomial tail inverse forms ln C(n, i) once per call and re-weights
-it per step.  The logs are numpy's ``np.log`` and ``np.log1p``, and ``phi``
-takes ``np.expm1``: each gives a float the same bits as that float inside an
-array, so both paths do the same float operations.
+it per step.  The logs are numpy's ``np.log`` and ``np.log1p``: each gives a
+float the same bits as that float inside an array, so both paths do the same
+float operations.
 """
 
 import math
@@ -52,12 +52,11 @@ def bernoulli_kl(p_hat, p):
     Returns +inf when p_hat > 0, p = 0 or p_hat < 1, p = 1; kl(0||0) and
     kl(1||1) are 0 by the limit convention.
     """
-    floats = isinstance(p_hat, float) and isinstance(p, float) and 0.0 <= p_hat <= 1.0 and 0.0 <= p <= 1.0
-    ph = float(p_hat) if floats else _as_array(p_hat, "p_hat", 0.0, 1.0)
-    q = float(p) if floats else _as_array(p, "p", 0.0, 1.0)
+    ph = _as_array(p_hat, "p_hat", 0.0, 1.0)
+    q = _as_array(p, "p", 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = (_xlogy(ph, ph) - _xlogy(ph, q)) + (_xlogy(1.0 - ph, 1.0 - ph) - _xlogy(1.0 - ph, 1.0 - q))
-    return max(val, 0.0) if floats else _maybe_scalar(np.maximum(val, 0.0), p_hat, p)
+    return _maybe_scalar(np.maximum(val, 0.0), p_hat, p)
 
 
 def _kl_inv_bisect(p_hat, eps, upper):
@@ -121,8 +120,6 @@ def _distinct_pairs(a, b):
 
 def _xlogy(x, y):
     """x ln y, 0 where x = 0; the caller silences the warnings of y = 0."""
-    if isinstance(x, float) and isinstance(y, float):
-        return x * float(np.log(y)) if x else 0.0
     return np.where(x == 0, 0.0, x * np.log(y))
 
 
@@ -261,8 +258,6 @@ def psi(u):
 
 def phi(x):
     """phi(x) = e^x - x - 1 for finite x; non-negative everywhere."""
-    if isinstance(x, float) and -math.inf < x < math.inf:
-        return float(np.expm1(x)) - float(x)
     a = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(a)):
         raise DomainError("phi requires a finite x")

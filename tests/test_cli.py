@@ -108,10 +108,21 @@ def test_bound_non_finite_result_exit_3(tmp_path, capsys, bound, message, clip):
     assert message in captured.err
 
 
-@pytest.mark.parametrize("bound", ["eb", "ub", "all"])
-def test_bound_overflowing_moments_exit_3(tmp_path, capsys, bound):
-    # the variance and the second moment overflow to inf
-    path = write_sample(tmp_path, ["# lo=0 hi=1e308", "1e308", "0", "5e307"])
+# the variance and the second moment overflow to inf
+_BOTH_INF = ["# lo=0 hi=1e308", "1e308", "0", "5e307"]
+# the variance is 0 and only the second moment, which EB never reads,
+# overflows; the summary rejects it all the same
+_SECOND_INF = ["# lo=0 hi=1e200", "1e160", "1e160"]
+
+
+@pytest.mark.parametrize("bound, lines", [
+    pytest.param("eb", _BOTH_INF, id="eb"),
+    pytest.param("ub", _BOTH_INF, id="ub"),
+    pytest.param("all", _BOTH_INF, id="all"),
+    pytest.param("eb", _SECOND_INF, id="eb-zero-variance"),
+])
+def test_bound_overflowing_moments_exit_3(tmp_path, capsys, bound, lines):
+    path = write_sample(tmp_path, lines)
     with np.errstate(over="ignore"):
         assert run(["bound", path, "--bound", bound]) == 3
     captured = capsys.readouterr()
