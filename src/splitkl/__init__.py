@@ -34,7 +34,6 @@ from .klcore import (
 from .majority_vote import (
     AlphaTandemStats,
     EvaluationMatrix,
-    IRPropConfig,
     PosteriorWeights,
     PredictionLossMatrix,
     TandemStats,

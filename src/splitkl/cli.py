@@ -30,6 +30,7 @@ import numpy as np
 from . import simulation
 from .concentration import (
     EmpiricalSummary,
+    _validate_samples,
     kl_upper_bound,
     split_decompose,
     split_kl_bound,
@@ -153,6 +154,7 @@ def cmd_bound(args):
     mu = args.mu if args.mu is not None else header.get("mu", 0.5 * (lo + hi))
     if not (math.isfinite(lo) and math.isfinite(mu) and lo < hi < math.inf):
         raise InputFormatError(f"need finite lo < hi and mu, got lo={lo} hi={hi} mu={mu}")
+    samples = _validate_samples(samples, lo, hi)  # every bound, kl too, needs them in [lo, hi]
     delta = args.delta
     names = BOUND_CHOICES if args.bound == "all" else (args.bound,)
     n = len(samples)

@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError
-from .klcore import kl_inv_lower, kl_inv_upper, psi
+from .klcore import _check_delta, kl_inv_lower, kl_inv_upper, psi
 
 _SLACK = 1e-9  # tolerance for float noise in invariant checks
 
@@ -109,12 +109,6 @@ class BoundReport:
     params: Mapping = field(default_factory=dict)
 
 
-def _check_delta(delta):
-    """Raise DomainError unless 0 < delta < 1; NaN fails too."""
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta outside (0, 1): {delta}")
-
-
 def _validate_samples(samples, lo, hi):
     z = np.asarray(samples, dtype=float)
     if z.ndim != 1 or len(z) == 0:
@@ -198,15 +192,19 @@ def make_gamma_grid(n, delta, b) -> GammaGrid:
 
 def unexpected_bernstein_bound(s: EmpiricalSummary, gamma, delta) -> float:
     """mean + psi(-gamma b)/(gamma b^2) second_moment + ln(1/d)/(gamma n)."""
-    b = s.hi
+    _check_unexpected_bernstein(s.hi, gamma, delta)
+    return _unexpected_bernstein_value(
+        s.mean, s.second_moment_mean, math.log(1.0 / delta), s.n, gamma, s.hi
+    )
+
+
+def _check_unexpected_bernstein(b, gamma, delta):
+    """Raise DomainError unless b > 0, 0 < gamma < 1/b and 0 < delta < 1."""
     if b <= 0.0:
         raise DomainError("Unexpected Bernstein needs an upper endpoint b > 0")
     if not 0.0 < gamma < 1.0 / b:
         raise DomainError(f"gamma must lie in (0, 1/b) = (0, {1.0 / b})")
     _check_delta(delta)
-    return _unexpected_bernstein_value(
-        s.mean, s.second_moment_mean, math.log(1.0 / delta), s.n, gamma, b
-    )
 
 
 def _unexpected_bernstein_value(mean, second_moment, comp, n, gamma, b):

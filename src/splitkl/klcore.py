@@ -184,6 +184,12 @@ def _discrete_kl_unchecked(rho, pi):
     return np.where(np.any((pi == 0) & (rho > 0), axis=-1, keepdims=True), math.inf, val)
 
 
+def _check_delta(delta):
+    """Raise DomainError unless 0 < delta < 1; NaN fails too."""
+    if not 0.0 < delta < 1.0:
+        raise DomainError(f"delta outside (0, 1): {delta}")
+
+
 def _is_count(v):
     """True for a Python or numpy integer that is not a bool."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
@@ -230,8 +236,7 @@ def binomial_tail_inverse(n, k, delta):
     p*, within ``BISECT_WIDTH``.
     """
     tail = _binomial_tail_fn(n, k)
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta outside (0, 1): {delta}")
+    _check_delta(delta)
     if k == n:
         return 1.0
     lo, hi = 0.0, 1.0
@@ -257,8 +262,12 @@ def psi(u):
 
 
 def phi(x):
-    """phi(x) = e^x - x - 1 for finite x; non-negative everywhere."""
+    """phi(x) = e^x - x - 1 for finite x up to ln(DBL_MAX) ~ 709.78; non-negative."""
     a = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(a)):
         raise DomainError("phi requires a finite x")
-    return _maybe_scalar(np.expm1(a) - a, x)
+    with np.errstate(over="ignore"):
+        e = np.expm1(a)
+    if not np.all(np.isfinite(e)):
+        raise DomainError("phi overflows: e^x is above the largest float for x > 709.78")
+    return _maybe_scalar(e - a, x)

@@ -13,8 +13,8 @@ one outer-round driver, which alternates closed-form or grid parameter steps
 with iRProp+ steps on the posterior, projected onto the simplex: the alpha
 families optimize every alpha of the grid as the rows of one batch, and TND
 and CCTND are one-row families.  The driver calls :func:`irprop_plus`, which
-takes one point or the rows of a matrix, at its default settings; the
-optimizers take no solver settings.  Each family states its iRProp+ objective
+takes one point or the rows of a matrix, at the ``IRPROP_*`` constants; no
+function takes solver settings.  Each family states its iRProp+ objective
 once; the driver reads the gradient's coefficients off it, and logs each
 compute-form value with its rho and parameters.  One rule picks the record
 an optimizer reports, so the reported bound never exceeds the value at rho = pi.
@@ -29,14 +29,16 @@ import numpy as np
 
 from .concentration import (
     BoundReport,
-    _check_delta,
+    _check_unexpected_bernstein,
     _clamp01,
     _split_kl_value,
     _unexpected_bernstein_value,
     make_gamma_grid,
 )
 from .errors import DomainError
-from .klcore import _discrete_kl_unchecked, discrete_kl, kl_inv_lower, kl_inv_upper, phi
+from .klcore import (
+    _check_delta, _discrete_kl_unchecked, discrete_kl, kl_inv_lower, kl_inv_upper, phi,
+)
 from .pacbayes import _lambda_lower_value, _lambda_upper_value, gamma_star, lambda_star
 
 # Alpha grid for the offset bounds: step 0.01 over [-0.5, 0.49], which puts
@@ -45,6 +47,16 @@ DEFAULT_ALPHA_GRID = tuple(np.round(np.arange(-50, 50) / 100.0, 2).tolist())
 
 OUTER_TOL = 1e-9
 MAX_OUTER = 50
+
+# iRProp+ settings, read by irprop_plus at each call
+IRPROP_STEP_INIT = 0.01
+IRPROP_STEP_GROW = 1.2
+IRPROP_STEP_SHRINK = 0.5
+IRPROP_STEP_MIN = 1e-8
+IRPROP_STEP_MAX = 0.1
+IRPROP_MAX_ITER = 1000
+IRPROP_TOL = 1e-9
+IRPROP_PATIENCE = 10
 
 _TINY = 1e-12
 
@@ -230,11 +242,6 @@ def _offset_values(alpha):
     return v, (a, mu, v[0], np.maximum(1.0 - alpha, 1.0 - 2.0 * alpha))
 
 
-def alpha_value_range(alpha):
-    """Sorted value range (a, mu, b, K) of the offset tandem loss."""
-    return tuple(float(x[0]) for x in _offset_values(np.array([alpha], dtype=float))[1])
-
-
 def alpha_stats(plm: PredictionLossMatrix, alpha) -> AlphaTandemStats:
     """Offset tandem loss statistics over pairwise OOB intersections.
 
@@ -242,9 +249,7 @@ def alpha_stats(plm: PredictionLossMatrix, alpha) -> AlphaTandemStats:
     both, one, or neither hypothesis errs; all moments and splits follow
     from the three per-pair counts.  Pairs with a single overlap sample get
     unbiased variance 0.  A sequence of alphas gives one stacked instance,
-    whose row for each alpha is bit-equal to that alpha's own call and to
-    :func:`alpha_value_range`: both come from one elementwise pass over the
-    alphas.
+    whose row for each alpha is bit-equal to that alpha's own call.
     """
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     if not np.all((-0.5 <= alphas) & (alphas < 0.5)):
@@ -326,32 +331,20 @@ def _project_rows(v):
     return np.maximum(v - tau[:, None], 0.0)
 
 
-@dataclass(frozen=True)
-class IRPropConfig:
-    step_init: float = 0.01
-    step_grow: float = 1.2
-    step_shrink: float = 0.5
-    step_min: float = 1e-8
-    step_max: float = 0.1
-    max_iter: int = 1000
-    tol: float = 1e-9
-    patience: int = 10
-
-
-def irprop_plus(gradient, objective, init, config: IRPropConfig = IRPropConfig()):
+def irprop_plus(gradient, objective, init):
     """Minimize over the simplex with sign-based step adaptation, from one
     point (1-d ``init``) or from each row of an (A, H) matrix independently.
 
-    Per-coordinate steps grow by ``step_grow`` while the gradient sign holds
-    and shrink by ``step_shrink`` on a sign flip; a flip after a worsening
-    step reverts that coordinate's move.  Iterates are projected onto the
-    simplex; a run stops after ``patience`` consecutive iterations improving
-    its best objective by less than ``tol``.  Never returns a point worse
-    than ``init``.  On rows, ``objective`` maps the (A, H) iterates to A
-    values and ``gradient`` to (A, H) gradients; each row has its own steps,
-    backtracking, best point and patience counter, the batch iterates until
-    every row has stopped or ``max_iter`` is reached, and a stopped row
-    keeps its best point, so each result row equals a run on that row alone.
+    Per-coordinate steps grow while the gradient sign holds and shrink on a
+    sign flip; a flip after a worsening step reverts that coordinate's move.
+    Iterates are projected onto the simplex; a run stops after
+    ``IRPROP_PATIENCE`` iterations improving its best objective by less than
+    ``IRPROP_TOL``.  Never returns a point worse than ``init``.  On rows,
+    ``objective`` maps the (A, H) iterates to A values and ``gradient`` to
+    (A, H) gradients; each row has its own steps, backtracking, best point and
+    patience counter, the batch iterates until every row has stopped or
+    ``IRPROP_MAX_ITER`` is reached, and a stopped row keeps its best point, so
+    each result row equals a run on that row alone.
     """
     x = np.asarray(init, dtype=float)
     one = x.ndim < 2
@@ -364,15 +357,15 @@ def irprop_plus(gradient, objective, init, config: IRPropConfig = IRPropConfig()
     x = _project_rows(x)
     running = np.ones(len(x), dtype=bool)
     f, g = objective(x), _finite_rows(gradient(x), running)
-    steps = np.full_like(x, config.step_init)
+    steps = np.full_like(x, IRPROP_STEP_INIT)
     prev_g, prev_dx = np.zeros_like(x), np.zeros_like(x)
     best_x, best_f, f_prev = x.copy(), f, f
     stall = np.zeros(len(x), dtype=int)
-    for _ in range(config.max_iter):
+    for _ in range(IRPROP_MAX_ITER):
         s = g * prev_g
         grow, shrink = s > 0, s < 0
-        steps = np.where(grow, np.minimum(steps * config.step_grow, config.step_max), steps)
-        steps = np.where(shrink, np.maximum(steps * config.step_shrink, config.step_min), steps)
+        steps = np.where(grow, np.minimum(steps * IRPROP_STEP_GROW, IRPROP_STEP_MAX), steps)
+        steps = np.where(shrink, np.maximum(steps * IRPROP_STEP_SHRINK, IRPROP_STEP_MIN), steps)
         dx = np.where(shrink, 0.0, -np.sign(g) * steps)
         # weight-backtracking: after a worsening step, undo the previous
         # move on flipped coords
@@ -383,11 +376,11 @@ def irprop_plus(gradient, objective, init, config: IRPropConfig = IRPropConfig()
         prev_dx = x_new - x
         x = x_new
         f, g = objective(x), _finite_rows(gradient(x), running)
-        stall = np.where(f < best_f - config.tol, 0, stall + 1)
+        stall = np.where(f < best_f - IRPROP_TOL, 0, stall + 1)
         better = running & (f < best_f)
         best_x = np.where(better[:, None], x, best_x)
         best_f = np.where(better, f, best_f)
-        running &= stall < config.patience
+        running &= stall < IRPROP_PATIENCE
         if not running.any():
             break
     return best_x[0] if one else best_x
@@ -490,10 +483,7 @@ def ccpbub_bound(ats: AlphaTandemStats, w: PosteriorWeights, gamma, delta) -> fl
     The union-bound factor ln(k_gamma/delta) uses the canonical grid size
     for (m, delta, b) even if the supplied gamma is off-grid.
     """
-    _check_delta(delta)
-    b = ats.b
-    if not 0.0 < gamma < 1.0 / b:
-        raise DomainError(f"gamma must lie in (0, {1.0 / b})")
+    _check_unexpected_bernstein(ats.b, gamma, delta)
     k_gamma = ccpbub_gamma_grid(ats, delta).count
     return _ccpbub_value(ats, _quad(w.rho, ats.mean).item(),
                          _quad(w.rho, ats.second_moment).item(), discrete_kl(w.rho, w.pi),

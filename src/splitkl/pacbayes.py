@@ -16,13 +16,13 @@ import numpy as np
 
 from .concentration import (
     BoundReport,
-    _check_delta,
+    _check_unexpected_bernstein,
     _split_kl_value,
     _unexpected_bernstein_grid_report,
     _unexpected_bernstein_value,
 )
 from .errors import DomainError
-from .klcore import _is_count, binomial_tail_inverse, kl_inv_upper
+from .klcore import _check_delta, _is_count, binomial_tail_inverse, kl_inv_upper
 
 _SLACK = 1e-9
 
@@ -136,15 +136,10 @@ def pb_kl_pinsker_relaxation(gibbs_mean, kl_complexity, n, delta):
 
 def pb_unexpected_bernstein(inp: PacBayesInput, gamma, delta):
     """mean + psi(-gamma b)/(gamma b^2) E[V] + (KL + ln(1/d))/(gamma n)."""
-    b = inp.hi
-    if b <= 0.0:
-        raise DomainError("needs an upper endpoint b > 0")
-    if not 0.0 < gamma < 1.0 / b:
-        raise DomainError(f"gamma must lie in (0, 1/b) = (0, {1.0 / b})")
-    _check_delta(delta)
+    _check_unexpected_bernstein(inp.hi, gamma, delta)
     return _unexpected_bernstein_value(
         inp.gibbs_mean, inp.gibbs_second_moment, inp.kl_complexity + math.log(1.0 / delta),
-        inp.n, gamma, b,
+        inp.n, gamma, inp.hi,
     )
 
 

@@ -118,15 +118,15 @@ def _mv_one(seed):
     ts = compute_tandem_stats(plm)
     pi = np.full(7, 1.0 / 7.0)
     rec = {"seed": seed}
-    w, rep = tnd_optimize(ts, pi, DELTA)
-    rec["tnd"] = {"bound": rep.value, "risk": mv_risk(em, w)}
-    w, rep = cctnd_optimize(ts, pi, DELTA, alpha_grid=ALPHA_GRID)
-    rec["cctnd"] = {"bound": rep.value, "risk": mv_risk(em, w)}
-    for name, optimize in (
-        ("ccpbb", ccpbb_optimize), ("ccpbub", ccpbub_optimize),
-        ("ccpbskl", ccpbskl_optimize),
-    ):
-        w, rep = optimize(plm, pi, DELTA, alpha_grid=ALPHA_GRID)
+    # TND runs once and is shared with CCTND and CCPBSkl, as in `splitkl mv`
+    tnd = tnd_optimize(ts, pi, DELTA)
+    runs = (("tnd", lambda: tnd),
+            ("cctnd", lambda: cctnd_optimize(ts, pi, DELTA, alpha_grid=ALPHA_GRID, tnd=tnd)),
+            ("ccpbb", lambda: ccpbb_optimize(plm, pi, DELTA, alpha_grid=ALPHA_GRID)),
+            ("ccpbub", lambda: ccpbub_optimize(plm, pi, DELTA, alpha_grid=ALPHA_GRID)),
+            ("ccpbskl", lambda: ccpbskl_optimize(plm, pi, DELTA, alpha_grid=ALPHA_GRID, tnd=tnd)))
+    for name, run in runs:
+        w, rep = run()
         rec[name] = {"bound": rep.value, "risk": mv_risk(em, w)}
     return rec
 

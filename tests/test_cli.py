@@ -92,6 +92,16 @@ def test_bound_domain_violation_exit_3(tmp_path, capsys):
     assert run(["bound", path]) == 3
 
 
+@pytest.mark.parametrize("bound", ["kl", "eb", "ub", "skl", "all"])
+def test_bound_sample_outside_range_exit_3(tmp_path, capsys, bound):
+    # kl read only the mean (0.5), which lies in range, and printed 0.9648
+    path = write_sample(tmp_path, ["# lo=0 hi=1", "-0.5", "1.5", "0.5"])
+    assert run(["bound", path, "--bound", bound]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "domain error: sample value -0.5 at index 0 outside [0.0, 1.0]\n"
+
+
 @pytest.mark.parametrize("bound, message", [
     ("eb", "eb bound is not finite"),
     ("all", "eb bound is not finite"),

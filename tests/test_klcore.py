@@ -705,6 +705,15 @@ def test_phi_values():
     assert np.all(phi(x) >= 0)
 
 
+def test_phi_rejects_overflow():
+    # e^x passes the largest float above x = ln(DBL_MAX) ~ 709.78, where phi
+    # returned inf with an overflow RuntimeWarning
+    assert math.isfinite(phi(709.0)) and np.all(np.isfinite(phi(np.array([0.5, 709.0]))))
+    for form in (710.0, np.float64(710.0), np.array(710.0), np.array([0.5, 710.0])):
+        with pytest.raises(DomainError, match="phi overflows"):
+            phi(form)
+
+
 @pytest.mark.parametrize("fn", [psi, phi])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_psi_and_phi_reject_non_finite_input(fn, bad):

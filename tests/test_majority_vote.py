@@ -1,4 +1,4 @@
-import functools
+import contextlib
 import json
 import math
 from pathlib import Path
@@ -17,11 +17,9 @@ from splitkl.majority_vote import (
     DEFAULT_ALPHA_GRID,
     AlphaTandemStats,
     EvaluationMatrix,
-    IRPropConfig,
     PosteriorWeights,
     PredictionLossMatrix,
     alpha_stats,
-    alpha_value_range,
     ccpbb_bound,
     ccpbb_optimize,
     ccpbskl_bound,
@@ -122,11 +120,16 @@ def test_empty_intersection_rejected():
 # ---------------------------------------------------------------------------
 
 
-def test_alpha_value_range_rules():
-    a, mu, b, k = alpha_value_range(0.25)
+def _value_range(ats):
+    return ats.a, ats.mu, ats.b, ats.k_range
+
+
+def test_alpha_stats_value_range_rules():
+    plm = random_plm(np.random.default_rng(24), h=3, n=30)
+    a, mu, b, k = _value_range(alpha_stats(plm, 0.25))
     assert (a, mu, b) == (-0.25 * 0.75, 0.0625, 0.75**2)
     assert k == pytest.approx(0.75) and k == pytest.approx(b - a)
-    a, mu, b, k = alpha_value_range(-0.25)
+    a, mu, b, k = _value_range(alpha_stats(plm, -0.25))
     assert (a, mu, b) == (0.0625, 0.25 * 1.25, 1.25**2)
     assert k == pytest.approx(1.5) and k == pytest.approx(b - a)
 
@@ -180,12 +183,13 @@ def test_alpha_stats_against_bruteforce():
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(alphas=st.lists(st.floats(-0.5, 0.5, exclude_max=True), min_size=1, max_size=8))
-def test_alpha_value_range_equals_stacked_alpha_stats_rows(alphas):
+def test_alpha_stats_value_range_equals_stacked_rows(alphas):
     plm = random_plm(np.random.default_rng(25), h=3, n=30)
     stacked = alpha_stats(plm, alphas)
     for i, alpha in enumerate(alphas):
-        expect = tuple(getattr(stacked, name)[i, 0] for name in ("a", "mu", "b", "k_range"))
-        assert alpha_value_range(alpha) == expect
+        one = _value_range(alpha_stats(plm, alpha))
+        assert all(isinstance(x, float) for x in one)
+        assert one == tuple(x[i, 0] for x in _value_range(stacked))
 
 
 def _pair_counts_from_scratch(plm):
@@ -240,6 +244,15 @@ def test_alpha_stats_recombine_stored_pair_counts():
 # ---------------------------------------------------------------------------
 
 
+def _irprop_at(**values):
+    """A context in which iRProp+ runs with the named settings replaced:
+    ``_irprop_at(max_iter=7)`` sets ``IRPROP_MAX_ITER`` to 7."""
+    if not values:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(
+        majority_vote, **{f"IRPROP_{name.upper()}": v for name, v in values.items()})
+
+
 def test_project_simplex_cases():
     assert np.allclose(project_simplex([0.5, 0.5]), [0.5, 0.5])
     assert np.allclose(project_simplex([2.0, 0.0]), [1.0, 0.0])
@@ -268,11 +281,11 @@ def test_irprop_quadratic_on_segment():
         np.array([0.5, 0.5]),
     )
     assert np.allclose(x, target, atol=1e-4)
-    tight = irprop_plus(
-        lambda x: 2 * (x - c), lambda x: float(np.sum((x - c) ** 2)),
-        np.array([0.5, 0.5]),
-        IRPropConfig(tol=1e-14, max_iter=5000, patience=20),
-    )
+    with _irprop_at(tol=1e-14, max_iter=5000, patience=20):
+        tight = irprop_plus(
+            lambda x: 2 * (x - c), lambda x: float(np.sum((x - c) ** 2)),
+            np.array([0.5, 0.5]),
+        )
     assert np.allclose(tight, target, atol=1e-6)
 
 
@@ -375,7 +388,7 @@ def test_row_forms_bit_equal_to_vector_forms(h):
 # each row of the batched iRProp+ must be bit-equal to irprop_plus on it
 
 
-def _row_run(gradient, objective, init, config, i):
+def _row_run(gradient, objective, init, i):
     """irprop_plus on row i of a batched problem; the other rows are fixed at
     init, so row i's values come from the batched closures; also returns the
     number of objective evaluations, one per iteration plus one."""
@@ -390,7 +403,7 @@ def _row_run(gradient, objective, init, config, i):
         calls.append(None)
         return objective(expand(r))[i]
 
-    rho = irprop_plus(lambda r: gradient(expand(r))[i], objective_i, init[i], config)
+    rho = irprop_plus(lambda r: gradient(expand(r))[i], objective_i, init[i])
     return rho, len(calls)
 
 
@@ -416,12 +429,13 @@ def test_irprop_rows_equal_irprop_plus_per_row(seed, rows, h):
     def gradient_lin(x):
         return gradient(x) + lin
 
-    config = IRPropConfig(max_iter=int(rng.integers(5, 60)), step_max=0.05)
+    max_iter = int(rng.integers(5, 60))
     init = np.vstack([project_simplex(rng.uniform(size=h)) for _ in range(rows)])
-    batch = irprop_plus(gradient_lin, objective, init, config)
-    for i in range(rows):
-        rho, _ = _row_run(gradient_lin, objective, init, config, i)
-        assert np.array_equal(batch[i], rho)
+    with _irprop_at(max_iter=max_iter, step_max=0.05):
+        batch = irprop_plus(gradient_lin, objective, init)
+        for i in range(rows):
+            rho, _ = _row_run(gradient_lin, objective, init, i)
+            assert np.array_equal(batch[i], rho)
 
 
 @pytest.mark.parametrize("optimize", [ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize])
@@ -527,10 +541,10 @@ def _recorded_batches(monkeypatch, run):
     calls = []
     batched = majority_vote.irprop_plus
 
-    def recording(gradient, objective, init, *args, **kwargs):
+    def recording(gradient, objective, init):
         if len(init) > 1:
             calls.append((gradient, objective, init.copy()))
-        return batched(gradient, objective, init, *args, **kwargs)
+        return batched(gradient, objective, init)
 
     monkeypatch.setattr(majority_vote, "irprop_plus", recording)
     run()
@@ -562,12 +576,6 @@ def test_optimizers_run_irprop_plus_by_its_public_name(monkeypatch):
         assert 2 in ndims, name
 
 
-def _irprop_at(config):
-    """A context in which the optimizers run iRProp+ at ``config``."""
-    return mock.patch.object(majority_vote, "irprop_plus",
-                             functools.partial(majority_vote.irprop_plus, config=config))
-
-
 def test_alpha_family_batches_equal_irprop_plus_per_row(monkeypatch):
     # the optimizers' own objectives and gradients: identical loss rows make
     # CCPBSkl's gamma infinite at alpha > 0, H = 40 covers a wide ensemble,
@@ -577,24 +585,24 @@ def test_alpha_family_batches_equal_irprop_plus_per_row(monkeypatch):
     full = np.ones((4, 80), dtype=bool)
     same = PredictionLossMatrix(
         losses=np.tile(rng.uniform(size=80) < 0.3, (4, 1)).astype(float), mask=full)
-    cases = [(same, IRPropConfig(tol=0.0)),
-             (random_plm(rng, h=40, n=120, mask_rate=0.7), IRPropConfig(tol=0.0)),
-             (random_plm(rng, h=5, n=90), IRPropConfig(max_iter=12, patience=20))]
+    cases = [(same, {"tol": 0.0}),
+             (random_plm(rng, h=40, n=120, mask_rate=0.7), {"tol": 0.0}),
+             (random_plm(rng, h=5, n=90), {"max_iter": 12, "patience": 20})]
     grid = (-0.4, -0.2, 0.15, 0.3)
     stops, infinite_gamma = set(), False
-    for plm, config in cases:
+    for plm, solver in cases:
         pi = np.full(plm.h_count, 1.0 / plm.h_count)
         for optimize in (ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize):
-            with _irprop_at(config):
+            with _irprop_at(**solver):
                 calls = _recorded_batches(
                     monkeypatch, lambda: optimize(plm, pi, 0.05, alpha_grid=grid))
-            assert calls
-            for gradient, objective, init in calls:
-                batch = irprop_plus(gradient, objective, init, config)
-                for i in range(len(init)):
-                    rho, evals = _row_run(gradient, objective, init, config, i)
-                    assert np.array_equal(batch[i], rho)
-                    stops.add((evals - 1, config.max_iter))
+                assert calls
+                for gradient, objective, init in calls:
+                    batch = irprop_plus(gradient, objective, init)
+                    for i in range(len(init)):
+                        rho, evals = _row_run(gradient, objective, init, i)
+                        assert np.array_equal(batch[i], rho)
+                        stops.add((evals - 1, majority_vote.IRPROP_MAX_ITER))
         _, rep = ccpbskl_optimize(plm, pi, 0.05, alpha_grid=(0.3,))
         infinite_gamma |= rep.params["gam"] == math.inf
     assert infinite_gamma
@@ -796,6 +804,44 @@ def test_ccpbb_bound_hand_evaluation():
     assert got == pytest.approx(expect, abs=1e-12)
     with pytest.raises(DomainError):
         ccpbb_bound(ats, w, 2.0, gamma, 0.05, 4, 5)
+
+
+def test_ccpbb_bound_rejects_an_overflowing_phi():
+    # gamma K = 1000 is past ln(DBL_MAX) ~ 709.78: phi overflowed to inf, and
+    # so did the bound
+    ats = alpha_stats(random_plm(np.random.default_rng(9)), 0.0)
+    with pytest.raises(DomainError, match="phi overflows"):
+        ccpbb_bound(ats, uniform_w(4), 0.5, 1000.0, 0.05, 20, 20)
+
+
+_GAMMA_MESSAGE = r"gamma must lie in \(0, 1/b\) = \(0, 1.0\)"
+_DELTA_MESSAGE = r"delta outside \(0, 1\)"
+
+
+@pytest.mark.parametrize("gamma, delta, message", [
+    pytest.param(0.0, 0.05, _GAMMA_MESSAGE, id="gamma-0"),
+    pytest.param(1.0, 0.05, _GAMMA_MESSAGE, id="gamma-1/b"),
+    pytest.param(math.nan, 0.05, _GAMMA_MESSAGE, id="gamma-nan"),
+    pytest.param(1.0, 1.5, _GAMMA_MESSAGE, id="gamma-and-delta"),
+    pytest.param(0.5, 0.0, _DELTA_MESSAGE, id="delta-0"),
+    pytest.param(0.5, math.nan, _DELTA_MESSAGE, id="delta-nan"),
+])
+def test_unexpected_bernstein_forms_reject_alike(gamma, delta, message):
+    # the sample, PAC-Bayes and CCPBUB forms, each at b = 1, share one check;
+    # CCPBUB said "gamma must lie in (0, 1.0)", and checked delta first
+    from splitkl.concentration import EmpiricalSummary, unexpected_bernstein_bound
+    from splitkl.pacbayes import PacBayesInput, pb_unexpected_bernstein
+
+    ats = alpha_stats(random_plm(np.random.default_rng(9)), 0.0)
+    summary = EmpiricalSummary.from_samples(np.array([0.0, 1.0, 0.5]), 0.0, 1.0)
+    inp = PacBayesInput(gibbs_mean=0.3, gibbs_second_moment=0.2, gibbs_plus_mean=0.1,
+                        gibbs_minus_mean=0.3, kl_complexity=2.0, n=50, lo=0.0, hi=1.0, mu=0.5)
+    calls = [lambda: unexpected_bernstein_bound(summary, gamma, delta),
+             lambda: pb_unexpected_bernstein(inp, gamma, delta),
+             lambda: ccpbub_bound(ats, uniform_w(4), gamma, delta)]
+    for call in calls:
+        with pytest.raises(DomainError, match=message):
+            call()
 
 
 _MONOTONE_PLM = random_plm(np.random.default_rng(12), h=3, n=80)
@@ -1097,9 +1143,9 @@ def test_optimizer_gradients_match_finite_differences(monkeypatch):
     calls = []
     batched = majority_vote.irprop_plus
 
-    def recording_irprop(gradient, objective, init, config=IRPropConfig()):
+    def recording_irprop(gradient, objective, init):
         calls.append((gradient, objective, init.shape[0]))
-        return batched(gradient, objective, init, config)
+        return batched(gradient, objective, init)
 
     monkeypatch.setattr(majority_vote, "irprop_plus", recording_irprop)
     rng = np.random.default_rng(11)
@@ -1303,7 +1349,7 @@ def optimizer_golden_payload():
                 "params": {k: "inf" if v == math.inf else v for k, v in params.items()}}
 
     grid = (-0.4, -0.15, 0.0, 0.1, 0.3)
-    default, short = IRPropConfig(), IRPropConfig(max_iter=7, tol=0.0)
+    default, short = {}, {"max_iter": 7, "tol": 0.0}
     delta = 0.01
     plm, _ = synth_ensemble(5, 400, "correlated", seed=7, error_rate=0.2)
     ensembles = {
@@ -1317,17 +1363,17 @@ def optimizer_golden_payload():
         out = payload[name] = {}
         tnd = tnd_optimize(ts, pi, delta)
         out["tnd"] = entry(*tnd)
-        with _irprop_at(short):
+        with _irprop_at(**short):
             out["tnd/short"] = entry(*tnd_optimize(ts, pi, delta))
-        for key, alphas, config in (("grid5", grid, default), ("fixed0.2", (0.2,), default),
+        for key, alphas, solver in (("grid5", grid, default), ("fixed0.2", (0.2,), default),
                                     ("fixed-0.3", (-0.3,), default), ("grid5/short", grid, short)):
-            with _irprop_at(config):
+            with _irprop_at(**solver):
                 out["cctnd/" + key] = entry(*cctnd_optimize(ts, pi, delta, alphas, tnd=tnd))
         for optimize in (ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize):
             kw = {"tnd": tnd} if optimize is ccpbskl_optimize else {}
-            for key, alphas, config in (("grid5", grid, default), ("fixed0.2", (0.2,), default),
+            for key, alphas, solver in (("grid5", grid, default), ("fixed0.2", (0.2,), default),
                                         ("fixed-0.3/short", (-0.3,), short)):
-                with _irprop_at(config):
+                with _irprop_at(**solver):
                     w, rep = optimize(plm, pi, delta, alphas, **kw)
                 out[rep.name + "/" + key] = entry(w, rep)
     return json.dumps(_round12(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
