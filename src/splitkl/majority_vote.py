@@ -8,11 +8,13 @@ Five bound families operate on those statistics: TND (second-order Markov
 on the tandem loss), and the Chebyshev-Cantelli family CCTND / CCPBB /
 CCPBUB / CCPBSkl, which bound the alpha-tandem loss with PAC-Bayes-kl,
 -Empirical-Bennett, -Unexpected-Bernstein and -split-kl respectively.
-Each family has a compute form and an optimizer.  All five optimizers share
-one outer-round driver, which alternates closed-form or grid parameter steps
+TND is CCTND on the one-point grid {0}: its compute form and optimizer are
+CCTND's at alpha = 0, where the single-loss terms drop out.  Each family
+has a compute form and an optimizer.  All five optimizers share one
+outer-round driver, which alternates closed-form or grid parameter steps
 with iRProp+ steps on the posterior, projected onto the simplex: the alpha
-families optimize every alpha of the grid as the rows of one batch, and TND
-and CCTND are one-row families.  The driver calls :func:`irprop_plus`, which
+families optimize every alpha of the grid as the rows of one batch, and
+CCTND is a one-row family.  The driver calls :func:`irprop_plus`, which
 takes one point or the rows of a matrix, at the ``IRPROP_*`` constants; no
 function takes solver settings.  Each family states its iRProp+ objective
 once; the driver reads the gradient's coefficients off it, and logs each
@@ -403,19 +405,22 @@ def _quad(rho, matrix):
     return np.clip(rho[..., None, :] @ matrix @ rho[..., :, None], 0.0, None)[..., 0]
 
 
+def _union_log(k, delta):
+    """ln(4 sqrt(k) / delta), the confidence term of the kl-relaxed tandem
+    (k = m) and single-loss (k = n) bounds."""
+    return math.log(4.0 * math.sqrt(k) / delta)
+
+
 def _tandem_eps(kl, m, delta):
-    return (2.0 * kl + math.log(4.0 * math.sqrt(m) / delta)) / m
+    return (2.0 * kl + _union_log(m, delta)) / m
 
 
 def tnd_bound(ts: TandemStats, w: PosteriorWeights, delta) -> float:
-    """4 kl_inv_upper(rho' T rho, (2 KL + ln(4 sqrt(m)/d)) / m)."""
+    """4 kl_inv_upper(rho' T rho, (2 KL + ln(4 sqrt(m)/d)) / m): :func:`cctnd_bound`
+    at alpha = 0."""
     _check_delta(delta)
-    return _tnd_value(_quad(w.rho, ts.tandem_loss).item(), discrete_kl(w.rho, w.pi), ts.m, delta)
-
-
-def _tnd_value(t, kl, m, delta):
-    """:func:`tnd_bound` from the floats rho' T rho and KL(rho||pi)."""
-    return 4.0 * kl_inv_upper(_clamp01(t), _tandem_eps(kl, m, delta))
+    return _cctnd_value(_quad(w.rho, ts.tandem_loss).item(), float(w.rho @ ts.single_loss),
+                        discrete_kl(w.rho, w.pi), ts.n, ts.m, 0.0, delta)
 
 
 def cctnd_bound(ts: TandemStats, w: PosteriorWeights, alpha, delta) -> float:
@@ -433,9 +438,10 @@ def cctnd_bound(ts: TandemStats, w: PosteriorWeights, alpha, delta) -> float:
 
 
 def _cctnd_value(t, g, kl, n, m, alpha, delta):
-    """:func:`cctnd_bound` from the floats rho' T rho, rho . single and KL(rho||pi)."""
+    """:func:`cctnd_bound` from the floats rho' T rho, rho . single and KL(rho||pi);
+    at alpha = 0, (T - 0.0 + 0.0) / 0.25 is exactly 4 T."""
     t_term = kl_inv_upper(_clamp01(t), _tandem_eps(kl, m, delta))
-    eps_g = (kl + math.log(4.0 * math.sqrt(n) / delta)) / n
+    eps_g = (kl + _union_log(n, delta)) / n
     g_term = (kl_inv_lower if alpha >= 0 else kl_inv_upper)(_clamp01(g), eps_g)
     return _cc_value(t_term, g_term, alpha)
 
@@ -541,24 +547,14 @@ def _affine_gradient(pi, c_kl, *terms):
 
 
 def tnd_optimize(ts: TandemStats, pi, delta):
-    """Alternate the closed-form lambda step with iRProp+ steps on rho."""
+    """TND's optimizer: CCTND's (see :func:`cctnd_optimize`) on the grid (0,),
+    where the single-loss terms drop out and the lambda step relaxes TND's
+    own certificate.  The report's params are lambda (None when rho = pi
+    wins), the iteration count and the trace."""
     _check_delta(delta)
-    pi = np.asarray(pi, dtype=float)
-    m = ts.m
-    ln_c = math.log(2.0 * math.sqrt(m) / delta)
-
-    def objective(s, p, t, kl):
-        return 4.0 * _lambda_upper_value(t, 2.0 * kl + ln_c, m, p["lam"])
-
-    def step(s, p, t, kl):
-        return {"lam": float(lambda_star(t.item(), 2.0 * kl.item() + ln_c, m))}, None
-
-    family = ("tnd", ("tandem_loss",), step, objective,
-              lambda s, p, t, kl: np.array([[_tnd_value(t.item(), kl.item(), m, delta)]]))
-    log, iterations = _outer_rounds(family, ts, pi, {"lam": None})
-    value, rho, params, trace = _best(log)
-    return PosteriorWeights(rho, pi), BoundReport(
-        "tnd", value, delta, dict(params, iterations=iterations, trace=trace))
+    w, rep = _cctnd(ts, np.asarray(pi, dtype=float), delta, (0.0,))
+    return w, BoundReport("tnd", rep.value, delta,
+                          {k: rep.params.get(k) for k in ("lam", "iterations", "trace")})
 
 
 def _alpha_surrogate_min(big_t, u, lo, hi, extra):
@@ -591,22 +587,22 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None, tnd=None):
     collapses to the TND bound, so when min <= 0 <= max the TND optimizer's
     result is a candidate, and wins only when strictly lower: ``tnd``, what
     :func:`tnd_optimize` returns on ``ts`` (the ``(weights, report)`` every
-    optimizer returns), or a fresh run when it is None.  The grid (0,)
-    delegates to it outright.
+    optimizer returns), or a fresh run when it is None.  On the grid (0,),
+    a given ``tnd`` is the result.
     """
     _check_delta(delta)
     grid = _alpha_iteration(alpha_grid)
-    pi = np.asarray(pi, dtype=float)
-    a_lo, a_hi = min(grid), max(grid)
-    if a_lo <= 0.0 <= a_hi:
-        tnd_w, tnd_rep = tnd if tnd is not None else tnd_optimize(ts, pi, delta)
-        if grid == (0.0,):
-            return tnd_w, BoundReport("cctnd", tnd_rep.value, delta,
-                                      dict(tnd_rep.params, alpha=0.0))
+    if grid == (0.0,) and tnd is not None:
+        return tnd[0], BoundReport("cctnd", tnd[1].value, delta, dict(tnd[1].params, alpha=0.0))
+    return _cctnd(ts, np.asarray(pi, dtype=float), delta, grid, tnd)
 
+
+def _cctnd(ts, pi, delta, grid, tnd=None):
+    """The CCTND optimizer on a checked ``grid``, which :func:`cctnd_optimize`
+    runs and :func:`tnd_optimize` runs on the grid (0,)."""
     n, m = ts.n, ts.m
-    comp_g_const = math.log(4.0 * math.sqrt(n) / delta)
-    comp_t_const = math.log(4.0 * math.sqrt(m) / delta)
+    comp_g_const, comp_t_const = _union_log(n, delta), _union_log(m, delta)
+    a_lo, a_hi = min(grid), max(grid)
 
     def surrogates(t, g, kl, lam, gam_lo, gam_up):
         """Relaxed tandem surrogate T and single-loss surrogates (lower, upper)."""
@@ -632,11 +628,12 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None, tnd=None):
 
     family = ("cctnd", ("tandem_loss", "single_loss"), step, objective, lambda s, p, t, g, kl:
               np.array([[_cctnd_value(t.item(), g.item(), kl.item(), n, m, p["alpha"], delta)]]))
-    alpha0 = min(max(0.0, a_lo), a_hi)
-    log, iterations = _outer_rounds(family, ts, pi, {"alpha": alpha0})
-    if a_lo <= 0.0 <= a_hi and tnd_rep.value < _best(log)[0]:
-        log.append(([0], [tnd_rep.value], tnd_w.rho[None],
-                    {"alpha": 0.0, "lam": tnd_rep.params.get("lam")}))
+    log, iterations = _outer_rounds(family, ts, pi, {"alpha": min(max(0.0, a_lo), a_hi)})
+    if a_lo <= 0.0 <= a_hi and grid != (0.0,):
+        tnd_w, tnd_rep = tnd or _cctnd(ts, pi, delta, (0.0,))
+        if tnd_rep.value < _best(log)[0]:
+            log.append(([0], [tnd_rep.value], tnd_w.rho[None],
+                        {"alpha": 0.0, "lam": tnd_rep.params.get("lam")}))
     value, rho, params, trace = _best(log)
     return PosteriorWeights(rho, pi), BoundReport(
         "cctnd", value, delta, dict(params, iterations=iterations, trace=trace))
@@ -706,7 +703,7 @@ def ccpbskl_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None, tnd=
     returns), or a fresh run.
     """
     _check_delta(delta)
-    comp_const = math.log(4.0 * math.sqrt(int(plm.pair_counts[0].min())) / delta)
+    comp_const = _union_log(int(plm.pair_counts[0].min()), delta)
 
     def objective(s, p, q_plus, q_minus, kl):
         comp = 2.0 * kl + comp_const
@@ -785,7 +782,7 @@ def _outer_rounds(family, stats, pi, start=None):
     params, ``objective(stats, params, *forms)`` is affine in the forms, so
     its :func:`_affine_gradient` coefficients are its rises from all-zero
     forms to each unit form.  The alpha families' rows are the stacked
-    alphas of ``stats``; TND and CCTND have one row and pass ``start``, the
+    alphas of ``stats``; CCTND has one row and passes ``start``, the
     params at rho = pi, whose bound is recorded first.  Returns the log, one
     entry (rows, values, rho, params) per record of the L live rows (their
     indices, (L,) values, (L, H) rho and params), for :func:`_best`, and the

@@ -284,20 +284,16 @@ def _distribution(spec):
     raise DomainError("dist must be a TernarySpec or BetaSpec")
 
 
-def _bound_values(stats, n, lo, hi, mu, delta, pbkl0=False):
+def _bound_values(stats, n, lo, hi, mu, delta):
     """Raw bound values, elementwise over the rows of :func:`_row_stats`
     output (stacked along axis 1 into a batch)."""
     means, var, second, plus, minus = stats
-    out = {
+    return {
         "kl": kl_upper_bound(means, n, delta, lo, hi),
         "eb": _empirical_bernstein_value(means, var, n, delta, hi - lo),
         "ub": np.min(_unexpected_bernstein_grid(means, second, 0.0, n, delta, hi)[0], axis=0),
         "skl": _split_kl_value(mu, hi - mu, mu - lo, plus, minus, math.log(2.0 / delta) / n),
     }
-    if pbkl0:
-        # PAC-Bayes-kl at KL = 0 (single deterministic hypothesis)
-        out["pbkl0"] = lo + (hi - lo) * pb_kl_bound((means - lo) / (hi - lo), 0.0, n, delta)
-    return out
 
 
 def _ternary_probs(mode, p0):
@@ -389,7 +385,10 @@ def coverage_experiment(dist, n, delta, trials=10000, seed=0):
     for size, rng in zip(sizes, _streams(seed, ((i,) for i in range(len(sizes))))):
         draw(dist, rng, block[:size])
         stats.append(reduce(dist, block[:size]))
-    bounds = _bound_values(np.concatenate(stats, axis=1), n, lo, hi, mu, delta, pbkl0=True)
+    stats = np.concatenate(stats, axis=1)
+    bounds = _bound_values(stats, n, lo, hi, mu, delta)
+    # PAC-Bayes-kl at KL = 0 (single deterministic hypothesis)
+    bounds["pbkl0"] = lo + (hi - lo) * pb_kl_bound((stats[0] - lo) / (hi - lo), 0.0, n, delta)
     return {name: int(np.sum(dist.mean > bounds[name])) / trials for name in COVERAGE_BOUNDS}
 
 

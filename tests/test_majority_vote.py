@@ -1016,6 +1016,44 @@ def test_cctnd_fixed_alpha_zero_equals_tnd():
     assert np.array_equal(w_c.rho, w_t.rho)
 
 
+def test_tnd_and_cctnd_do_not_call_each_other_by_public_name():
+    # a tracer that wraps both public names counts each one's own iterations,
+    # so neither may call the other by its name
+    rng = np.random.default_rng(16)
+    ts, pi = compute_tandem_stats(random_plm(rng, h=4, n=60)), np.full(4, 0.25)
+    runs = [lambda: tnd_optimize(ts, pi, 0.05),
+            lambda: cctnd_optimize(ts, pi, 0.05, alpha_grid=(0.0,)),
+            lambda: cctnd_optimize(ts, pi, 0.05, alpha_grid=SMALL_ALPHA_GRID)]
+    before = [run() for run in runs]
+    with mock.patch.multiple(majority_vote, tnd_optimize=None, cctnd_optimize=None):
+        after = [run() for run in runs]
+    for (w, rep), (w_after, rep_after) in zip(before, after):
+        assert rep == rep_after and np.array_equal(w.rho, w_after.rho)
+    assert set(before[0][1].params) == {"lam", "iterations", "trace"}
+    # on the grid (0,) a given TND result is CCTND's, so splitkl mv runs TND once
+    tnd = (PosteriorWeights(np.array([0.4, 0.3, 0.2, 0.1]), pi),
+           BoundReport("tnd", 0.5, 0.05, {"lam": 0.25, "iterations": 3, "trace": (0.5,)}))
+    w, rep = cctnd_optimize(ts, pi, 0.05, alpha_grid=(0.0,), tnd=tnd)
+    assert w is tnd[0]
+    assert rep == BoundReport("cctnd", 0.5, 0.05, {"lam": 0.25, "iterations": 3,
+                                                     "trace": (0.5,), "alpha": 0.0})
+
+
+def test_tnd_lambda_relaxes_its_own_certificate():
+    # TND's lambda is CCTND's at alpha = 0: the closed form on the
+    # ln(4 sqrt(m)/delta) that both certificates use
+    from splitkl.cli import read_loss_csv
+    from splitkl.pacbayes import lambda_star
+
+    ts, pi = compute_tandem_stats(read_loss_csv(str(SKEWED_LOSSES))[0]), np.full(5, 0.2)
+    w, rep = tnd_optimize(ts, pi, 0.05)
+    assert np.allclose(w.rho, pi, rtol=0.0, atol=1e-15)  # the solve stays at rho = pi
+    lam = lambda_star(float(pi @ ts.tandem_loss @ pi), math.log(4.0 * math.sqrt(ts.m) / 0.05),
+                      ts.m)
+    assert rep.params["lam"] == pytest.approx(lam, rel=1e-12)
+    assert rep.params["lam"] == pytest.approx(0.443768979002, rel=1e-11)
+
+
 def test_cctnd_takes_the_tnd_candidate_only_when_strictly_lower():
     # a grid around 0 makes the given TND result a candidate; one with no
     # finite value never wins, so that run is CCTND's own best
@@ -1332,14 +1370,18 @@ def test_zero_prior_entries_equal_the_optimizer_on_the_support():
 # ---------------------------------------------------------------------------
 
 OPTIMIZER_GOLDEN = Path(__file__).parent / "golden" / "optimizers_dirichlet_zero_d01.json"
+SKEWED_LOSSES = OPTIMIZER_GOLDEN.with_name("losses_skewed_h5_n600_seed0.csv")
 
 
 def optimizer_golden_payload():
     """Value, rho, params, trace and iterations of all five optimizers on a
-    Dirichlet prior and on an all-zero-loss ensemble (infinite gamma), at
-    delta = 0.01, on a 5-point grid, at fixed alphas and under a short
-    iRProp+ with tol = 0; floats at 12 significant digits as in the CLI."""
-    from splitkl.cli import _round12
+    Dirichlet prior, on an all-zero-loss ensemble (infinite gamma) and on the
+    skewed loss file under a uniform prior, at delta = 0.01, on a 5-point
+    grid, at fixed alphas and under a short iRProp+ with tol = 0; floats at
+    12 significant digits as in the CLI.  On the skewed file every alpha
+    family leaves the prior, so its grid run under the short iRProp+ stops
+    short of the full solve."""
+    from splitkl.cli import _round12, read_loss_csv
     from splitkl.simulation import synth_ensemble
 
     def entry(w, rep):
@@ -1356,6 +1398,7 @@ def optimizer_golden_payload():
         "correlated": (plm, np.random.default_rng(5).dirichlet(np.full(5, 2.0))),
         "zero": (PredictionLossMatrix(losses=np.zeros((4, 60)), mask=np.ones((4, 60), bool)),
                  np.full(4, 0.25)),
+        "skewed": (read_loss_csv(str(SKEWED_LOSSES))[0], np.full(5, 0.2)),
     }
     payload = {}
     for name, (plm, pi) in ensembles.items():
@@ -1369,10 +1412,13 @@ def optimizer_golden_payload():
                                     ("fixed-0.3", (-0.3,), default), ("grid5/short", grid, short)):
             with _irprop_at(**solver):
                 out["cctnd/" + key] = entry(*cctnd_optimize(ts, pi, delta, alphas, tnd=tnd))
+        cases = (("grid5", grid, default), ("fixed0.2", (0.2,), default),
+                 ("fixed-0.3/short", (-0.3,), short))
+        if name == "skewed":
+            cases += (("grid5/short", grid, short),)
         for optimize in (ccpbb_optimize, ccpbub_optimize, ccpbskl_optimize):
             kw = {"tnd": tnd} if optimize is ccpbskl_optimize else {}
-            for key, alphas, solver in (("grid5", grid, default), ("fixed0.2", (0.2,), default),
-                                        ("fixed-0.3/short", (-0.3,), short)):
+            for key, alphas, solver in cases:
                 with _irprop_at(**solver):
                     w, rep = optimize(plm, pi, delta, alphas, **kw)
                 out[rep.name + "/" + key] = entry(w, rep)
