@@ -30,9 +30,10 @@ import numpy as np
 from . import simulation
 from .concentration import (
     EmpiricalSummary,
+    SplitSummary,
+    _row_stats,
     _validate_samples,
     kl_upper_bound,
-    split_decompose,
     split_kl_bound,
     empirical_bernstein_bound,
     unexpected_bernstein_grid_bound,
@@ -158,21 +159,26 @@ def cmd_bound(args):
     delta = args.delta
     names = BOUND_CHOICES if args.bound == "all" else (args.bound,)
     n = len(samples)
+    # one pass of the statistics kernel; the summaries' checks reject an overflowed sum
+    mean, var, second, plus, minus = _row_stats(samples[None, :], mu)[:, 0].tolist()
+    summary = None  # built on first use: kl and skl never read the moments
     reports = []
     for name in names:
         params = {"n": n, "lo": lo, "hi": hi}
         if name == "kl":
-            value = kl_upper_bound(samples.mean(), n, delta, lo, hi)
-        elif name == "eb":
-            s = EmpiricalSummary.from_samples(samples, lo, hi)
-            value = empirical_bernstein_bound(s, delta)
-        elif name == "ub":
-            s = EmpiricalSummary.from_samples(samples, lo, hi)
-            rep = unexpected_bernstein_grid_bound(s, delta)
-            value, params = rep.value, dict(rep.params, n=n, hi=hi)
-        else:
-            value = split_kl_bound(split_decompose(samples, mu, lo, hi), delta)
+            value = kl_upper_bound(mean, n, delta, lo, hi)
+        elif name == "skl":
+            if not lo <= mu <= hi:
+                raise DomainError(f"mu {mu} outside [{lo}, {hi}]")
+            value = split_kl_bound(SplitSummary(n, mu, plus, minus, lo, hi), delta)
             params["mu"] = mu
+        else:
+            summary = summary or EmpiricalSummary(n, mean, second, var, lo, hi)
+            if name == "eb":
+                value = empirical_bernstein_bound(summary, delta)
+            else:
+                rep = unexpected_bernstein_grid_bound(summary, delta)
+                value, params = rep.value, dict(rep.params, n=n, hi=hi)
         if not math.isfinite(value):
             raise DomainError(f"{name} bound is not finite: {value}")
         value = min(value, hi) if args.clip else value

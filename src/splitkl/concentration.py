@@ -52,16 +52,9 @@ class EmpiricalSummary:
     @classmethod
     def from_samples(cls, samples, lo, hi):
         z = _validate_samples(samples, lo, hi)
-        n = len(z)
-        var = float(np.var(z, ddof=1)) if n >= 2 else 0.0
-        return cls(
-            n=n,
-            mean=float(z.mean()),
-            second_moment_mean=float(np.mean(z**2)),
-            unbiased_variance=var,
-            lo=float(lo),
-            hi=float(hi),
-        )
+        mean, var, second, _, _ = _row_stats(z[None, :], 0.0)[:, 0].tolist()
+        return cls(n=len(z), mean=mean, second_moment_mean=second, unbiased_variance=var,
+                   lo=float(lo), hi=float(hi))
 
 
 @dataclass(frozen=True)
@@ -119,19 +112,36 @@ def _validate_samples(samples, lo, hi):
     return z
 
 
+def _row_stats(x, mu):
+    """Mean, unbiased variance (0 for one sample), second moment, and the
+    means of the plus and minus parts around mu of each row of a (rows, n)
+    sample matrix, as a (5, rows) array.  The temporaries share one scratch
+    buffer, and each value is bit-equal to numpy's ``mean``, ``var(ddof=1)``,
+    ``mean(x * x)`` and ``maximum(0, x - mu).mean`` / ``maximum(0, mu - x).mean``.
+    An overflow gives inf or NaN silently, for the summaries' checks to reject."""
+    out = np.empty((5, len(x)))
+    mean, var, second, plus, minus = out
+    buf = np.empty_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x.mean(axis=1, out=mean)
+        # numpy's var: the squared deviations from the row mean, summed, over n - 1
+        np.subtract(x, mean[:, None], out=buf)
+        np.multiply(buf, buf, out=buf).sum(axis=1, out=var)
+        var /= max(x.shape[1] - 1, 1)  # one sample deviates by exactly 0
+        np.multiply(x, x, out=buf).mean(axis=1, out=second)
+        np.maximum(0.0, np.subtract(x, mu, out=buf), out=buf).mean(axis=1, out=plus)
+        np.maximum(0.0, np.subtract(mu, x, out=buf), out=buf).mean(axis=1, out=minus)
+    return out
+
+
 def split_decompose(samples, mu, lo, hi) -> SplitSummary:
     """Split a sample at mu into the means of its positive and negative parts."""
     z = _validate_samples(samples, lo, hi)
     if not lo <= mu <= hi:
         raise DomainError(f"mu {mu} outside [{lo}, {hi}]")
-    return SplitSummary(
-        n=len(z),
-        mu=float(mu),
-        plus_mean=float(np.maximum(0.0, z - mu).mean()),
-        minus_mean=float(np.maximum(0.0, mu - z).mean()),
-        lo=float(lo),
-        hi=float(hi),
-    )
+    _, _, _, plus, minus = _row_stats(z[None, :], mu)[:, 0].tolist()
+    return SplitSummary(n=len(z), mu=float(mu), plus_mean=plus, minus_mean=minus,
+                        lo=float(lo), hi=float(hi))
 
 
 def kl_upper_bound(mean, n, delta, lo, hi):
@@ -250,14 +260,15 @@ def split_kl_bound(s: SplitSummary, delta) -> float:
     """
     _check_delta(delta)
     eps = math.log(2.0 / delta) / s.n
-    return _split_kl_value(s.mu, s.hi - s.mu, s.mu - s.lo, s.plus_mean, s.minus_mean, eps)
+    return _split_kl_value(s.mu, s.lo, s.hi, s.plus_mean, s.minus_mean, eps)
 
 
-def _split_kl_value(mu, plus_w, minus_w, plus_mean, minus_mean, eps):
-    """mu + plus_w kl_inv_upper(plus_mean / plus_w, eps)
-    - minus_w kl_inv_lower(minus_mean / minus_w, eps), elementwise over
-    the split means and weights, ratios clamped to [0, 1]; a zero scalar
+def _split_kl_value(mu, lo, hi, plus_mean, minus_mean, eps):
+    """mu + (hi - mu) kl_inv_upper(plus_mean / (hi - mu), eps)
+    - (mu - lo) kl_inv_lower(minus_mean / (mu - lo), eps), elementwise over
+    the split means and the range, ratios clamped to [0, 1]; a zero scalar
     split weight contributes exactly 0, and array weights must be positive."""
+    plus_w, minus_w = hi - mu, mu - lo
     plus_term = 0.0
     if np.ndim(plus_w) or plus_w > 0.0:
         plus_term = plus_w * kl_inv_upper(_clamp01(plus_mean / plus_w), eps)

@@ -41,7 +41,9 @@ from .errors import DomainError
 from .klcore import (
     _check_delta, _discrete_kl_unchecked, discrete_kl, kl_inv_lower, kl_inv_upper, phi,
 )
-from .pacbayes import _lambda_lower_value, _lambda_upper_value, gamma_star, lambda_star
+from .pacbayes import (
+    _lambda_lower_value, _lambda_upper_value, _pb_confidence, gamma_star, lambda_star,
+)
 
 # Alpha grid for the offset bounds: step 0.01 over [-0.5, 0.49], which puts
 # the TND collapse point alpha = 0 exactly on the grid.
@@ -405,14 +407,8 @@ def _quad(rho, matrix):
     return np.clip(rho[..., None, :] @ matrix @ rho[..., :, None], 0.0, None)[..., 0]
 
 
-def _union_log(k, delta):
-    """ln(4 sqrt(k) / delta), the confidence term of the kl-relaxed tandem
-    (k = m) and single-loss (k = n) bounds."""
-    return math.log(4.0 * math.sqrt(k) / delta)
-
-
 def _tandem_eps(kl, m, delta):
-    return (2.0 * kl + _union_log(m, delta)) / m
+    return (2.0 * kl + _pb_confidence(m, delta / 2.0)) / m
 
 
 def tnd_bound(ts: TandemStats, w: PosteriorWeights, delta) -> float:
@@ -441,7 +437,7 @@ def _cctnd_value(t, g, kl, n, m, alpha, delta):
     """:func:`cctnd_bound` from the floats rho' T rho, rho . single and KL(rho||pi);
     at alpha = 0, (T - 0.0 + 0.0) / 0.25 is exactly 4 T."""
     t_term = kl_inv_upper(_clamp01(t), _tandem_eps(kl, m, delta))
-    eps_g = (kl + _union_log(n, delta)) / n
+    eps_g = (kl + _pb_confidence(n, delta / 2.0)) / n
     g_term = (kl_inv_lower if alpha >= 0 else kl_inv_upper)(_clamp01(g), eps_g)
     return _cc_value(t_term, g_term, alpha)
 
@@ -516,8 +512,7 @@ def ccpbskl_bound(ats: AlphaTandemStats, w: PosteriorWeights, delta) -> float:
 
 def _ccpbskl_value(ats, q_plus, q_minus, kl, delta):
     """:func:`ccpbskl_bound` from rho' plus rho, rho' minus rho and KL(rho||pi)."""
-    val = _split_kl_value(ats.mu, ats.b - ats.mu, ats.mu - ats.a, q_plus, q_minus,
-                          _tandem_eps(kl, ats.m, delta))
+    val = _split_kl_value(ats.mu, ats.a, ats.b, q_plus, q_minus, _tandem_eps(kl, ats.m, delta))
     return val / np.square(0.5 - ats.alpha)
 
 
@@ -601,7 +596,7 @@ def _cctnd(ts, pi, delta, grid, tnd=None):
     """The CCTND optimizer on a checked ``grid``, which :func:`cctnd_optimize`
     runs and :func:`tnd_optimize` runs on the grid (0,)."""
     n, m = ts.n, ts.m
-    comp_g_const, comp_t_const = _union_log(n, delta), _union_log(m, delta)
+    comp_g_const, comp_t_const = _pb_confidence(n, delta / 2.0), _pb_confidence(m, delta / 2.0)
     a_lo, a_hi = min(grid), max(grid)
 
     def surrogates(t, g, kl, lam, gam_lo, gam_up):
@@ -676,14 +671,13 @@ def ccpbb_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None):
 def ccpbub_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None):
     """Outer alpha grid; per alpha, alternate grid-gamma selection and iRProp+."""
     _check_delta(delta)
-    k_gam = make_gamma_grid(int(plm.pair_counts[0].min()), delta, 1.0).count  # set by (m, delta)
+    unit = np.array(make_gamma_grid(int(plm.pair_counts[0].min()), delta, 1.0).values)  # 1/2^i
 
     def objective(s, p, q_mean, q_second, kl):
-        return _ccpbub_value(s, q_mean, q_second, kl, p["gam"], delta, k_gam)
+        return _ccpbub_value(s, q_mean, q_second, kl, p["gam"], delta, len(unit))
 
     def step(s, p, *forms):
-        # make_gamma_grid(m, delta, b) of each row's b; a power-of-two scale is exact
-        grid = 1.0 / (2.0 ** np.arange(1, k_gam + 1) * s.b)
+        grid = unit / s.b  # make_gamma_grid(m, delta, b) of each row's b, bit for bit
         gam, val0 = _grid_min(objective(s, {"gam": grid}, *forms), grid)
         return {"gam": gam}, val0
 
@@ -703,7 +697,7 @@ def ccpbskl_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None, tnd=
     returns), or a fresh run.
     """
     _check_delta(delta)
-    comp_const = _union_log(int(plm.pair_counts[0].min()), delta)
+    comp_const = _pb_confidence(int(plm.pair_counts[0].min()), delta / 2.0)
 
     def objective(s, p, q_plus, q_minus, kl):
         comp = 2.0 * kl + comp_const

@@ -109,12 +109,18 @@ class ExcessLossInput:
                 raise DomainError("split mean outside its range")
 
 
+def _pb_confidence(n, delta):
+    """ln(2 sqrt(n)/delta), the PAC-Bayes-kl confidence term, unvalidated; a
+    union over c such terms passes delta/c."""
+    return math.log(2.0 * math.sqrt(n) / delta)
+
+
 def _pb_complexity(kl_complexity, n, delta):
     """KL + ln(2 sqrt(n)/delta), the complexity term of the PAC-Bayes-kl and
     -lambda forms; rejects KL < 0, n < 1, delta outside (0, 1) and NaN."""
     if not (kl_complexity >= 0.0 and n >= 1 and 0.0 < delta < 1.0):
         raise DomainError(f"need KL >= 0, n >= 1, delta in (0, 1): {kl_complexity}, {n}, {delta}")
-    return kl_complexity + math.log(2.0 * math.sqrt(n) / delta)
+    return kl_complexity + _pb_confidence(n, delta)
 
 
 def _check_gibbs_mean(gibbs_mean):
@@ -152,13 +158,12 @@ def pb_unexpected_bernstein_grid(inp: PacBayesInput, delta) -> BoundReport:
 def pb_split_kl(inp: PacBayesInput, delta):
     """PAC-Bayes split-kl: weighted upper/lower inversions around mu.
 
-    Both inversions run at eps = (KL + ln(4 sqrt(n)/delta)) / n; degenerate
-    split weights contribute exactly 0.
+    Both inversions run at eps = (KL + ln(2 sqrt(n)/(delta/2))) / n;
+    degenerate split weights contribute exactly 0.
     """
     _check_delta(delta)
-    eps = (inp.kl_complexity + math.log(4.0 * math.sqrt(inp.n) / delta)) / inp.n
-    return _split_kl_value(inp.mu, inp.hi - inp.mu, inp.mu - inp.lo,
-                           inp.gibbs_plus_mean, inp.gibbs_minus_mean, eps)
+    eps = (inp.kl_complexity + _pb_confidence(inp.n, delta / 2.0)) / inp.n
+    return _split_kl_value(inp.mu, inp.lo, inp.hi, inp.gibbs_plus_mean, inp.gibbs_minus_mean, eps)
 
 
 def test_set_bound(n, errors, delta):
@@ -169,14 +174,15 @@ def test_set_bound(n, errors, delta):
 def excess_informed_bound(x: ExcessLossInput, delta):
     """Excess-loss bound with forward/backward informed priors.
 
-    Split-kl on the averaged excess losses (with the mixture prior entering
-    through ``kl_complexity``) plus half the sum of two binomial tail
-    inversions at delta/4 for the reference rules.
+    Split-kl on the averaged excess losses in [-1, 1] (with the mixture
+    prior entering through ``kl_complexity``), each inversion at delta/4 on
+    n/2, plus half the sum of two binomial tail inversions at delta/4 for
+    the reference rules.
     """
     _check_delta(delta)
     half = x.n // 2
-    eps = (x.kl_complexity + math.log(8.0 * math.sqrt(half) / delta)) / half
-    split = _split_kl_value(x.mu, 1.0 - x.mu, x.mu + 1.0, (x.fwd_plus + x.bwd_plus) / 2.0,
+    eps = (x.kl_complexity + _pb_confidence(half, delta / 4.0)) / half
+    split = _split_kl_value(x.mu, -1.0, 1.0, (x.fwd_plus + x.bwd_plus) / 2.0,
                             (x.fwd_minus + x.bwd_minus) / 2.0, eps)
     c1, c2 = x.ref_loss_counts
     ref_term = 0.5 * (

@@ -17,7 +17,7 @@ Single streams (integer seeds, synthetic ensembles) use ``SeedSequence``
 directly.  Everything runs in one thread.  Each block of draws is reduced to
 per-row statistics as it is drawn: a ternary row from its counts of -1 and +1
 draws among its uniforms, with no samples formed, and a beta row from its
-samples.
+samples by the statistics kernel of :mod:`splitkl.concentration`.
 """
 
 import functools
@@ -29,6 +29,7 @@ import numpy as np
 
 from .concentration import (
     _empirical_bernstein_value,
+    _row_stats,
     _split_kl_value,
     _unexpected_bernstein_grid,
     kl_upper_bound,
@@ -225,26 +226,6 @@ def sample_beta(spec: BetaSpec, n, seed) -> np.ndarray:
     return rng.beta(spec.alpha_shape, spec.beta_shape, size=n)
 
 
-def _row_stats(x, mu):
-    """Mean, unbiased variance, second moment, and the means of the plus and
-    minus parts around mu of each row of a (rows, n) sample matrix, as a
-    (5, rows) array.  The temporaries share one scratch buffer, and each
-    value is bit-equal to numpy's ``mean``, ``var(ddof=1)``, ``mean(x * x)``
-    and ``maximum(0, x - mu).mean`` / ``maximum(0, mu - x).mean``."""
-    out = np.empty((5, len(x)))
-    mean, var, second, plus, minus = out
-    buf = np.empty_like(x)
-    x.mean(axis=1, out=mean)
-    # numpy's var: the squared deviations from the row mean, summed, over n - 1
-    np.subtract(x, mean[:, None], out=buf)
-    np.multiply(buf, buf, out=buf).sum(axis=1, out=var)
-    var /= x.shape[1] - 1
-    np.multiply(x, x, out=buf).mean(axis=1, out=second)
-    np.maximum(0.0, np.subtract(x, mu, out=buf), out=buf).mean(axis=1, out=plus)
-    np.maximum(0.0, np.subtract(mu, x, out=buf), out=buf).mean(axis=1, out=minus)
-    return out
-
-
 def _ternary_draw(spec, rng, out):
     """Fill ``out`` with the uniforms that :func:`sample_ternary` maps to
     draws through the spec's cdf."""
@@ -292,7 +273,7 @@ def _bound_values(stats, n, lo, hi, mu, delta):
         "kl": kl_upper_bound(means, n, delta, lo, hi),
         "eb": _empirical_bernstein_value(means, var, n, delta, hi - lo),
         "ub": np.min(_unexpected_bernstein_grid(means, second, 0.0, n, delta, hi)[0], axis=0),
-        "skl": _split_kl_value(mu, hi - mu, mu - lo, plus, minus, math.log(2.0 / delta) / n),
+        "skl": _split_kl_value(mu, lo, hi, plus, minus, math.log(2.0 / delta) / n),
     }
 
 

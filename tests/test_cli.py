@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from splitkl import cli, concentration
 from splitkl.cli import main, read_loss_csv, write_loss_csv
 from splitkl.majority_vote import compute_tandem_stats
 from splitkl.simulation import synth_ensemble
@@ -133,11 +134,70 @@ _SECOND_INF = ["# lo=0 hi=1e200", "1e160", "1e160"]
 ])
 def test_bound_overflowing_moments_exit_3(tmp_path, capsys, bound, lines):
     path = write_sample(tmp_path, lines)
-    with np.errstate(over="ignore"):
-        assert run(["bound", path, "--bound", bound]) == 3
+    assert run(["bound", path, "--bound", bound]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "moments must be finite and non-negative" in captured.err
+
+
+# in-range samples whose sums overflow: the square, the sum and the
+# difference from mu each overflowed with a numpy RuntimeWarning on stderr
+_SECOND_OVER = ["# lo=-1e307 hi=1e307 mu=1e307", "1e307", "1e307"]
+_SUM_OVER = ["# lo=1e200 hi=1e308 mu=1e308", "5e307", "1e308", "5e307", "1e308"]
+_MINUS_SUM_OVER = ["# lo=0.5 hi=1e308 mu=1e308", "1e307", "1e200", "0.5"]
+_DIFF_OVER = ["# lo=-1e308 hi=1e308 mu=1e308", "0", "-1e200", "1e308", "-1e308"]
+# two of numpy's eight partial sums overflow, to inf and -inf: their sum is NaN
+_NAN_SUM = ["# lo=-1e308 hi=1e308 mu=0"] + (["1e308", "-1e308"] + ["0"] * 6) * 2
+
+
+@pytest.mark.parametrize("bound, lines, message", [
+    ("eb", _SECOND_OVER, "moments must be finite and non-negative"),
+    ("ub", _SECOND_OVER, "moments must be finite and non-negative"),
+    ("kl", _SUM_OVER, "p_hat outside [0.0, 1.0]"),
+    ("eb", _SUM_OVER, "mean inf outside [1e+200, 1e+308]"),
+    ("ub", _SUM_OVER, "mean inf outside [1e+200, 1e+308]"),
+    ("skl", _MINUS_SUM_OVER, "minus_mean outside [0, mu - lo]"),
+    ("skl", _DIFF_OVER, "p_hat is NaN"),
+    ("kl", _NAN_SUM, "p_hat is NaN"),
+    ("eb", _NAN_SUM, "mean nan outside [-1e+308, 1e+308]"),
+    ("skl", _NAN_SUM, "plus_mean outside [0, hi - mu]"),
+])
+def test_bound_near_the_float_limit_exit_3_without_a_warning(tmp_path, capsys, bound, lines,
+                                                             message):
+    # pytest turns a RuntimeWarning into an error, so any warning fails this
+    path = write_sample(tmp_path, lines)
+    assert run(["bound", path, "--bound", bound]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"domain error: {message}\n"
+
+
+@pytest.mark.parametrize("bound", ["kl", "skl"])
+def test_bound_kl_and_skl_do_not_read_the_moments(tmp_path, capsys, bound):
+    # the second moment overflows, and only EB and UB read it
+    path = write_sample(tmp_path, ["# lo=-1e200 hi=1e200", "1e200", "1e200", "1e200"])
+    assert run(["bound", path, "--bound", bound]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [(b["name"], b["value"]) for b in out["bounds"]] == [(bound, 1e200)]
+
+
+def test_bound_validates_and_summarises_the_samples_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for module in (cli, concentration):
+        for name in ("_validate_samples", "_row_stats"):
+            monkeypatch.setattr(module, name, counted(name, getattr(concentration, name)))
+    path = write_sample(tmp_path, ["# lo=-1 hi=1 mu=0", "-1", "0", "1", "1"])
+    assert run(["bound", path, "--bound", "all"]) == 0
+    assert [b["name"] for b in json.loads(capsys.readouterr().out)["bounds"]] == list(
+        cli.BOUND_CHOICES)
+    assert calls == ["_validate_samples", "_row_stats"]
 
 
 @pytest.mark.parametrize("bound", ["kl", "all"])
@@ -555,3 +615,23 @@ def test_mv_dump_losses_to_stdout_with_json_to_a_file(tmp_path, capsys):
 
 def test_exit_code_contract_bad_delta():
     assert run(["coverage", "--delta", "1.5", "--trials", "200"]) == 2
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["bound", "{f}"], "# lo=0 sigma=1\n0.5", "line 1: bad header token 'sigma=1'"),
+    (["bound", "{f}"], "# lo=zero\n0.5", "line 1: bad header value 'lo=zero'"),
+    (["coverage", "--probs", "0.5,0.5"], None, "--probs needs 3 comma-separated values"),
+    (["coverage", "--probs", "a,b,c"], None, "bad --probs: 'a,b,c'"),
+    (["coverage", "--dist", "beta", "--shape", "2"], None, "--shape needs 2 comma-separated values"),
+    (["coverage", "--dist", "beta", "--shape", "2,x"], None, "bad --shape: '2,x'"),
+    # an eval set of two hypotheses against a loss matrix of three
+    (["mv", "--synthetic", "independent", "--h-count", "3", "--n-examples", "50", "--eval", "{f}"],
+     "hypothesis_id,example_id,prediction,label\n0,0,1,1\n0,1,0,0\n1,0,1,1\n1,1,1,0",
+     "--eval hypothesis count does not match losses"),
+])
+def test_input_errors_exit_2_naming_the_input(tmp_path, capsys, argv, text, message):
+    path = write_sample(tmp_path, [text]) if text else None
+    assert run([arg.format(f=path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

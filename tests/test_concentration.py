@@ -329,3 +329,67 @@ def test_coverage_quick():
     ceiling = delta + 3.0 * math.sqrt(delta * (1 - delta) / trials)
     for name, count in violations.items():
         assert count / trials <= ceiling, name
+
+
+# ---------------------------------------------------------------------------
+# one statistics kernel for both summaries
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _samples_with_a_range(draw):
+    # uniform, three-point and constant samples, n from 1 up
+    lo = draw(st.floats(-1e3, 1e3))
+    hi = lo + draw(st.floats(1e-3, 1e3))
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "three-point", "constant"]))
+    if kind == "uniform":
+        z = rng.uniform(lo, hi, n)
+    elif kind == "three-point":
+        z = rng.choice(np.array([lo, 0.5 * (lo + hi), hi]), n)
+    else:
+        z = np.full(n, draw(st.floats(lo, hi)))
+    return np.clip(z, lo, hi), lo, hi, draw(st.floats(lo, hi))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(sample=_samples_with_a_range())
+def test_summaries_equal_the_numpy_formulas_bitwise(sample):
+    z, lo, hi, mu = sample
+    s, p = EmpiricalSummary.from_samples(z, lo, hi), split_decompose(z, mu, lo, hi)
+    expected = {
+        "mean": z.mean(),
+        "unbiased_variance": np.var(z, ddof=1) if len(z) > 1 else 0.0,
+        "second_moment_mean": np.mean(z**2),
+        "plus_mean": np.maximum(0, z - mu).mean(),
+        "minus_mean": np.maximum(0, mu - z).mean(),
+    }
+    got = {"mean": s.mean, "unbiased_variance": s.unbiased_variance,
+           "second_moment_mean": s.second_moment_mean, "plus_mean": p.plus_mean,
+           "minus_mean": p.minus_mean}
+    assert {k: float(v).hex() for k, v in got.items()} == {
+        k: float(v).hex() for k, v in expected.items()}
+    assert all(type(v) is float for v in got.values())
+
+
+# ---------------------------------------------------------------------------
+# checks that reject malformed summaries and grid inputs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: EmpiricalSummary(0, 0.5, 0.25, 0.0, 0.0, 1.0), "need n >= 1"),
+    (lambda: EmpiricalSummary(5, 1.5, 0.25, 0.0, 0.0, 1.0), "mean 1.5 outside [0.0, 1.0]"),
+    (lambda: SplitSummary(0, 0.5, 0.1, 0.1, 0.0, 1.0), "need n >= 1"),
+    (lambda: SplitSummary(5, -0.5, 0.1, 0.1, 0.0, 1.0), "mu -0.5 outside [0.0, 1.0]"),
+    (lambda: SplitSummary(5, 0.5, 0.1, 0.6, 0.0, 1.0), "minus_mean outside [0, mu - lo]"),
+    (lambda: split_decompose([0.5], 1.5, 0.0, 1.0), "mu 1.5 outside [0.0, 1.0]"),
+    (lambda: make_gamma_grid(0, 0.05, 1.0), "need n >= 1, delta in (0,1), b > 0"),
+    (lambda: unexpected_bernstein_bound(EmpiricalSummary(5, -0.5, 0.3, 0.1, -1.0, 0.0), 0.1, 0.05),
+     "Unexpected Bernstein needs an upper endpoint b > 0"),
+])
+def test_summary_and_grid_checks_raise(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -816,3 +816,13 @@ def test_scalar_entry_points_return_floats_bit_equal_to_array_calls(name, data):
     got = (array or scalar)(np.array([x]))
     assert isinstance(got, np.ndarray) and got.shape == (1,), name
     assert _same_bits(got, [want]), name
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: discrete_kl([0.5, 0.6], [0.5, 0.5]), "weights must sum to 1 within 1e-9"),
+    (lambda: binomial_tail(10, 3, 1.5), "p outside [0, 1]: 1.5"),
+])
+def test_klcore_checks_raise(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from splitkl import majority_vote
 from splitkl.errors import DomainError
 from splitkl.klcore import discrete_kl, kl_inv_lower, kl_inv_upper, phi, psi
-from splitkl.concentration import BoundReport
+from splitkl.concentration import BoundReport, make_gamma_grid
 from splitkl.majority_vote import (
     DEFAULT_ALPHA_GRID,
     AlphaTandemStats,
     EvaluationMatrix,
     PosteriorWeights,
     PredictionLossMatrix,
+    TandemStats,
     alpha_stats,
     ccpbb_bound,
     ccpbb_optimize,
@@ -1427,3 +1428,57 @@ def optimizer_golden_payload():
 
 def test_optimizers_match_golden():
     assert optimizer_golden_payload() == OPTIMIZER_GOLDEN.read_text()
+
+
+# ---------------------------------------------------------------------------
+# checks that reject malformed statistics, weights and evaluation sets
+# ---------------------------------------------------------------------------
+
+_T2 = np.array([[0.3, 0.1], [0.1, 0.2]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PredictionLossMatrix(losses=np.zeros((2, 3)), mask=np.ones((2, 4), dtype=bool)),
+     "losses and mask must be equal-shape 2-d arrays"),
+    (lambda: PredictionLossMatrix(losses=np.full((2, 3), 0.5), mask=np.ones((2, 3), dtype=bool)),
+     "losses must be 0/1"),
+    (lambda: TandemStats([0.3, 0.2, 0.1], _T2, 5, 5), "tandem matrix shape mismatch"),
+    (lambda: TandemStats([0.3, 0.2], [[0.3, 0.1], [0.0, 0.2]], 5, 5),
+     "tandem matrix must be symmetric"),
+    (lambda: TandemStats([0.3, 1.5], [[0.3, 0.1], [0.1, 1.5]], 5, 5),
+     "tandem entries outside [0, 1]"),
+    (lambda: TandemStats([0.3, 0.25], _T2, 5, 5), "tandem diagonal must equal the single losses"),
+    (lambda: TandemStats([0.3, 0.2], _T2, 5, 0), "need n >= 1 and m >= 1"),
+    (lambda: PosteriorWeights([0.5, 0.5], [1 / 3] * 3),
+     "rho and pi must be 1-d vectors of equal length"),
+    (lambda: EvaluationMatrix(predictions=[0, 1], labels=[0, 1]),
+     "predictions must be H x N with N labels"),
+    (lambda: EvaluationMatrix(predictions=np.zeros((2, 0)), labels=[]), "empty evaluation set"),
+    (lambda: EvaluationMatrix(predictions=[[0, -1]], labels=[0, 1]),
+     "labels must be non-negative integers"),
+    (lambda: mv_risk(EvaluationMatrix(predictions=[[0, 1], [1, 1]], labels=[0, 1]),
+                     PosteriorWeights([1 / 3] * 3, [1 / 3] * 3)),
+     "weight vector does not match the hypothesis count"),
+    (lambda: project_simplex([0.5, math.nan]), "need a finite vector"),
+])
+def test_majority_vote_checks_raise(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(2, 5), n=st.integers(20, 200),
+       delta=st.floats(1e-3, 0.5),
+       alphas=st.lists(st.integers(-50, 49).map(lambda k: k / 100.0), min_size=1, max_size=20,
+                       unique=True))
+def test_ccpbub_gamma_rows_are_make_gamma_grid_of_each_b(seed, h, n, delta, alphas):
+    # the first step sees every alpha of the grid, in grid order
+    plm = random_plm(np.random.default_rng(seed), h=h, n=n)
+    with mock.patch.object(majority_vote, "_grid_min", side_effect=majority_vote._grid_min) as spy:
+        ccpbub_optimize(plm, np.full(h, 1.0 / h), delta, alpha_grid=alphas)
+    rows = spy.call_args_list[0].args[1]
+    assert rows.shape[0] == len(alphas)
+    m = int(plm.pair_counts[0].min())
+    for row, alpha in zip(rows, alphas):
+        assert tuple(row.tolist()) == make_gamma_grid(m, delta, alpha_stats(plm, alpha).b).values

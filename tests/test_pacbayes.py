@@ -29,6 +29,7 @@ from splitkl.pacbayes import (
     pb_unexpected_bernstein,
     pb_unexpected_bernstein_grid,
 )
+from splitkl.pacbayes import _pb_confidence
 from splitkl.pacbayes import test_set_bound as binomial_test_set_bound
 
 from test_klcore import grid_scan_inv_upper
@@ -489,3 +490,34 @@ def test_pac_bayes_bounds_reject_delta_outside_unit_interval(delta):
     for call in calls:
         with pytest.raises(DomainError, match=r"delta outside \(0, 1\)"):
             call()
+
+
+_PB_FIELDS = dict(gibbs_mean=0.3, gibbs_second_moment=0.2, gibbs_plus_mean=0.1,
+                  gibbs_minus_mean=0.1, kl_complexity=1.0, n=100, lo=0.0, hi=1.0, mu=0.5)
+_EXCESS_FIELDS = dict(fwd_plus=0.1, bwd_plus=0.1, fwd_minus=0.1, bwd_minus=0.1,
+                      kl_complexity=1.0, n=100, ref_loss_counts=(5, 6), mu=0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PacBayesInput(**dict(_PB_FIELDS, n=0)), "need n >= 1"),
+    (lambda: PacBayesInput(**dict(_PB_FIELDS, mu=1.5)), "mu outside [lo, hi]"),
+    (lambda: PacBayesInput(**dict(_PB_FIELDS, gibbs_minus_mean=0.6)),
+     "gibbs_minus_mean outside [0, mu - lo]"),
+    (lambda: ExcessLossInput(**dict(_EXCESS_FIELDS, mu=1.5)), "mu outside [-1, 1]"),
+    (lambda: ExcessLossInput(**dict(_EXCESS_FIELDS, ref_loss_counts=(5, 51))),
+     "reference error counts outside [0, n/2]"),
+    (lambda: ExcessLossInput(**dict(_EXCESS_FIELDS, bwd_minus=1.5)),
+     "split mean outside its range"),
+])
+def test_pacbayes_input_checks_raise(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@settings(derandomize=True, deadline=None, max_examples=2000)
+@given(n=st.integers(1, 10**9), delta=st.floats(1e-12, 1.0, exclude_max=True))
+def test_confidence_term_at_delta_over_c_is_the_constant_2c(n, delta):
+    # the union over c terms, written once as ln(2 sqrt(n) / (delta / c))
+    assert _pb_confidence(n, delta / 2.0) == math.log(4.0 * math.sqrt(n) / delta)
+    assert _pb_confidence(n, delta / 4.0) == math.log(8.0 * math.sqrt(n) / delta)

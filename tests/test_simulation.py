@@ -37,9 +37,9 @@ from splitkl.simulation import (
     synth_ensemble,
 )
 from splitkl import simulation
+from splitkl.concentration import _row_stats
 from splitkl.simulation import (
-    _STREAM_CHUNK, _TERNARY_VALUES, _bound_values, _pcg64_states, _rng, _row_stats, _streams,
-    _ternary_stats,
+    _STREAM_CHUNK, _TERNARY_VALUES, _bound_values, _pcg64_states, _rng, _streams, _ternary_stats,
 )
 
 
@@ -494,3 +494,21 @@ def test_synth_determinism_and_guards():
     for rate in (6.31, 1e13):
         with pytest.raises(DomainError, match="expected pairwise OOB overlap"):
             synth_ensemble(4, 300, "correlated", seed=19, bagging_rate=rate)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TernarySpec(-0.1, 0.6, 0.5), "negative probability"),
+    (lambda: sample_beta(BetaSpec(2.0, 5.0), 0, 0), "need n >= 1"),
+    (lambda: coverage_experiment(object(), 10, 0.05, trials=100),
+     "dist must be a TernarySpec or BetaSpec"),
+    (lambda: sweep_ternary("sideways", 10, 0.05, repeats=1), "unknown ternary mode: sideways"),
+    (lambda: synth_ensemble(3, 1), "need at least 2 examples"),
+    # a bootstrap draw of one example leaves each hypothesis one out-of-bag
+    # example, so no pair shares two, at any seed
+    (lambda: synth_ensemble(3, 2, bagging_rate=0.5),
+     "could not generate non-degenerate OOB masks in 10 attempts"),
+])
+def test_simulation_checks_raise(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
