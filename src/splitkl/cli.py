@@ -51,6 +51,7 @@ from .majority_vote import (
     mv_risk,
     tnd_optimize,
 )
+from .simulation import BETA_MODES, TERNARY_MODES
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -78,8 +79,6 @@ def _round12(obj):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, np.ndarray):
         return [_round12(float(v)) for v in obj]
     return obj
@@ -190,9 +189,6 @@ def cmd_bound(args):
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
-
-TERNARY_MODES = ("symmetric", "skew_high", "skew_low")
-BETA_MODES = ("constant_mean", "spectrum")
 
 
 def _sweep_csv(rows):
@@ -505,7 +501,7 @@ def build_parser():
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("simulate", parents=[shared, seeded], help="bound-gap sweep CSV")
-    p.add_argument("--mode", choices=TERNARY_MODES + BETA_MODES, required=True)
+    p.add_argument("--mode", choices=(*TERNARY_MODES, *BETA_MODES), required=True)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--repeats", type=int, default=simulation.DEFAULT_REPEATS)
     p.set_defaults(func=cmd_simulate)

@@ -78,10 +78,15 @@ class SplitSummary:
             raise DomainError("need n >= 1")
         if not self.lo - _SLACK <= self.mu <= self.hi + _SLACK:
             raise DomainError(f"mu {self.mu} outside [{self.lo}, {self.hi}]")
-        if not -_SLACK <= self.plus_mean <= self.hi - self.mu + _SLACK:
+        if not _in_split_range(self.plus_mean, self.hi - self.mu):
             raise DomainError("plus_mean outside [0, hi - mu]")
-        if not -_SLACK <= self.minus_mean <= self.mu - self.lo + _SLACK:
+        if not _in_split_range(self.minus_mean, self.mu - self.lo):
             raise DomainError("minus_mean outside [0, mu - lo]")
+
+
+def _in_split_range(mean, cap):
+    """Whether a split mean is finite and in [0, cap] up to _SLACK, also where the cap is inf."""
+    return -_SLACK <= mean < math.inf and mean <= cap + _SLACK
 
 
 @dataclass(frozen=True)

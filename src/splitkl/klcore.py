@@ -69,8 +69,6 @@ def _kl_inv_bisect(p_hat, eps, upper):
         return _kl_inv_bisect_scalar(float(ph), float(ev), upper)
     ph_b, ev_b = np.broadcast_arrays(ph, ev)
     shape = ph_b.shape
-    if ph_b.size == 0:
-        return np.zeros(shape)
     # each distinct (p_hat, eps) is bisected once; pair[i] is the pair of
     # element i in flat order
     ph_u, ev_u, pair = _distinct_pairs(ph_b, ev_b)
@@ -110,7 +108,7 @@ def _distinct_pairs(a, b):
     order = np.lexsort((b_bits, a_bits))
     a_bits, b_bits = a_bits[order], b_bits[order]
     first = np.empty(order.size, dtype=bool)
-    first[0] = True
+    first[:1] = True  # a slice: on an empty array it sets nothing
     np.not_equal(a_bits[1:], a_bits[:-1], out=first[1:])
     first[1:] |= b_bits[1:] != b_bits[:-1]
     index = np.empty(order.size, dtype=np.intp)

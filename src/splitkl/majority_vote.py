@@ -115,10 +115,6 @@ class PredictionLossMatrix:
     def h_count(self):
         return self.losses.shape[0]
 
-    @property
-    def n_examples(self):
-        return self.losses.shape[1]
-
 
 @dataclass(frozen=True)
 class TandemStats:
@@ -414,9 +410,7 @@ def _tandem_eps(kl, m, delta):
 def tnd_bound(ts: TandemStats, w: PosteriorWeights, delta) -> float:
     """4 kl_inv_upper(rho' T rho, (2 KL + ln(4 sqrt(m)/d)) / m): :func:`cctnd_bound`
     at alpha = 0."""
-    _check_delta(delta)
-    return _cctnd_value(_quad(w.rho, ts.tandem_loss).item(), float(w.rho @ ts.single_loss),
-                        discrete_kl(w.rho, w.pi), ts.n, ts.m, 0.0, delta)
+    return cctnd_bound(ts, w, 0.0, delta)
 
 
 def cctnd_bound(ts: TandemStats, w: PosteriorWeights, alpha, delta) -> float:
@@ -583,13 +577,21 @@ def cctnd_optimize(ts: TandemStats, pi, delta, alpha_grid=None, tnd=None):
     result is a candidate, and wins only when strictly lower: ``tnd``, what
     :func:`tnd_optimize` returns on ``ts`` (the ``(weights, report)`` every
     optimizer returns), or a fresh run when it is None.  On the grid (0,),
-    a given ``tnd`` is the result.
+    a given ``tnd`` is the result.  A ``tnd`` of another delta or prior raises.
     """
     _check_delta(delta)
+    _check_tnd(tnd, pi, delta)
     grid = _alpha_iteration(alpha_grid)
     if grid == (0.0,) and tnd is not None:
         return tnd[0], BoundReport("cctnd", tnd[1].value, delta, dict(tnd[1].params, alpha=0.0))
     return _cctnd(ts, np.asarray(pi, dtype=float), delta, grid, tnd)
+
+
+def _check_tnd(tnd, pi, delta):
+    """Raise DomainError unless ``tnd`` is None or tnd_optimize's result at pi and delta."""
+    if tnd is not None and not (tnd[1].name == "tnd" and tnd[1].delta == delta
+                                and np.array_equal(tnd[0].pi, pi)):
+        raise DomainError(f"tnd must be tnd_optimize's result at this prior and delta {delta}")
 
 
 def _cctnd(ts, pi, delta, grid, tnd=None):
@@ -694,9 +696,10 @@ def ccpbskl_optimize(plm: PredictionLossMatrix, pi, delta, alpha_grid=None, tnd=
     bound and takes the TND optimizer's result, whose iterations count
     toward the report's: ``tnd``, what :func:`tnd_optimize` returns on this
     matrix's statistics (the ``(weights, report)`` every optimizer
-    returns), or a fresh run.
+    returns; one of another delta or prior raises), or a fresh run.
     """
     _check_delta(delta)
+    _check_tnd(tnd, pi, delta)
     comp_const = _pb_confidence(int(plm.pair_counts[0].min()), delta / 2.0)
 
     def objective(s, p, q_plus, q_minus, kl):

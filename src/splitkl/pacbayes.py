@@ -16,15 +16,15 @@ import numpy as np
 
 from .concentration import (
     BoundReport,
+    _SLACK,
     _check_unexpected_bernstein,
+    _in_split_range,
     _split_kl_value,
     _unexpected_bernstein_grid_report,
     _unexpected_bernstein_value,
 )
 from .errors import DomainError
 from .klcore import _check_delta, _is_count, binomial_tail_inverse, kl_inv_upper
-
-_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ class PacBayesInput:
             raise DomainError("gibbs_mean outside [lo, hi]")
         if not -_SLACK <= self.gibbs_second_moment < math.inf:
             raise DomainError("gibbs_second_moment must be finite and non-negative")
-        if not -_SLACK <= self.gibbs_plus_mean <= self.hi - self.mu + _SLACK:
+        if not _in_split_range(self.gibbs_plus_mean, self.hi - self.mu):
             raise DomainError("gibbs_plus_mean outside [0, hi - mu]")
-        if not -_SLACK <= self.gibbs_minus_mean <= self.mu - self.lo + _SLACK:
+        if not _in_split_range(self.gibbs_minus_mean, self.mu - self.lo):
             raise DomainError("gibbs_minus_mean outside [0, mu - lo]")
 
 
@@ -105,7 +105,7 @@ class ExcessLossInput:
             (self.fwd_minus, self.mu + 1.0),
             (self.bwd_minus, self.mu + 1.0),
         ]:
-            if not -_SLACK <= val <= cap + _SLACK:
+            if not _in_split_range(val, cap):
                 raise DomainError("split mean outside its range")
 
 

@@ -226,12 +226,6 @@ def sample_beta(spec: BetaSpec, n, seed) -> np.ndarray:
     return rng.beta(spec.alpha_shape, spec.beta_shape, size=n)
 
 
-def _ternary_draw(spec, rng, out):
-    """Fill ``out`` with the uniforms that :func:`sample_ternary` maps to
-    draws through the spec's cdf."""
-    rng.random(out=out)
-
-
 def _ternary_stats(spec, u):
     """:func:`_row_stats` around mu = 0 of the ternary draws behind each row
     of a (rows, n) block of uniforms, from two counts per row: the -1 draws
@@ -259,7 +253,7 @@ def _distribution(spec):
     :func:`_row_stats` rows.  A ternary block holds the uniforms behind the
     draws, which are counted and never mapped to samples."""
     if isinstance(spec, TernarySpec):
-        return -1.0, 1.0, 0.0, _ternary_draw, _ternary_stats
+        return -1.0, 1.0, 0.0, lambda _, rng, out: rng.random(out=out), _ternary_stats
     if isinstance(spec, BetaSpec):
         return 0.0, 1.0, 0.5, _beta_draw, lambda _, x: _row_stats(x, 0.5)
     raise DomainError("dist must be a TernarySpec or BetaSpec")
@@ -277,15 +271,16 @@ def _bound_values(stats, n, lo, hi, mu, delta):
     }
 
 
+# each ternary scenario's shares of 1 - p0 at -1 and at 1
+TERNARY_MODES = {"symmetric": (0.5, 0.5), "skew_high": (0.01, 0.99), "skew_low": (0.99, 0.01)}
+BETA_MODES = ("constant_mean", "spectrum")
+
+
 def _ternary_probs(mode, p0):
-    rest = 1.0 - p0
-    if mode == "symmetric":
-        return TernarySpec(0.5 * rest, p0, 0.5 * rest)
-    if mode == "skew_high":
-        return TernarySpec(0.01 * rest, p0, 0.99 * rest)
-    if mode == "skew_low":
-        return TernarySpec(0.99 * rest, p0, 0.01 * rest)
-    raise DomainError(f"unknown ternary mode: {mode}")
+    if mode not in TERNARY_MODES:
+        raise DomainError(f"unknown ternary mode: {mode}")
+    (minus, plus), rest = TERNARY_MODES[mode], 1.0 - p0
+    return TernarySpec(minus * rest, p0, plus * rest)
 
 
 def _beta_specs(mode):

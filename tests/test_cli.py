@@ -157,7 +157,7 @@ _NAN_SUM = ["# lo=-1e308 hi=1e308 mu=0"] + (["1e308", "-1e308"] + ["0"] * 6) * 2
     ("eb", _SUM_OVER, "mean inf outside [1e+200, 1e+308]"),
     ("ub", _SUM_OVER, "mean inf outside [1e+200, 1e+308]"),
     ("skl", _MINUS_SUM_OVER, "minus_mean outside [0, mu - lo]"),
-    ("skl", _DIFF_OVER, "p_hat is NaN"),
+    ("skl", _DIFF_OVER, "minus_mean outside [0, mu - lo]"),
     ("kl", _NAN_SUM, "p_hat is NaN"),
     ("eb", _NAN_SUM, "mean nan outside [-1e+308, 1e+308]"),
     ("skl", _NAN_SUM, "plus_mean outside [0, hi - mu]"),
@@ -179,6 +179,14 @@ def test_bound_kl_and_skl_do_not_read_the_moments(tmp_path, capsys, bound):
     assert run(["bound", path, "--bound", bound]) == 0
     out = json.loads(capsys.readouterr().out)
     assert [(b["name"], b["value"]) for b in out["bounds"]] == [(bound, 1e200)]
+
+
+def test_bound_skl_with_mu_outside_the_range_exit_3(tmp_path, capsys):
+    path = write_sample(tmp_path, ["# lo=0 hi=1", "0.25", "0.75"])
+    assert run(["bound", path, "--bound", "skl", "--mu", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "domain error: mu 5.0 outside [0.0, 1.0]\n"
 
 
 def test_bound_validates_and_summarises_the_samples_once(tmp_path, capsys, monkeypatch):

@@ -393,3 +393,18 @@ def test_summary_and_grid_checks_raise(call, message):
     with pytest.raises(DomainError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    # mu - lo overflows to inf, and so does the minus part's sum
+    (lambda: split_decompose([0, -1e200, 1e308, -1e308], 1e308, -1e308, 1e308),
+     "minus_mean outside [0, mu - lo]"),
+    (lambda: SplitSummary(4, 1e308, 0.0, math.inf, -1e308, 1e308),
+     "minus_mean outside [0, mu - lo]"),
+    (lambda: SplitSummary(4, -1e308, math.inf, 0.0, -1e308, 1e308),
+     "plus_mean outside [0, hi - mu]"),
+], ids=["split_decompose", "minus_mean", "plus_mean"])
+def test_split_means_must_be_finite_where_their_cap_overflows(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -1082,6 +1082,42 @@ def test_cctnd_takes_the_tnd_candidate_only_when_strictly_lower():
     assert rep.params == own.params
 
 
+@pytest.mark.parametrize("optimize", ["cctnd", "ccpbskl"])
+@pytest.mark.parametrize("mismatch", ["delta", "prior", "name"])
+def test_optimizers_reject_a_tnd_result_of_another_delta_or_prior(optimize, mismatch):
+    # a TND result at delta = 0.2 made CCTND report 1.3123 as its delta = 0.05
+    # certificate on this ensemble, whose value at delta = 0.05 is 1.3884
+    from splitkl.simulation import synth_ensemble
+
+    plm, _ = synth_ensemble(5, 600, "correlated", seed=3)
+    ts, pi = compute_tandem_stats(plm), np.full(5, 0.2)
+    tnd = {"delta": lambda: tnd_optimize(ts, pi, 0.2),
+           "prior": lambda: tnd_optimize(ts, np.array([0.6, 0.1, 0.1, 0.1, 0.1]), 0.05),
+           "name": lambda: cctnd_optimize(ts, pi, 0.05, (0.0,))}[mismatch]()
+    run = {"cctnd": lambda: cctnd_optimize(ts, pi, 0.05, (0.0,), tnd=tnd),
+           "ccpbskl": lambda: ccpbskl_optimize(plm, pi, 0.05, (0.0,), tnd=tnd)}[optimize]
+    with pytest.raises(DomainError) as exc:
+        run()
+    assert str(exc.value) == "tnd must be tnd_optimize's result at this prior and delta 0.05"
+
+
+def test_alpha_surrogate_min_without_a_stationary_point():
+    # at u = 1/2 the surrogate is 1 + (T - 1/4) / (1/2 - a)^2, monotone in a:
+    # the best of the endpoints and the in-range grid points wins, and a
+    # better grid point outside [lo, hi] is not a candidate
+    from splitkl.majority_vote import _alpha_surrogate_min
+
+    grid = (-0.45, -0.2, 0.0, 0.1, 0.4)
+    for big_t, best in ((0.3, -0.3), (0.2, 0.2)):
+        def value(a):
+            return (big_t - a + a * a) / (0.5 - a) ** 2
+
+        cands = [-0.3, 0.2, -0.2, 0.0, 0.1]
+        assert min(cands, key=value) == best
+        assert value(-0.45 if best < 0 else 0.4) < value(best)
+        assert _alpha_surrogate_min(big_t, 0.5, -0.3, 0.2, grid) == (best, value(best))
+
+
 def test_alpha_grid_none_is_the_default_grid():
     rng = np.random.default_rng(22)
     plm = random_plm(rng, h=3, n=60)

@@ -515,6 +515,23 @@ def test_pacbayes_input_checks_raise(call, message):
     assert str(exc.value) == message
 
 
+_WIDEST = dict(_PB_FIELDS, gibbs_mean=0.0, gibbs_plus_mean=0.0, gibbs_minus_mean=0.0,
+               lo=-1e308, hi=1e308)
+
+
+@pytest.mark.parametrize("call, message", [
+    # mu - lo and hi - mu overflow to inf, which an infinite split mean does not meet
+    (lambda: PacBayesInput(**dict(_WIDEST, mu=1e308, gibbs_minus_mean=math.inf)),
+     "gibbs_minus_mean outside [0, mu - lo]"),
+    (lambda: PacBayesInput(**dict(_WIDEST, mu=-1e308, gibbs_plus_mean=math.inf)),
+     "gibbs_plus_mean outside [0, hi - mu]"),
+], ids=["gibbs_minus_mean", "gibbs_plus_mean"])
+def test_gibbs_split_means_must_be_finite_where_their_cap_overflows(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @settings(derandomize=True, deadline=None, max_examples=2000)
 @given(n=st.integers(1, 10**9), delta=st.floats(1e-12, 1.0, exclude_max=True))
 def test_confidence_term_at_delta_over_c_is_the_constant_2c(n, delta):
